@@ -7,10 +7,13 @@ The algebra acts on the coset space H\\G from the left:
 so each basis element e_D (the indicator of the double coset D, value 1 on
 the whole coset) becomes a zero-one matrix of size |G|/|H|, and the whole
 algebra is the span of matrices constant on the cells {(i, j) : r_i r_j^{-1}
-in D}.  Products are computed through structure constants extracted from
-these matrices, never through element-level convolution over G; the group
-algebra corner p_H C[G] p_H is kept available as an independent oracle via
-corner_isomorphism_check.
+in D}.  Products are computed through structure constants, never through
+element-level convolution over G.  The constants are counted one row of
+the cell table at a time: row i comes from the right translation of the
+cosets by r_i^{-1}, which the action of G's generators on H\\G gives as one
+gather per coset.  The full λ-matrices are built only when asked for.  The
+group algebra corner p_H C[G] p_H is kept available as an independent
+oracle via corner_isomorphism_check.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +34,7 @@ from ._exactvec import ExactVector
 from .errors import PairMismatchError, ScaleError
 from .groupalg import (AlgebraElement, EnumeratedGroup, ORACLE_CAP, convolve as
                        group_convolve, corner_basis, corner_trace, projector)
-from .permgroup import (DoubleCosetTable, PermGroup, Permutation, _inv, _mul,
-                        symmetric_group)
+from .permgroup import DoubleCosetTable, PermGroup, symmetric_group
 from .treefam import TreeShape, ball_aut_group, q_group
 
 
@@ -45,7 +48,11 @@ class GelfandReport:
 
 
 class HeckePair:
-    """A pair (G, H) together with its double-coset table and λ-matrices."""
+    """A pair (G, H) with its double-coset table and structure constants.
+
+    λ-matrices are built on demand, from the action of G's generators on
+    H\\G (see `cell_class`).
+    """
 
     def __init__(self, G: PermGroup, H: PermGroup,
                  table: DoubleCosetTable | None = None, name: str = ""):
@@ -66,26 +73,28 @@ class HeckePair:
         self.class_of_coset = np.array(self.table._class_of_coset, dtype=np.int32)
         self.first_coset = np.array([e.right_cosets[0] for e in self.table.entries],
                                     dtype=np.int32)
-        self.cell_class = self._build_cell_table()
         self._struct = None
         self._struct_obj = None
 
-    def _build_cell_table(self):
-        reps = [r.images for r in self.cosets.representatives]
-        invs = [_inv(r) for r in reps]
-        n = self.size
-        sub = self.subgroup
-        where = self.cosets._where
-        cls = self.class_of_coset
-        cell = np.empty((n, n), dtype=np.int32)
-        for j in range(n):
-            inv_j = invs[j]
-            col = cell[:, j]
-            for i in range(n):
-                col[i] = cls[where[sub._min_coset_images(_mul(reps[i], inv_j))]]
-        return cell
+    def _cell_rows(self):
+        """Yield (i, row i of `cell_class`) for every coset i.
+
+        cell[i, y] = class(r_i r_y⁻¹) = star(class(r_y r_i⁻¹)), and the coset
+        R_i[y] lies in the double coset of r_y r_i⁻¹.
+        """
+        star_class = self.star_map.astype(np.int64)[self.class_of_coset]
+        for i, translation in self.cosets.translations():
+            yield i, star_class[translation]
 
     # -- basis and λ ------------------------------------------------------------
+
+    @cached_property
+    def cell_class(self):
+        """Matrix of class(r_i r_j⁻¹): λ(e_d) is the indicator of its value d."""
+        cell = np.empty((self.size, self.size), dtype=np.int32)
+        for i, row in self._cell_rows():
+            cell[i] = row
+        return cell
 
     def basis_matrix(self, j: int):
         """Integer λ-matrix of the basis element e_j."""
@@ -98,26 +107,25 @@ class HeckePair:
     def structure_constants(self):
         """Integer tensor N[d, e, f] with e_d e_e = sum_f N[d,e,f] e_f.
 
-        Extracted from λ-matrix products applied to the base-coset columns;
-        constancy on each double-coset cell class is verified exactly.
+        Row i of the λ-matrices gives counts_i[d, e] = #{y : class(r_i r_y⁻¹)
+        = d, class(r_y) = e}, which is N[d, e, class(r_i)].  Every row is
+        counted, and all rows of one class must agree exactly (bi-invariance).
         """
         if self._struct is None:
-            dim, size = self.dim, self.size
-            indicator = np.zeros((size, dim), dtype=np.int64)
-            indicator[np.arange(size), self.class_of_coset] = 1
-            struct = np.empty((dim, dim, dim), dtype=np.int64)
-            for d in range(dim):
-                M = self.basis_matrix(d)
-                prod = M @ indicator          # column f is M @ 1_{class f}
-                for e in range(dim):
-                    col = prod[:, e]
-                    vals = col[self.first_coset]
-                    for f in range(dim):
-                        cosets = self.table.entries[f].right_cosets
-                        if any(col[c] != vals[f] for c in cosets):
-                            raise AssertionError(
-                                "product of basis elements is not bi-invariant")
-                    struct[d, e] = vals
+            dim = self.dim
+            cls = self.class_of_coset.astype(np.int64)
+            by_class = np.zeros((dim, dim, dim), dtype=np.int64)
+            done = np.zeros(dim, dtype=bool)
+            for i, row in self._cell_rows():
+                counts = np.bincount(row * dim + cls, minlength=dim * dim)
+                f = cls[i]
+                if not done[f]:
+                    by_class[f] = counts.reshape(dim, dim)
+                    done[f] = True
+                elif not np.array_equal(by_class[f].ravel(), counts):
+                    raise AssertionError(
+                        "product of basis elements is not bi-invariant")
+            struct = np.ascontiguousarray(by_class.transpose(1, 2, 0))
             self._struct = struct
             self._struct_obj = struct.astype(object)
         return self._struct

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContainmentError, DomainMismatchError, MalformedPermutationError, ScaleError
 
 #: right-coset spaces larger than this are refused (spec desk-scale cap)
@@ -311,21 +313,34 @@ class PermGroup:
 
     def min_in_double_coset(self, g: Permutation) -> Permutation:
         """Lexicographically minimal element of (self)·g·(self)."""
-        start = self._min_coset_images(g.images)
-        seen = {start}
-        queue = [start]
-        best = start
         gens = [h.images for h in self.generators]
-        while queue:
-            r = queue.pop()
-            for h in gens:
-                c = self._min_coset_images(_mul(r, h))
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-                    if c < best:
-                        best = c
-        return _wrap(best)
+        reps, _ = _orbit(self._min_coset_images(g.images), gens,
+                         lambda r, h: self._min_coset_images(_mul(r, h)))
+        return _wrap(min(reps))
+
+
+def _orbit(start, gens, step):
+    """Orbit of `start` under the maps x ↦ step(x, g) for g in `gens`.
+
+    Breadth first.  Returns (points, edges): the orbit in discovery order,
+    points[0] being `start`, and edges[k][s], the position in `points` of
+    step(points[k], gens[s]).  Each point k > 0 is the target of its
+    discovering edge before any other edge in row order, so the first edges
+    into the points form a breadth-first spanning tree of the orbit.
+    """
+    index = {start: 0}
+    points = [start]
+    edges = []
+    for x in points:                      # grows while it is walked
+        row = []
+        for g in gens:
+            y = step(x, g)
+            j = index.setdefault(y, len(points))
+            if j == len(points):
+                points.append(y)
+            row.append(j)
+        edges.append(row)
+    return points, edges
 
 
 def build_chain(generators, degree: int) -> PermGroup:
@@ -371,7 +386,11 @@ class CosetIndex:
     """The right-coset space H\\G with canonical (lex-minimal) representatives.
 
     Representatives are sorted lexicographically, which puts the identity
-    (the representative of the coset H itself) at index 0.
+    (the representative of the coset H itself) at index 0.  The enumeration
+    keeps the right action of G's generators on the cosets, ``action[s, i]``
+    being the index of H·r_i·g_s, and the breadth-first tree it grew along:
+    coset j > 0 was first reached as ``action[tree_generator[j],
+    tree_parent[j]]``.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -382,23 +401,29 @@ class CosetIndex:
                 f"right-coset space of size {size} exceeds cap {COSET_INDEX_CAP}")
         self.group = G
         self.subgroup = H
-        start = H._min_coset_images(tuple(range(G.degree)))
-        seen = {start}
-        queue = [start]
         gens = [g.images for g in G.generators]
-        while queue:
-            r = queue.pop()
-            for g in gens:
-                c = H._min_coset_images(_mul(r, g))
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        reps = sorted(seen)
+        points, edges = _orbit(H._min_coset_images(tuple(range(G.degree))), gens,
+                               lambda r, g: H._min_coset_images(_mul(r, g)))
+        reps = sorted(points)
         if len(reps) != size:
             raise RuntimeError(
                 f"coset enumeration found {len(reps)} cosets, expected {size}")
         self.representatives = tuple(_wrap(r) for r in reps)
         self._where = {r: i for i, r in enumerate(reps)}
+        # discovery order -> sorted order
+        position = np.array([self._where[p] for p in points], dtype=np.int32)
+        moves = np.array(edges, dtype=np.int32).reshape(size, len(gens))
+        self.action = np.empty((len(gens), size), dtype=np.int32)
+        self.action[:, position] = position[moves].T
+        parent, generator = [-1] * size, [-1] * size
+        for k, row in enumerate(edges):
+            for s, j in enumerate(row):
+                if j and parent[j] < 0:
+                    parent[j], generator[j] = k, s
+        self.tree_parent = np.full(size, -1, dtype=np.int32)
+        self.tree_generator = np.full(size, -1, dtype=np.int32)
+        self.tree_parent[position[1:]] = position[parent[1:]]
+        self.tree_generator[position[1:]] = generator[1:]
 
     def __len__(self):
         return len(self.representatives)
@@ -406,6 +431,30 @@ class CosetIndex:
     def coset_of(self, p: Permutation) -> int:
         """Index of the right coset H·p."""
         return self._where[self.subgroup._min_coset_images(p.images)]
+
+    def translations(self):
+        """Yield (j, R_j) for every coset j, where R_j[i] is the coset H·r_i·w_j⁻¹.
+
+        Here w_j is the word in G's generators along the tree path to j, so
+        H·w_j = H·r_j, and H·r_i·w_j⁻¹ lies in the double coset of
+        r_i·r_j⁻¹.  Each R_j is one gather of its parent's, R_j =
+        R_parent[inverse action of the tree generator]; the tree is walked
+        depth first, so only the translations along one path are alive.
+        """
+        size = len(self)
+        inverse = np.empty_like(self.action)
+        for s, row in enumerate(self.action):
+            inverse[s, row] = np.arange(size, dtype=np.int32)
+        children = [[] for _ in range(size)]
+        for j, parent in enumerate(self.tree_parent.tolist()):
+            if parent >= 0:
+                children[parent].append(j)
+        stack = [(0, np.arange(size, dtype=np.int32))]
+        while stack:
+            j, R = stack.pop()
+            yield j, R
+            for c in children[j]:
+                stack.append((c, R[inverse[self.tree_generator[c]]]))
 
 
 def right_coset_index(G: PermGroup, H: PermGroup) -> CosetIndex:
@@ -437,34 +486,27 @@ class DoubleCosetTable:
             _check_subgroup(G, H)
         self.group = G
         self.subgroup = H
-        reps = self.cosets.representatives
+        reps = [r.images for r in self.cosets.representatives]
+        where = self.cosets._where
         gens = [h.images for h in H.generators]
-        assign = [-1] * len(reps)
+        assigned = [False] * len(reps)
         blocks = []
         for seed in range(len(reps)):
-            if assign[seed] >= 0:
+            if assigned[seed]:
                 continue
-            block = [seed]
-            assign[seed] = len(blocks)
-            queue = [seed]
-            while queue:
-                i = queue.pop()
-                r = reps[i].images
-                for h in gens:
-                    j = self.cosets.coset_of(_wrap(_mul(r, h)))
-                    if assign[j] < 0:
-                        assign[j] = len(blocks)
-                        block.append(j)
-                        queue.append(j)
+            block, _ = _orbit(seed, gens,
+                              lambda i, h: where[H._min_coset_images(_mul(reps[i], h))])
+            for c in block:
+                assigned[c] = True
             blocks.append(sorted(block))
         # canonical representative of a class is the minimum over its cosets'
         # canonical representatives, i.e. the minimum of the double coset
-        keyed = sorted(blocks, key=lambda b: reps[b[0]].images)
+        keyed = sorted(blocks, key=lambda b: reps[b[0]])
         order_h = H.order()
         entries = []
         for block in keyed:
             entries.append({
-                "rep": reps[block[0]],
+                "rep": self.cosets.representatives[block[0]],
                 "cosets": tuple(block),
                 "r": len(block),
             })
@@ -531,62 +573,68 @@ class DoubleCosetTable:
             json.dump(self.to_json_dict(descriptor), fh)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DoubleCosetTable":
+    def from_json_dict(cls, data: dict, descriptor=None) -> "DoubleCosetTable":
         """Reconstruct a cached table, revalidating its invariants cheaply.
 
-        Groups are rebuilt from the stored generators; coset representatives
-        are checked to be canonical and correctly counted; entry sizes must
-        partition |G| and match |H| times the coset counts.
+        Groups are rebuilt from the stored generators and the coset space is
+        enumerated afresh, which also rebuilds the generator action; the
+        stored representatives must equal that enumeration.  Entries must
+        partition the cosets, and their sizes must match |H| times the coset
+        counts.  When `descriptor` is given, the stored one must equal it.
+        Any malformed or mismatched field raises ValueError.
         """
+        if not isinstance(data, dict):
+            raise ValueError("cached table is not a JSON object")
         if data.get("format") != cls.FORMAT:
             raise ValueError(f"unsupported table format {data.get('format')!r}")
-        m = data["m"]
-        G = PermGroup(m, data["group_generators"])
-        H = PermGroup(m, data["subgroup_generators"])
-        _check_subgroup(G, H)
-        reps = [tuple(r) for r in data["coset_representatives"]]
-        if len(reps) != G.order() // H.order():
-            raise ValueError("cached table has the wrong number of cosets")
-        if reps != sorted(reps):
-            raise ValueError("cached coset representatives are not sorted")
-        for r in reps:
-            if H._min_coset_images(r) != r:
-                raise ValueError("cached coset representative is not canonical")
-        cosets = CosetIndex.__new__(CosetIndex)
-        cosets.group = G
-        cosets.subgroup = H
-        cosets.representatives = tuple(_wrap(r) for r in reps)
-        cosets._where = {r: i for i, r in enumerate(reps)}
+        if descriptor is not None and data.get("descriptor") != descriptor:
+            raise ValueError(f"cached descriptor {data.get('descriptor')!r} "
+                             f"is not {descriptor!r}")
+        m = data.get("m")
+        if type(m) is not int or m < 1:
+            raise ValueError(f"cached degree {m!r} is not a positive integer")
+        G = PermGroup(m, _int_rows(data.get("group_generators"), "group generators"))
+        H = PermGroup(m, _int_rows(data.get("subgroup_generators"), "subgroup generators"))
+        cosets = CosetIndex(G, H)
+        reps = [r.images for r in cosets.representatives]
+        stored = _int_rows(data.get("coset_representatives"), "coset representatives")
+        if [tuple(r) for r in stored] != reps:
+            raise ValueError("cached coset representatives differ from the enumeration")
 
         table = cls.__new__(cls)
         table.group = G
         table.subgroup = H
         table.cosets = cosets
         order_h = H.order()
+        raw_entries = data.get("entries")
+        if not isinstance(raw_entries, list) or not raw_entries:
+            raise ValueError("cached entries are not a nonempty list")
         entries = []
-        covered = []
-        lookup = {}
-        for ci, raw in enumerate(data["entries"]):
-            block = tuple(raw["right_cosets"])
-            entry = DoubleCosetEntry(
-                representative=_wrap(tuple(raw["representative"])),
-                size=raw["size"],
-                right_cosets=block,
-                r_index=raw["r_index"],
-                r_index_inv=raw["r_index_inv"],
-            )
-            if entry.size != order_h * len(block) or entry.r_index != len(block):
-                raise ValueError("cached entry sizes are inconsistent")
-            if entry.representative.images != reps[block[0]]:
-                raise ValueError("cached entry representative is not minimal")
-            covered.extend(block)
+        lookup = [-1] * len(reps)
+        for ci, raw in enumerate(raw_entries):
+            if not isinstance(raw, dict):
+                raise ValueError("cached entry is not an object")
+            block = tuple(_int_row(raw.get("right_cosets"), "entry cosets"))
+            if not block or any(not 0 <= c < len(reps) or lookup[c] >= 0 for c in block):
+                raise ValueError("cached entries do not partition the coset space")
             for c in block:
                 lookup[c] = ci
-            entries.append(entry)
-        if sorted(covered) != list(range(len(reps))):
+            numbers = [raw.get(key) for key in ("size", "r_index", "r_index_inv")]
+            if any(type(x) is not int for x in numbers):
+                raise ValueError("cached entry sizes are not integers")
+            size, r, r_inv = numbers
+            if size != order_h * len(block) or r != len(block):
+                raise ValueError("cached entry sizes are inconsistent")
+            if _int_row(raw.get("representative"), "entry representative") != \
+                    list(reps[block[0]]):
+                raise ValueError("cached entry representative is not minimal")
+            entries.append(DoubleCosetEntry(
+                representative=cosets.representatives[block[0]],
+                size=size, right_cosets=block, r_index=r, r_index_inv=r_inv))
+        if -1 in lookup:
             raise ValueError("cached entries do not partition the coset space")
         table.entries = tuple(entries)
-        table._class_of_coset = tuple(lookup[i] for i in range(len(reps)))
+        table._class_of_coset = tuple(lookup)
         inverse_class = [
             table._class_of_coset[cosets.coset_of(e.representative.inverse())]
             for e in entries]
@@ -597,9 +645,9 @@ class DoubleCosetTable:
         return table
 
     @classmethod
-    def load(cls, path) -> "DoubleCosetTable":
+    def load(cls, path, descriptor=None) -> "DoubleCosetTable":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh), descriptor)
 
 
 def double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetTable:
@@ -614,15 +662,19 @@ def r_index(x: Permutation, H: PermGroup) -> int:
     """
     if x.degree != H.degree:
         raise DomainMismatchError("element degree differs from subgroup degree")
-    start = H._min_coset_images(x.images)
-    seen = {start}
-    queue = [start]
     gens = [h.images for h in H.generators]
-    while queue:
-        r = queue.pop()
-        for h in gens:
-            c = H._min_coset_images(_mul(r, h))
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return len(seen)
+    reps, _ = _orbit(H._min_coset_images(x.images), gens,
+                     lambda r, h: H._min_coset_images(_mul(r, h)))
+    return len(reps)
+
+
+def _int_row(value, what: str) -> list:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"cached {what} are not a list of integers")
+    return value
+
+
+def _int_rows(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"cached {what} are not a list")
+    return [_int_row(row, what) for row in value]

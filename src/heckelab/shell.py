@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -97,7 +98,11 @@ def _atomic_write(path: str, text: str):
 
 
 def load_or_build_pair(config: RunConfig, kind: str) -> HeckePair:
-    """Build (S_points, tree group) with the double-coset table cached on disk."""
+    """Build (S_points, tree group) with the double-coset table cached on disk.
+
+    A cache entry is used only if it loads cleanly, carries the requested
+    descriptor and holds exactly these groups; otherwise it is rebuilt.
+    """
     if kind == "depth":
         spec = LevelGroupSpec("depth", config.d, config.d, config.l)
         key = f"dc_depth_d{config.d}_l{config.l}_v{CACHE_VERSION}.json"
@@ -107,14 +112,21 @@ def load_or_build_pair(config: RunConfig, kind: str) -> HeckePair:
         key = f"dc_level_d{config.d}_k{config.k}_n{config.n}_v{CACHE_VERSION}.json"
         descriptor = {"kind": "level", "d": config.d, "k": config.k, "n": config.n}
     path = os.path.join(cache_root(config), key)
+    subgroup = spec.realize()
     table = None
     if os.path.exists(path):
         try:
-            table = DoubleCosetTable.load(path)
-        except (ValueError, KeyError, json.JSONDecodeError):
+            table = DoubleCosetTable.load(path, descriptor)
+        except ValueError:
             table = None
+    # a subgroup of S_m of order m! is S_m
+    if table is not None and not (
+            table.group.degree == spec.points
+            and table.group.order() == math.factorial(spec.points)
+            and table.subgroup.same_group(subgroup)):
+        table = None
     if table is None:
-        table = DoubleCosetTable(symmetric_group(spec.points), spec.realize())
+        table = DoubleCosetTable(symmetric_group(spec.points), subgroup)
         _atomic_write(path, json.dumps(table.to_json_dict(descriptor)) + "\n")
     pair = HeckePair(table.group, table.subgroup, table, name=spec.label())
     pair.tree_d = config.d

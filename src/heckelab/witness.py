@@ -293,19 +293,37 @@ class WitnessCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WitnessCertificate":
+        """Parse a certificate; any missing or malformed field raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate is not a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {data.get('format')!r}")
+        basis = _field(data, "basis", list)
+        if any(not isinstance(rep, list) or any(type(x) is not int for x in rep)
+               for rep in basis):
+            raise ValueError("certificate field 'basis' is not a list of integer lists")
+        spectral = _field(data, "spectral", dict)
+        angles = _numbers(spectral, "angles", "spectral")
+        weights = _numbers(spectral, "weights", "spectral")
+        if len(angles) != len(weights):
+            raise ValueError("certificate spectral angles and weights differ in length")
+        moments = _complexes(_field(data, "moments", dict), "moments")
+        if len(moments) == 0:
+            raise ValueError("certificate field 'moments' is empty")
+        tolerances = _field(data, "tolerances", dict)
+        for key in DEFAULT_TOLERANCES:
+            _number(tolerances, key, "tolerances")
         return cls(
-            d=int(data["d"]),
-            l=int(data["l"]),
-            basis=[tuple(rep) for rep in data["basis"]],
-            u_coefficients=_complexes(data["u"]),
-            v_coefficients=_complexes(data["v"]),
-            angles=np.asarray(data["spectral"]["angles"], dtype=float),
-            weights=np.asarray(data["spectral"]["weights"], dtype=float),
-            moments=_complexes(data["moments"]),
-            max_abs_moment=float(data["max_abs_moment"]),
-            tolerances=dict(data["tolerances"]),
+            d=_field(data, "d", int),
+            l=_field(data, "l", int),
+            basis=[tuple(rep) for rep in basis],
+            u_coefficients=_complexes(_field(data, "u", dict), "u"),
+            v_coefficients=_complexes(_field(data, "v", dict), "v"),
+            angles=angles,
+            weights=weights,
+            moments=moments,
+            max_abs_moment=_number(data, "max_abs_moment"),
+            tolerances=dict(tolerances),
         )
 
     def save(self, path):
@@ -324,9 +342,30 @@ def _reals(values) -> list:
     return [float(f"{float(v):.17g}") for v in values]
 
 
-def _complexes(data) -> np.ndarray:
-    return (np.asarray(data["re"], dtype=float)
-            + 1j * np.asarray(data["im"], dtype=float))
+def _field(data: dict, key: str, kind, where: str = ""):
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = f"{where}.{key}" if where else key
+        raise ValueError(f"certificate field {name!r} is missing or has the wrong type")
+    return value
+
+
+def _number(data: dict, key: str, where: str = "") -> float:
+    return float(_field(data, key, (int, float), where))
+
+
+def _numbers(data: dict, key: str, where: str) -> np.ndarray:
+    values = _field(data, key, list, where)
+    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in values):
+        raise ValueError(f"certificate field '{where}.{key}' is not a list of numbers")
+    return np.asarray(values, dtype=float)
+
+
+def _complexes(data: dict, where: str) -> np.ndarray:
+    re, im = _numbers(data, "re", where), _numbers(data, "im", where)
+    if len(re) != len(im):
+        raise ValueError(f"certificate field {where!r} has re and im of different lengths")
+    return re + 1j * im
 
 
 # -- the search -------------------------------------------------------------------------

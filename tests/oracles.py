@@ -2,9 +2,13 @@
 
 Everything here works on raw image tuples with explicit set arithmetic, so
 expected values in the tests never come from the code paths they check.
+The exception is the last section: the slow paths the library replaced,
+kept as references for the fast ones.
 """
 
 import itertools
+
+import numpy as np
 
 
 def mul(p, q):
@@ -117,3 +121,41 @@ def orbit_count_burnside(elements, action_maps):
     """
     total = sum(sum(1 for x in elements if f(x) == x) for f in action_maps)
     return total // len(action_maps)
+
+
+# -- slow paths kept as references ----------------------------------------------
+
+def dense_cell_table(pair):
+    """cell[i, j] = class of the coset H·r_i·r_j⁻¹, one canonical-coset
+    computation per cell: the O(n²) table the coset-action kernel replaced."""
+    reps = [r.images for r in pair.cosets.representatives]
+    invs = [inv(r) for r in reps]
+    sub = pair.subgroup
+    where = {r: i for i, r in enumerate(reps)}
+    cls = pair.class_of_coset
+    n = len(reps)
+    cell = np.empty((n, n), dtype=np.int32)
+    for j in range(n):
+        for i in range(n):
+            cell[i, j] = cls[where[sub._min_coset_images(mul(reps[i], invs[j]))]]
+    return cell
+
+
+def lambda_structure_constants(pair, cell):
+    """N[d, e, f] read off λ-matrix products at the base-coset columns,
+    checking constancy on every double-coset cell class."""
+    dim, size = pair.dim, pair.size
+    indicator = np.zeros((size, dim), dtype=np.int64)
+    indicator[np.arange(size), pair.class_of_coset] = 1
+    struct = np.empty((dim, dim, dim), dtype=np.int64)
+    for d in range(dim):
+        prod = (cell == d).astype(np.int64) @ indicator
+        for e in range(dim):
+            col = prod[:, e]
+            vals = col[pair.first_coset]
+            for f in range(dim):
+                cosets = pair.table.entries[f].right_cosets
+                if any(col[c] != vals[f] for c in cosets):
+                    raise AssertionError("product of basis elements is not bi-invariant")
+            struct[d, e] = vals
+    return struct

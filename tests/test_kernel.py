@@ -1,0 +1,119 @@
+"""The coset-action kernel against the dense cell table it replaced.
+
+`HeckePair` derives its λ-cell table and structure constants from the right
+action of G's generators on H\\G; `oracles.dense_cell_table` and
+`oracles.lambda_structure_constants` are the per-cell slow paths.  Both
+must agree exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from heckelab.hecke import HeckePair, corner_isomorphism_check, pair_for_depth, \
+    pair_for_level
+from heckelab.permgroup import PermGroup, Permutation
+from heckelab.treefam import TreeShape
+
+import oracles
+
+
+def assert_kernel_matches_oracle(pair):
+    cell = oracles.dense_cell_table(pair)
+    assert pair.cell_class.dtype == np.int32
+    assert np.array_equal(pair.cell_class, cell)
+    struct = pair.structure_constants()
+    assert struct.dtype == np.int64
+    assert np.array_equal(struct, oracles.lambda_structure_constants(pair, cell))
+
+
+@pytest.mark.parametrize("name", ["s4_d4_pair", "s3_s2_pair", "flagship_pair"])
+def test_fixtures(name, request):
+    assert_kernel_matches_oracle(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("make, size", [
+    (lambda: pair_for_level(TreeShape(2, 4), 2), 105),
+    (lambda: pair_for_depth(3, 2), 280),
+])
+def test_level_pairs(make, size):
+    pair = make()
+    assert pair.size == size
+    assert_kernel_matches_oracle(pair)
+
+
+def test_structure_constants_are_lazy_and_cell_table_on_demand():
+    pair = pair_for_depth(2, 2)
+    assert "cell_class" not in vars(pair)
+    pair.structure_constants()
+    assert "cell_class" not in vars(pair)
+    assert pair.basis_matrix(0).trace() == pair.size
+
+
+def test_translations_are_right_translations(flagship_pair):
+    cosets = flagship_pair.cosets
+    H = flagship_pair.subgroup
+    reps = cosets.representatives
+    seen = []
+    for j, R in cosets.translations():
+        seen.append(j)
+        # H·r_i·w_j⁻¹ and H·r_i·r_j⁻¹ lie in one double coset
+        for i in (0, 1, j, len(cosets) - 1):
+            assert flagship_pair.table.class_of_coset(int(R[i])) == \
+                flagship_pair.table.class_of(reps[i] * reps[j].inverse())
+        assert sorted(R.tolist()) == list(range(len(cosets)))
+    assert sorted(seen) == list(range(len(cosets)))
+    assert H.order() * len(cosets) == flagship_pair.group.order()
+
+
+def test_action_arrays(flagship_pair):
+    cosets = flagship_pair.cosets
+    gens = flagship_pair.group.generators
+    assert cosets.action.shape == (len(gens), len(cosets))
+    for s, g in enumerate(gens):
+        for i in range(0, len(cosets), 7):
+            assert cosets.action[s, i] == cosets.coset_of(cosets.representatives[i] * g)
+    for j in range(1, len(cosets)):
+        parent, s = cosets.tree_parent[j], cosets.tree_generator[j]
+        assert cosets.action[s, parent] == j
+
+
+def test_bi_invariance_failure_still_raises(s4_d4_pair):
+    # a partition of the cosets that is not the double-coset partition
+    pair = HeckePair(s4_d4_pair.group, s4_d4_pair.subgroup, s4_d4_pair.table)
+    pair.class_of_coset = np.array([1, 0, 1], dtype=np.int32)
+    with pytest.raises(AssertionError, match="not bi-invariant"):
+        pair.structure_constants()
+    with pytest.raises(AssertionError, match="not bi-invariant"):
+        oracles.lambda_structure_constants(pair, oracles.dense_cell_table(pair))
+
+
+@st.composite
+def small_pairs(draw):
+    """A random group G of degree <= 6 and a subgroup H generated by
+    random elements of G."""
+    m = draw(st.integers(2, 6))
+    perm = st.permutations(list(range(m))).map(Permutation)
+    G = PermGroup(m, draw(st.lists(perm, min_size=1, max_size=2)))
+    # the group-algebra oracle enumerates G and multiplies in it exactly
+    assume(G.order() <= 120)
+    words = draw(st.lists(st.lists(st.integers(0, len(G.generators) - 1),
+                                   min_size=1, max_size=6), max_size=2))
+    h_gens = []
+    for word in words:
+        h = Permutation.identity(m)
+        for s in word:
+            h = h * G.generators[s]
+        h_gens.append(h)
+    return G, PermGroup(m, h_gens)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_pairs())
+def test_random_small_pairs(gh):
+    G, H = gh
+    pair = HeckePair(G, H)
+    assert_kernel_matches_oracle(pair)
+    ok, detail = corner_isomorphism_check(pair)
+    assert ok, detail

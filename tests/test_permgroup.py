@@ -223,3 +223,39 @@ class TestSerialization:
         data["coset_representatives"][1] = [3, 2, 1, 0]
         with pytest.raises(ValueError):
             DoubleCosetTable.from_json_dict(data)
+
+    def test_round_trip_rebuilds_the_generator_action(self):
+        table = double_cosets(symmetric_group(4), dihedral_square())
+        loaded = DoubleCosetTable.from_json_dict(
+            json.loads(json.dumps(table.to_json_dict())))
+        for name in ("action", "tree_parent", "tree_generator"):
+            assert (getattr(loaded.cosets, name) == getattr(table.cosets, name)).all()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["entries"][1]["right_cosets"].__setitem__(0, 99),
+        lambda d: d["entries"][1]["right_cosets"].__setitem__(0, -1),
+        lambda d: d["entries"][1]["right_cosets"].append(0),
+        lambda d: d["entries"][1].__setitem__("right_cosets", "12"),
+        lambda d: d["entries"][0].__delitem__("representative"),
+        lambda d: d["entries"].pop(),
+        lambda d: d.__delitem__("entries"),
+        lambda d: d.__setitem__("m", "4"),
+        lambda d: d["coset_representatives"].pop(),
+        lambda d: d["subgroup_generators"][0].append(4),
+        lambda d: d.__setitem__("group_generators", None),
+    ])
+    def test_malformed_entries_raise_value_error(self, corrupt):
+        data = json.loads(json.dumps(
+            double_cosets(symmetric_group(4), dihedral_square()).to_json_dict()))
+        corrupt(data)
+        with pytest.raises(ValueError):
+            DoubleCosetTable.from_json_dict(data)
+
+    def test_descriptor_must_match_when_given(self):
+        data = double_cosets(symmetric_group(4), dihedral_square()).to_json_dict(
+            {"kind": "test"})
+        assert len(DoubleCosetTable.from_json_dict(data, {"kind": "test"})) == 2
+        with pytest.raises(ValueError):
+            DoubleCosetTable.from_json_dict(data, {"kind": "other"})
+        with pytest.raises(ValueError):
+            DoubleCosetTable.from_json_dict([data])

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import heckelab
+from heckelab.permgroup import DoubleCosetTable, symmetric_group
 from heckelab.shell import main
 from heckelab.spheromorph import AlmostAutomorphism, to_json_dict
-from heckelab.treefam import TreeShape
+from heckelab.treefam import TreeShape, ball_aut_group
 
 
 @pytest.fixture()
@@ -95,6 +97,53 @@ def test_cache_reuse_and_byte_identical_outputs(workdir, capsys):
     assert (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
 
 
+PINNED_D2_L3_ROW = {
+    "format": "heckelab/census-row/v1", "d": 2, "l": 3,
+    "group_order": 40320, "subgroup_order": 128, "index": 315,
+    "double_coset_count": 16, "commutative": False,
+}
+
+
+def _corrupt_index(data):
+    data["entries"][1]["right_cosets"][0] = 10 ** 6
+
+
+def _wrong_descriptor(data):
+    data["descriptor"]["l"] = 2
+
+
+def _other_subgroup(data):
+    # a valid table of (S_8, P_2) for the tree with root degree 4
+    other = DoubleCosetTable(symmetric_group(8), ball_aut_group(TreeShape(2, 4), 2))
+    data.update(other.to_json_dict(data["descriptor"]))
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup])
+def test_bad_cache_entry_is_rebuilt(workdir, capsys, corrupt):
+    assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
+    (path,) = (workdir / "cache").glob("*.json")
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    assert main(["census", "--d", "2", "--l", "3", "--out", "b.jsonl"]) == 0
+    row = json.loads((workdir / "b.jsonl").read_text())
+    assert {k: row[k] for k in PINNED_D2_L3_ROW} == PINNED_D2_L3_ROW
+    assert (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
+    assert json.loads(path.read_text()) != data
+
+
+@pytest.mark.parametrize("field", ["u", "moments", "tolerances", "d"])
+def test_malformed_certificate_exits_2_with_one_line(workdir, capsys, field,
+                                                     flagship_certificate):
+    data = flagship_certificate.to_json_dict()
+    del data[field]
+    (workdir / "bad.json").write_text(json.dumps(data))
+    assert main(["verify", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+
+
 def test_witness_certificates_reproducible(workdir, capsys):
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c1.json"]) == 0
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c2.json"]) == 0
@@ -131,8 +180,12 @@ def test_spher_commands(workdir, capsys):
 
 
 def test_module_entry_point(workdir):
+    # the working directory is tmp_path, so a relative PYTHONPATH would not resolve
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(heckelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "heckelab", "census", "--d", "2", "--l", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "commutative" in result.stdout
