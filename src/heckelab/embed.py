@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exactvec import ExactVector
 from .errors import ContainmentError, InvarianceError
 from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
                        corner_trace, invariant_subalgebra, projector)
@@ -44,6 +45,10 @@ def block_element(i: int, g: Permutation, blocks: int) -> Permutation:
 def block_permutation(sigma: Permutation, m0: int) -> Permutation:
     """The rigid permutation of `sigma.degree` blocks of size m0."""
     return Permutation([sigma(i) * m0 + r for i in range(sigma.degree) for r in range(m0)])
+
+
+def _normalizes(gens, group: PermGroup) -> bool:
+    return all(t * h * t.inverse() in group for t in gens for h in group.generators)
 
 
 class WreathScenario:
@@ -88,11 +93,8 @@ class WreathScenario:
         self.V0_gamma = PermGroup(self.degree, v0_gens + self.gamma_gens)
         if self.big.order() != self.V.order() * top.order():
             raise RuntimeError("block realization of V ⋊ G is not faithful")
-        for t in self.gamma_gens:
-            t_inv = t.inverse()
-            for h in self.V0.generators:
-                if (t * h * t_inv) not in self.V0:
-                    raise InvarianceError("gamma does not leave V_0 invariant")
+        if not _normalizes(self.gamma_gens, self.V0):
+            raise InvarianceError("gamma does not leave V_0 invariant")
         self._carrier_V = None
         self._carrier_big = None
         self._carrier_top = None
@@ -119,9 +121,6 @@ class WreathScenario:
         if self._carrier_top is None:
             self._carrier_top = EnumeratedGroup(self.top)
         return self._carrier_top
-
-    def top_to_big(self, sigma: Permutation) -> Permutation:
-        return block_permutation(sigma, self.base_group.degree)
 
     # -- corners ------------------------------------------------------------------
 
@@ -152,16 +151,30 @@ class WreathScenario:
 
     def lift_from_V(self, x: AlgebraElement) -> AlgebraElement:
         """Reindex an element of C[V] as an element of C[V ⋊ G]."""
-        coeffs = {}
-        for i in x.vec.support():
-            coeffs[x.carrier.elements[i]] = x.vec.coeff(i)
-        return AlgebraElement.from_coefficients(self.carrier_big, coeffs)
+        return self._lift(x, x.carrier.images)
 
     def lift_from_top(self, y: AlgebraElement) -> AlgebraElement:
-        coeffs = {}
-        for i in y.vec.support():
-            coeffs[self.top_to_big(y.carrier.elements[i])] = y.vec.coeff(i)
-        return AlgebraElement.from_coefficients(self.carrier_big, coeffs)
+        """Reindex an element of C[G] through the rigid block permutations."""
+        m0 = self.base_group.degree
+        sigma = y.carrier.images.astype(np.intp)
+        rows = (sigma[:, :, None] * m0 + np.arange(m0)).reshape(len(sigma), -1)
+        return self._lift(y, rows)
+
+    def _lift(self, x: AlgebraElement, rows) -> AlgebraElement:
+        """Scatter x's numerators to the big-carrier indices of `rows`, the
+        images of x's carrier elements in V ⋊ G."""
+        big = self.carrier_big
+        idx = big.rank(rows)
+
+        def scatter(values):
+            if values is None:
+                return None
+            out = np.zeros(len(big), dtype=object)
+            out[idx] = values
+            return out
+
+        return AlgebraElement(big, ExactVector(x.vec.den, scatter(x.vec.re),
+                                               scatter(x.vec.im)))
 
     def __repr__(self):
         return (f"WreathScenario({self.name or 'unnamed'}: |V|={self.V.order()}, "
@@ -189,11 +202,8 @@ def embed_top(scenario: WreathScenario, y: AlgebraElement) -> AlgebraElement:
     """
     if y.carrier is not scenario.carrier_top:
         raise ValueError("element does not live on the scenario's top carrier")
-    for t in scenario.top_gens:
-        t_inv = t.inverse()
-        for h in scenario.V0.generators:
-            if (t * h * t_inv) not in scenario.V0:
-                raise InvarianceError("the top group does not leave V_0 invariant")
+    if not _normalizes(scenario.top_gens, scenario.V0):
+        raise InvarianceError("the top group does not leave V_0 invariant")
     return convolve(scenario.projector_V0(), scenario.lift_from_top(y))
 
 
@@ -237,39 +247,21 @@ def _axiom_suite(basis, embed, star_of, trace_of, unit, image_unit,
                  big_trace, multiply):
     """Shared axiom battery for either embedding direction."""
     images = [embed(x) for x in basis]
-    axioms = {}
-    axioms["unital"] = embed(unit) == image_unit
-    ok = True
-    for i, x in enumerate(basis):
-        if embed(star_of(x)) != images[i].star():
-            ok = False
-            break
-    axioms["star"] = ok
-    ok = True
-    for i, x in enumerate(basis):
-        if big_trace(images[i]) != trace_of(x):
-            ok = False
-            break
-    axioms["trace"] = ok
-    ok = True
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            if embed(multiply(x, y)) != convolve(images[i], images[j]):
-                ok = False
-                break
-        if not ok:
-            break
-    axioms["multiplicative"] = ok
-    # injectivity through the faithful trace: ||im(x)||² = ||x||² > 0
-    ok = True
-    for i, x in enumerate(basis):
-        lhs = big_trace(convolve(images[i].star(), images[i]))
-        rhs = trace_of(multiply(star_of(x), x))
-        if lhs != rhs or lhs == (Fraction(0), Fraction(0)):
-            ok = False
-            break
-    axioms["injective"] = ok
-    return axioms
+    pairs = list(zip(basis, images))
+
+    def norm_preserved(x, im):
+        # injectivity through the faithful trace: ||im(x)||² = ||x||² > 0
+        lhs = big_trace(convolve(im.star(), im))
+        return lhs == trace_of(multiply(star_of(x), x)) and lhs != (Fraction(0), Fraction(0))
+
+    return {
+        "unital": embed(unit) == image_unit,
+        "star": all(embed(star_of(x)) == im.star() for x, im in pairs),
+        "trace": all(big_trace(im) == trace_of(x) for x, im in pairs),
+        "multiplicative": all(embed(multiply(x, y)) == convolve(ix, iy)
+                              for x, ix in pairs for y, iy in pairs),
+        "injective": all(norm_preserved(x, im) for x, im in pairs),
+    }
 
 
 def scenario_report(scenario: WreathScenario) -> ScenarioReport:

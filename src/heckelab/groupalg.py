@@ -12,13 +12,11 @@ double-coset picture of the same algebras.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from ._exactvec import ExactVector
 from .errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
-from .permgroup import DoubleCosetTable, PermGroup, Permutation, _inv, _mul
+from .permgroup import DoubleCosetTable, PermGroup, Permutation, _orbit
 
 #: largest group this oracle will enumerate
 ORACLE_CAP = 10_000
@@ -26,12 +24,28 @@ ORACLE_CAP = 10_000
 #: full Cayley tables are precomputed below this order
 TABLE_CAP = 4096
 
+#: permutation rows: big-endian, so a row's bytes sort like its image tuple
+_ROW = np.dtype(">u2")
+
+#: composed images per block when ranking products: with their keys and
+#: indices, about 1 MB of temporaries
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _keys(rows):
+    """One opaque byte key per row; keys compare like the image tuples."""
+    rows = np.ascontiguousarray(rows, dtype=_ROW)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * _ROW.itemsize)))[..., 0]
+
 
 class EnumeratedGroup:
-    """A finite group with elements listed, indexed, and multipliable by index.
+    """A finite group with elements listed, ranked and multiplied by index.
 
     Elements are sorted lexicographically by image tuple, which places the
-    identity at index 0.
+    identity at index 0.  `images[i]` is element i as a row of big-endian
+    uint16 point images, so the raw bytes of a row sort like its tuple;
+    `rank` maps rows back to indices by binary search on those bytes, and
+    products, inverses and conjugates are whole-array compositions of rows.
     """
 
     def __init__(self, group: PermGroup, cap: int = ORACLE_CAP):
@@ -39,10 +53,15 @@ class EnumeratedGroup:
             raise ScaleError(
                 f"group of order {group.order()} exceeds the oracle cap {cap}")
         self.group = group
-        self.elements = tuple(sorted(group.elements()))
-        self.index = {p.images: i for i, p in enumerate(self.elements)}
-        self.inverse_index = np.array(
-            [self.index[p.inverse().images] for p in self.elements], dtype=np.int32)
+        elements = group.elements()
+        rows = np.array([p.images for p in elements], dtype=_ROW)
+        order = np.argsort(_keys(rows), kind="stable")
+        self.elements = tuple(elements[i] for i in order)
+        self.images = rows[order]
+        self._sorted_keys = _keys(self.images)
+        inverse = np.empty_like(self.images)
+        inverse[np.arange(len(rows))[:, None], self.images] = np.arange(group.degree)
+        self.inverse_index = self.rank(inverse)
         self._table = None
 
     def __len__(self):
@@ -52,38 +71,50 @@ class EnumeratedGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def rank(self, rows) -> np.ndarray:
+        """Element indices (int32) of permutation rows, over the last axis.
+
+        Raises ContainmentError if any row is not an element of the group.
+        """
+        rows = np.asarray(rows)
+        if rows.shape[-1:] != (self.group.degree,):
+            raise ContainmentError("permutation degree differs from the group's")
+        keys = _keys(rows)
+        idx = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
+        if not np.array_equal(self._sorted_keys[idx], keys):
+            raise ContainmentError("permutation is not an element of this group")
+        return idx.astype(np.int32)
+
+    def products(self, left, right) -> np.ndarray:
+        """int32 array of the indices of p_i·p_j, i in `left`, j in `right`.
+
+        p_i·p_j applies p_i, then p_j: its row is images[j][images[i]].
+        """
+        right_rows = self.images[right]
+        out = np.empty((len(left), len(right_rows)), dtype=np.int32)
+        step = max(1, _BLOCK_ENTRIES // right_rows.size)
+        for i0 in range(0, len(left), step):
+            block = self.images[left[i0:i0 + step]]
+            out[i0:i0 + step] = self.rank(right_rows[:, block]).T
+        return out
+
     def table(self):
         """Cayley table by index, built on first use (small groups only)."""
         if self._table is None:
             if self.order > TABLE_CAP:
                 raise ScaleError(
                     f"Cayley table for order {self.order} above cap {TABLE_CAP}")
-            n = self.order
-            tbl = np.empty((n, n), dtype=np.int32)
-            images = [p.images for p in self.elements]
-            index = self.index
-            for i, p in enumerate(images):
-                row = tbl[i]
-                for j, q in enumerate(images):
-                    row[j] = index[_mul(p, q)]
-            self._table = tbl
+            everything = np.arange(self.order)
+            self._table = self.products(everything, everything)
         return self._table
 
-    def mul(self, i: int, j: int) -> int:
-        if self._table is not None or self.order <= TABLE_CAP:
-            return int(self.table()[i, j])
-        return self.index[_mul(self.elements[i].images, self.elements[j].images)]
-
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self.index[p.images]
-        except KeyError:
-            raise ContainmentError("permutation is not an element of this group") from None
+        return int(self.rank(p.images))
 
     def subgroup_indices(self, H: PermGroup) -> list:
         try:
-            return sorted(self.index[p.images] for p in H.elements())
-        except KeyError:
+            return np.sort(self.rank([p.images for p in H.elements()])).tolist()
+        except ContainmentError:
             raise ContainmentError("claimed subgroup is not contained in the group") from None
 
 
@@ -170,16 +201,15 @@ class AlgebraElement:
 
     def conjugated_by(self, a: Permutation) -> "AlgebraElement":
         """The function x -> f(a x a^{-1}); a must normalize the carrier group."""
-        els = self.carrier.elements
-        a_img, a_inv = a.images, a.inverse().images
+        carrier = self.carrier
+        # (a x a⁻¹)[i] = a⁻¹[x[a[i]]], for every element row x at once
+        rows = np.asarray(a.inverse().images)[carrier.images[:, list(a.images)]]
         try:
-            idx = np.array(
-                [self.carrier.index[_mul(_mul(a_img, p.images), a_inv)] for p in els],
-                dtype=np.int32)
-        except KeyError:
+            idx = carrier.rank(rows)
+        except ContainmentError:
             raise ContainmentError(
                 "conjugation does not preserve the carrier group") from None
-        return AlgebraElement(self.carrier, self.vec.permuted(idx))
+        return AlgebraElement(carrier, self.vec.permuted(idx))
 
     def __repr__(self):
         terms = []
@@ -199,49 +229,31 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     supp_g = g.vec.support()
     res_re = np.zeros(n, dtype=object)
     res_im = np.zeros(n, dtype=object)
-    has_im = False
     if not supp_f or not supp_g:
         return AlgebraElement.zero(carrier)
 
     if carrier.order <= TABLE_CAP:
         targets = carrier.table()[np.ix_(supp_f, supp_g)].ravel()
-
-        def scatter(acc, left, right):
-            contrib = np.multiply.outer(left, right).ravel()
-            np.add.at(acc, targets, contrib)
-
-        fre = f.vec.re[supp_f]
-        gre = g.vec.re[supp_g]
-        scatter(res_re, fre, gre)
-        fim = f.vec.im[supp_f] if f.vec.im is not None else None
-        gim = g.vec.im[supp_g] if g.vec.im is not None else None
-        if fim is not None and gim is not None:
-            scatter(res_re, -fim, gim)
-        if gim is not None:
-            scatter(res_im, fre, gim)
-            has_im = True
-        if fim is not None:
-            scatter(res_im, fim, gre)
-            has_im = True
     else:
-        els = [p.images for p in carrier.elements]
-        index = carrier.index
-        f_im = f.vec.im
-        g_im = g.vec.im
-        for i in supp_f:
-            pi = els[i]
-            a = int(f.vec.re[i])
-            b = int(f_im[i]) if f_im is not None else 0
-            for j in supp_g:
-                t = index[_mul(pi, els[j])]
-                c = int(g.vec.re[j])
-                d = int(g_im[j]) if g_im is not None else 0
-                res_re[t] += a * c - b * d
-                if b or d:
-                    res_im[t] += a * d + b * c
-                    has_im = True
+        targets = carrier.products(supp_f, supp_g).ravel()
 
-    vec = ExactVector(f.vec.den * g.vec.den, res_re, res_im if has_im else None)
+    def scatter(acc, left, right):
+        contrib = np.multiply.outer(left, right).ravel()
+        np.add.at(acc, targets, contrib)
+
+    fre = f.vec.re[supp_f]
+    gre = g.vec.re[supp_g]
+    scatter(res_re, fre, gre)
+    fim = f.vec.im[supp_f] if f.vec.im is not None else None
+    gim = g.vec.im[supp_g] if g.vec.im is not None else None
+    if fim is not None and gim is not None:
+        scatter(res_re, -fim, gim)
+    if gim is not None:
+        scatter(res_im, fre, gim)
+    if fim is not None:
+        scatter(res_im, fim, gre)
+
+    vec = ExactVector(f.vec.den * g.vec.den, res_re, res_im)
     return AlgebraElement(carrier, vec)
 
 
@@ -296,15 +308,7 @@ def invariant_subalgebra(elements: list, action: PermGroup) -> list:
     for seed in range(len(elements)):
         if seen[seed]:
             continue
-        orbit = {seed}
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for m in maps:
-                j = m[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    queue.append(j)
+        orbit, _ = _orbit(seed, maps, lambda i, m: m[i])
         total = elements[seed]
         for i in sorted(orbit):
             seen[i] = True

@@ -75,6 +75,9 @@ class HeckePair:
                                     dtype=np.int32)
         self._struct = None
         self._struct_obj = None
+        # (d, l) of the tree pair (S_{d^l}, Q_l), set where such a pair is
+        # built; a witness certificate carries them, so no other pair has them
+        self.tree_d = self.tree_l = None
 
     def _cell_rows(self):
         """Yield (i, row i of `cell_class`) for every coset i.
@@ -353,7 +356,9 @@ def pair_for_depth(d: int, l: int) -> HeckePair:
     """The pair (S_{d^l}, Q_l): ambient symmetric group on the level set of
     the regular tree, against the depth-l tree-automorphism quotient."""
     points = d ** l
-    return HeckePair(symmetric_group(points), q_group(d, l), name=f"(S_{points}, Q_{l})")
+    pair = HeckePair(symmetric_group(points), q_group(d, l), name=f"(S_{points}, Q_{l})")
+    pair.tree_d, pair.tree_l = d, l
+    return pair
 
 
 def pair_for_level(shape: TreeShape, n: int) -> HeckePair:

@@ -129,8 +129,8 @@ def load_or_build_pair(config: RunConfig, kind: str) -> HeckePair:
         table = DoubleCosetTable(symmetric_group(spec.points), subgroup)
         _atomic_write(path, json.dumps(table.to_json_dict(descriptor)) + "\n")
     pair = HeckePair(table.group, table.subgroup, table, name=spec.label())
-    pair.tree_d = config.d
-    pair.tree_l = spec.level
+    if kind == "depth":
+        pair.tree_d, pair.tree_l = config.d, config.l
     return pair
 
 

@@ -423,9 +423,11 @@ def _address_to_text(addr: tuple) -> str:
 
 
 def _address_from_text(text) -> tuple:
-    if isinstance(text, (list, tuple)):
+    if isinstance(text, (list, tuple)) and all(type(c) is int for c in text):
+        return tuple(text)
+    if isinstance(text, str) and all(c in "0123456789" for c in text):
         return tuple(int(c) for c in text)
-    return tuple(int(c) for c in str(text))
+    raise ValueError(f"malformed tree address {text!r}")
 
 
 def to_json_dict(g: AlmostAutomorphism) -> dict:
@@ -448,21 +450,52 @@ def to_json_dict(g: AlmostAutomorphism) -> dict:
     }
 
 
+def _int_field(data: dict, key: str) -> int:
+    value = data.get(key)
+    if type(value) is not int:
+        raise ValueError(f"element field {key!r} is missing or not an integer")
+    return value
+
+
+def _list_field(data: dict, key: str):
+    value = data.get(key)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"element field {key!r} is missing or not a list")
+    return value
+
+
+def _pairs(value, what: str):
+    if not isinstance(value, (list, tuple)) or any(
+            not isinstance(e, (list, tuple)) or len(e) != 2 for e in value):
+        raise ValueError(f"{what} is not a list of pairs")
+    return value
+
+
 def from_json_dict(data: dict) -> AlmostAutomorphism:
+    """Parse an element; any missing or malformed field raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("element is not a JSON object")
     if data.get("format") != FORMAT:
         raise ValueError(f"unsupported element format {data.get('format')!r}")
-    shape = TreeShape(int(data["d"]), int(data["k"]))
+    shape = TreeShape(_int_field(data, "d"), _int_field(data, "k"))
     leaf_map = {_address_from_text(a): _address_from_text(b)
-                for a, b in data["phi"]}
+                for a, b in _pairs(data.get("phi"), "element field 'phi'")}
+    twist_data = data.get("twists", {})
+    if not isinstance(twist_data, dict):
+        raise ValueError("element field 'twists' is not an object")
     twists = {}
-    for leaf, entries in data.get("twists", {}).items():
-        twists[_address_from_text(leaf)] = {
-            _address_from_text(r): tuple(perm) for r, perm in entries}
+    for leaf, entries in twist_data.items():
+        portrait = {}
+        for r, perm in _pairs(entries, f"twist at leaf {leaf!r}"):
+            if not isinstance(perm, (list, tuple)) or any(type(c) is not int for c in perm):
+                raise ValueError(f"twist at leaf {leaf!r} has a malformed permutation")
+            portrait[_address_from_text(r)] = tuple(perm)
+        twists[_address_from_text(leaf)] = portrait
     g = AlmostAutomorphism(shape, leaf_map, twists)
-    declared_a = {_address_from_text(v) for v in data["A"]}
+    declared_a = {_address_from_text(v) for v in _list_field(data, "A")}
     if declared_a != _tree_vertices(set(g.leaf_map)):
         raise ValueError("declared domain tree disagrees with the leaf map")
-    declared_b = {_address_from_text(v) for v in data["B"]}
+    declared_b = {_address_from_text(v) for v in _list_field(data, "B")}
     if declared_b != _tree_vertices(set(g.leaf_map.values())):
         raise ValueError("declared image tree disagrees with the leaf map")
     return g

@@ -420,6 +420,10 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
     fixed (pair, seed, budget): candidate i draws from an rng keyed by
     (seed, i), and the first acceptable candidate in that order wins.
     """
+    if pair.tree_d is None or pair.tree_l is None:
+        raise ValueError(
+            "pair carries no tree parameters (d, l) for the certificate; "
+            "build it with pair_for_depth")
     report = pair.is_commutative()
     if report.commutative:
         raise ValueError(
@@ -448,7 +452,7 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
             continue
         spec = spectral_data(w)
         return WitnessCertificate(
-            d=_pair_d(pair), l=_pair_l(pair),
+            d=pair.tree_d, l=pair.tree_l,
             basis=[e.representative.images for e in pair.table.entries],
             u_coefficients=u.element.coefficients_complex(),
             v_coefficients=v.element.coefficients_complex(),
@@ -462,20 +466,8 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         best_score=best_seen)
 
 
-def _pair_d(pair: HeckePair) -> int:
-    return getattr(pair, "tree_d", 2)
-
-
-def _pair_l(pair: HeckePair) -> int:
-    return getattr(pair, "tree_l", 3)
-
-
-def witness_pair(d: int, l: int) -> HeckePair:
-    """The pair (S_{d^l}, Q_l) tagged with its tree parameters."""
-    pair = pair_for_depth(d, l)
-    pair.tree_d = d
-    pair.tree_l = l
-    return pair
+#: the tree pair (S_{d^l}, Q_l), tagged with the (d, l) its certificate carries
+witness_pair = pair_for_depth
 
 
 # -- decay and circle averages ------------------------------------------------------------

@@ -159,3 +159,40 @@ def lambda_structure_constants(pair, cell):
                     raise AssertionError("product of basis elements is not bi-invariant")
             struct[d, e] = vals
     return struct
+
+
+def cayley_table_by_pairs(carrier):
+    """Index of p_i·p_j from a dict of image tuples, one product per pair:
+    the Python table the ranking kernel replaced."""
+    images = [p.images for p in carrier.elements]
+    index = {p: i for i, p in enumerate(images)}
+    table = np.empty((len(images), len(images)), dtype=np.int32)
+    for i, p in enumerate(images):
+        for j, q in enumerate(images):
+            table[i, j] = index[mul(p, q)]
+    return table
+
+
+def inverse_index_by_dict(carrier):
+    images = [p.images for p in carrier.elements]
+    index = {p: i for i, p in enumerate(images)}
+    return np.array([index[inv(p)] for p in images], dtype=np.int32)
+
+
+def conjugation_index_by_dict(carrier, a):
+    """Index of a·x·a⁻¹ for every element x, or None if one falls outside."""
+    images = [p.images for p in carrier.elements]
+    index = {p: i for i, p in enumerate(images)}
+    a_img, a_inv = tuple(a.images), inv(a.images)
+    try:
+        return np.array([index[mul(mul(a_img, p), a_inv)] for p in images],
+                        dtype=np.int32)
+    except KeyError:
+        return None
+
+
+def lift_by_coefficients(big_carrier, x, to_big):
+    """Reindex x onto big_carrier through Fractions, one element at a time."""
+    from heckelab.groupalg import AlgebraElement
+    coeffs = {to_big(x.carrier.elements[i]): x.vec.coeff(i) for i in x.vec.support()}
+    return AlgebraElement.from_coefficients(big_carrier, coeffs)

@@ -144,6 +144,27 @@ def test_malformed_certificate_exits_2_with_one_line(workdir, capsys, field,
     assert field in err and "Traceback" not in err
 
 
+def _spher_doc():
+    shape = TreeShape(2, 2)
+    return to_json_dict(AlmostAutomorphism.automorphism(shape, {(): (1, 0)}))
+
+
+@pytest.mark.parametrize("document, field", [
+    ({k: v for k, v in _spher_doc().items() if k != "phi"}, "phi"),
+    (dict(_spher_doc(), phi=5), "phi"),
+    ([_spher_doc()], "JSON object"),
+    (dict(_spher_doc(), d="2"), "'d'"),
+    (dict(_spher_doc(), twists={"": [["", 5]]}), "permutation"),
+    (dict(_spher_doc(), A=["", ["x"]]), "address"),
+])
+def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document, field):
+    (workdir / "bad.json").write_text(json.dumps(document))
+    assert main(["spher", "canonical", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+
+
 def test_witness_certificates_reproducible(workdir, capsys):
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c1.json"]) == 0
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c2.json"]) == 0
