@@ -37,6 +37,10 @@ from .groupalg import (AlgebraElement, EnumeratedGroup, ORACLE_CAP, convolve as
 from .permgroup import DoubleCosetTable, PermGroup, symmetric_group
 from .treefam import TreeShape, ball_aut_group, q_group
 
+#: largest coset space whose λ-matrices (`HeckePair.cell_class`) are built:
+#: 4096² int32 cells are 64 MB
+LAMBDA_CAP = 4096
+
 
 @dataclass(frozen=True)
 class GelfandReport:
@@ -93,7 +97,13 @@ class HeckePair:
 
     @cached_property
     def cell_class(self):
-        """Matrix of class(r_i r_j⁻¹): λ(e_d) is the indicator of its value d."""
+        """Matrix of class(r_i r_j⁻¹): λ(e_d) is the indicator of its value d.
+
+        Refused above `LAMBDA_CAP` cosets (the int32 table is size² · 4 bytes).
+        """
+        if self.size > LAMBDA_CAP:
+            raise ScaleError(
+                f"λ-matrices for {self.size} cosets above cap {LAMBDA_CAP}")
         cell = np.empty((self.size, self.size), dtype=np.int32)
         for i, row in self._cell_rows():
             cell[i] = row
@@ -175,18 +185,21 @@ class HeckePair:
         """Gelfand-pair test: do all pairs of basis λ-matrices commute?
 
         Deterministic basis order, short-circuiting on the first failure;
-        the witness reports one nonzero entry of the commutator matrix.
+        the witness reports the first nonzero entry, in row-major order, of
+        the commutator λ(e_d)λ(e_e) - λ(e_e)λ(e_d) = λ(Σ_f diff_f e_f) with
+        diff = N[d, e, :] - N[e, d, :].  Row 0 of that matrix is
+        diff[class(r_y⁻¹)] = diff[star(class(y))] and meets every class, so
+        the entry lies in row 0 and no λ-matrix is built.
         """
         struct = self.structure_constants()
         for d in range(self.dim):
             for e in range(d + 1, self.dim):
-                if not np.array_equal(struct[d, e], struct[e, d]):
-                    C = (self.basis_matrix(d) @ self.basis_matrix(e)
-                         - self.basis_matrix(e) @ self.basis_matrix(d))
-                    rows, cols = np.nonzero(C)
-                    r, c = int(rows[0]), int(cols[0])
+                diff = struct[d, e] - struct[e, d]
+                if diff.any():
+                    row = diff[self.star_map[self.class_of_coset]]
+                    c = int(np.flatnonzero(row)[0])
                     return GelfandReport(False, witness=(d, e),
-                                         entry=(r, c, int(C[r, c])))
+                                         entry=(0, c, int(row[c])))
         return GelfandReport(True)
 
     def __repr__(self):

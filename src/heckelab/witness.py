@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AlgebraMembershipError, SearchFailureError
 from .hecke import HeckeElement, HeckePair, pair_for_depth
@@ -42,6 +41,14 @@ SCORING_HORIZON = 64
 ACCEPT_CEILING = 0.999
 FIT_RESIDUAL_TOL = 1e-8
 SELFADJOINT_TOL = 1e-12
+#: rotation φ of the eigenvalue pencil in `spectral_data`; any angle works, a
+#: generic one keeps the collision line θ₁ + θ₂ ≡ 2φ off conjugate pairs (φ = 0)
+PENCIL_ANGLE = 0.5772156649015329
+#: cosines of the pencil closer than this form one cluster that the sine part
+#: resolves.  About √eps balances two errors: eigenvectors split across a gap
+#: g mix by about eps/g, and distinct angles that one cluster leaves to a flat
+#: sine part (near θ ≡ φ ± π/2) lie about g apart
+PENCIL_CLUSTER_GAP = 1.5e-8
 
 
 # -- algebra-level unitaries -----------------------------------------------------
@@ -179,14 +186,34 @@ class SpectralData:
 
 
 def spectral_data(matrix: np.ndarray) -> SpectralData:
-    """Schur decomposition of a (numerically normal) unitary matrix.
+    """Orthonormal eigenbasis of a (numerically normal) unitary matrix w.
 
-    Weights are μ_j = |⟨δ_H, ζ_j⟩|² for the orthonormal Schur basis ζ_j; they
+    The rotated w' = e^{-iφ}w splits into two commuting Hermitian parts,
+    (w' + w'*)/2 with eigenvalues cos(θ - φ) and (w' - w'*)/2i with
+    eigenvalues sin(θ - φ).  One `eigh` of the first gives the basis; two
+    angles share a cosine only when θ₁ + θ₂ ≡ 2φ, and inside each cluster
+    of equal cosines a second `eigh` of the sine part, restricted to the
+    cluster, separates them.  Degenerate eigenvalues of w keep an
+    orthonormal basis of their eigenspace.  With T = Z*wZ the angles are
+    arg T_jj, and `offdiagonal_residual` is ‖T - diag T‖.
+
+    Weights are μ_j = |⟨δ_H, ζ_j⟩|² for the orthonormal basis ζ_j; they
     are nonnegative and sum to 1 by construction.
     """
-    T, Z = scipy.linalg.schur(matrix, output="complex")
-    offdiag = float(np.linalg.norm(T - np.diag(np.diag(T))))
-    angles = np.angle(np.diag(T))
+    rotated = np.exp(-1j * PENCIL_ANGLE) * matrix
+    adjoint = rotated.conj().T
+    cosines, Z = np.linalg.eigh((rotated + adjoint) / 2)
+    sine_part = (rotated - adjoint) / 2j
+    splits = np.flatnonzero(np.diff(cosines) > PENCIL_CLUSTER_GAP) + 1
+    for cluster in np.split(np.arange(len(cosines)), splits):
+        if len(cluster) > 1:
+            basis = Z[:, cluster]
+            _, rotation = np.linalg.eigh(basis.conj().T @ sine_part @ basis)
+            Z[:, cluster] = basis @ rotation
+    T = Z.conj().T @ matrix @ Z
+    diagonal = np.diag(T)
+    offdiag = float(np.linalg.norm(T - np.diag(diagonal)))
+    angles = np.angle(diagonal)
     weights = np.abs(Z[0, :]) ** 2
     return SpectralData(angles=angles, weights=weights, offdiagonal_residual=offdiag)
 

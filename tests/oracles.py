@@ -161,6 +161,33 @@ def lambda_structure_constants(pair, cell):
     return struct
 
 
+def dense_gelfand_report(pair, cell):
+    """(commutative, witness, entry) from size² basis matrices: the first
+    noncommuting basis pair and the first nonzero entry, in row-major order,
+    of its commutator matrix."""
+    struct = pair.structure_constants()
+    for d in range(pair.dim):
+        for e in range(d + 1, pair.dim):
+            if not np.array_equal(struct[d, e], struct[e, d]):
+                A = (cell == d).astype(np.int64)
+                B = (cell == e).astype(np.int64)
+                C = A @ B - B @ A
+                rows, cols = np.nonzero(C)
+                r, c = int(rows[0]), int(cols[0])
+                return False, (d, e), (r, c, int(C[r, c]))
+    return True, None, None
+
+
+def schur_spectral_data(matrix):
+    """Angles, weights and off-diagonal residual from a complex Schur
+    decomposition: the scipy reference the numpy eigenbasis replaced."""
+    import scipy.linalg
+    from heckelab.witness import SpectralData
+    T, Z = scipy.linalg.schur(matrix, output="complex")
+    offdiag = float(np.linalg.norm(T - np.diag(np.diag(T))))
+    return SpectralData(np.angle(np.diag(T)), np.abs(Z[0, :]) ** 2, offdiag)
+
+
 def cayley_table_by_pairs(carrier):
     """Index of p_i·p_j from a dict of image tuples, one product per pair:
     the Python table the ranking kernel replaced."""

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from heckelab import hecke
+from heckelab.errors import ScaleError
 from heckelab.hecke import HeckePair, corner_isomorphism_check, pair_for_depth, \
     pair_for_level
-from heckelab.permgroup import PermGroup, Permutation
+from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 from heckelab.treefam import TreeShape
 
 import oracles
@@ -25,6 +27,9 @@ def assert_kernel_matches_oracle(pair):
     struct = pair.structure_constants()
     assert struct.dtype == np.int64
     assert np.array_equal(struct, oracles.lambda_structure_constants(pair, cell))
+    report = pair.is_commutative()
+    assert (report.commutative, report.witness, report.entry) == \
+        oracles.dense_gelfand_report(pair, cell)
 
 
 @pytest.mark.parametrize("name", ["s4_d4_pair", "s3_s2_pair", "flagship_pair"])
@@ -48,6 +53,27 @@ def test_structure_constants_are_lazy_and_cell_table_on_demand():
     pair.structure_constants()
     assert "cell_class" not in vars(pair)
     assert pair.basis_matrix(0).trace() == pair.size
+
+
+def test_gelfand_entry_needs_no_lambda_matrix():
+    pair = pair_for_depth(2, 3)
+    report = pair.is_commutative()
+    assert (report.witness, report.entry) == ((1, 4), (0, 28, -1))
+    assert "cell_class" not in vars(pair)
+
+
+def test_lambda_matrices_refused_above_cap(monkeypatch):
+    monkeypatch.setattr(hecke, "LAMBDA_CAP", 2)
+    pair = pair_for_depth(2, 2)
+    with pytest.raises(ScaleError, match="above cap 2"):
+        pair.cell_class
+    with pytest.raises(ScaleError):
+        pair.basis_matrix(0)
+    # structure constants and the Gelfand test need no λ-matrix
+    assert pair.structure_constants().shape == (pair.dim,) * 3
+    assert pair.is_commutative().commutative
+    monkeypatch.setattr(hecke, "LAMBDA_CAP", pair.size)
+    assert pair.cell_class.shape == (pair.size, pair.size)
 
 
 def test_translations_are_right_translations(flagship_pair):
@@ -117,3 +143,22 @@ def test_random_small_pairs(gh):
     assert_kernel_matches_oracle(pair)
     ok, detail = corner_isomorphism_check(pair)
     assert ok, detail
+
+
+@st.composite
+def symmetric_over_cyclic(draw):
+    """(S_m, ⟨g⟩) for m in {4, 5}: mostly noncommutative, unlike the pairs
+    of `small_pairs`."""
+    m = draw(st.integers(4, 5))
+    g = draw(st.permutations(list(range(m))).map(Permutation))
+    return symmetric_group(m), PermGroup(m, [g])
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_over_cyclic())
+def test_gelfand_entry_matches_dense_commutator(gh):
+    pair = HeckePair(*gh)
+    report = pair.is_commutative()
+    assert (report.commutative, report.witness, report.entry) == \
+        oracles.dense_gelfand_report(pair, oracles.dense_cell_table(pair))

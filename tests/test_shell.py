@@ -200,13 +200,26 @@ def test_spher_commands(workdir, capsys):
     assert main(["spher", "key", "g.json"]) == 2  # missing --n
 
 
-def test_module_entry_point(workdir):
+def _package_env():
     # the working directory is tmp_path, so a relative PYTHONPATH would not resolve
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(heckelab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point(workdir):
     result = subprocess.run(
         [sys.executable, "-m", "heckelab", "census", "--d", "2", "--l", "1"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0
     assert "commutative" in result.stdout
+
+
+def test_cli_imports_no_scipy(workdir):
+    # importing scipy.linalg alone costs every command about a third of a second
+    probe = ("import sys, heckelab.shell; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,0 +1,104 @@
+"""The numpy eigenbasis of `spectral_data` against the Schur reference.
+
+`oracles.schur_spectral_data` is the complex Schur decomposition the
+eigenbasis replaced.  Both must give the same spectral atoms (angles merged
+by `cluster_spectrum`, with their weights) and the same reconstructed
+moments, on the flagship commutators, on unitaries with repeated
+eigenvalues, and where two angles collide in the cosine pencil.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from heckelab import witness
+from heckelab.witness import (PENCIL_ANGLE, _commutator, cluster_spectrum,
+                              search_witness, spectral_data,
+                              unitary_from_coefficients)
+
+import oracles
+
+ATOM_TOL = 1e-10
+
+
+def assert_same_atoms(spectral, reference):
+    ours, theirs = cluster_spectrum(spectral), cluster_spectrum(reference)
+    assert len(ours.angles) == len(theirs.angles)
+    # match atoms on the circle, where -π and π are one point
+    for theta, mu in zip(ours.angles, ours.weights):
+        gaps = np.abs(np.exp(1j * theirs.angles) - np.exp(1j * theta))
+        j = int(np.argmin(gaps))
+        assert gaps[j] < ATOM_TOL
+        assert abs(theirs.weights[j] - mu) < ATOM_TOL
+
+
+def haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def unitary_with_spectrum(rng, angles):
+    """Q diag(e^{iθ}) Q* for a Haar-random Q, with its exact moments."""
+    Q = haar_unitary(rng, len(angles))
+    angles = np.asarray(angles, dtype=float)
+    matrix = (Q * np.exp(1j * angles)) @ Q.conj().T
+    weights = np.abs(Q[0, :]) ** 2
+    exact = np.exp(1j * np.outer(np.arange(1, 65), angles)) @ weights
+    return matrix, exact
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flagship_commutators(flagship_pair, seed):
+    cert = search_witness(flagship_pair, seed=seed)
+    u = unitary_from_coefficients(flagship_pair, cert.u_coefficients)
+    v = unitary_from_coefficients(flagship_pair, cert.v_coefficients)
+    w = _commutator(u.matrix, v.matrix)
+    spec, reference = spectral_data(w), oracles.schur_spectral_data(w)
+    assert spec.offdiagonal_residual < 1e-11
+    assert abs(spec.weights.sum() - 1.0) < 1e-12
+    assert_same_atoms(spec, reference)
+    recon = spec.reconstruct(cert.k_max)
+    assert np.max(np.abs(recon - reference.reconstruct(cert.k_max))) < 1e-10
+    assert np.max(np.abs(recon - cert.moments)) < 1e-10
+
+
+@st.composite
+def repeated_spectra(draw):
+    """Up to five distinct angles on a grid of step 2π/60 (so distinct ones
+    stay 0.1 apart), each with multiplicity 1 to 4, and sometimes the angle
+    2φ - θ that shares a cosine with one of them."""
+    slots = draw(st.lists(st.integers(0, 59), min_size=1, max_size=5, unique=True))
+    angles = [2 * np.pi * j / 60 + 0.1 for j in slots]
+    if draw(st.booleans()):
+        angles.append(2 * PENCIL_ANGLE - angles[0])
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(angles),
+                           max_size=len(angles)))
+    spectrum = [theta for theta, c in zip(angles, counts) for _ in range(c)]
+    return draw(st.integers(0, 2 ** 32 - 1)), spectrum
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_spectra())
+def test_unitaries_with_repeated_eigenvalues(case):
+    seed, spectrum = case
+    matrix, exact = unitary_with_spectrum(np.random.default_rng(seed), spectrum)
+    spec, reference = spectral_data(matrix), oracles.schur_spectral_data(matrix)
+    assert spec.offdiagonal_residual < 1e-12
+    assert_same_atoms(spec, reference)
+    assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
+
+
+def test_pencil_collision_is_resolved(monkeypatch):
+    # θ and 2φ - θ share the cosine cos(θ - φ); only the sine part splits them
+    alpha = 0.3
+    spectrum = [PENCIL_ANGLE + alpha] * 2 + [PENCIL_ANGLE - alpha] * 3 + [2.0, -1.0]
+    matrix, exact = unitary_with_spectrum(np.random.default_rng(5), spectrum)
+    spec = spectral_data(matrix)
+    assert spec.offdiagonal_residual < 1e-12
+    assert_same_atoms(spec, oracles.schur_spectral_data(matrix))
+    assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
+    # every cosine its own cluster: the collision is left mixed
+    monkeypatch.setattr(witness, "PENCIL_CLUSTER_GAP", -1.0)
+    assert spectral_data(matrix).offdiagonal_residual > 1e-2
