@@ -99,17 +99,47 @@ def _tree_vertices(leaves) -> set:
     return verts
 
 
+def _is_vertex(shape: TreeShape, address: tuple) -> bool:
+    return not address or (min(address) >= 0 and address[0] < shape.k
+                           and max(address[1:], default=0) < shape.d)
+
+
 def _check_complete(shape: TreeShape, leaves) -> None:
-    leaves = set(leaves)
-    verts = _tree_vertices(leaves)
-    for v in verts:
-        if v in leaves:
-            if any(v + (c,) in verts for c in range(shape.arity(v))):
-                raise ValueError(f"leaf {v} has descendants in the subtree")
-        else:
-            missing = [c for c in range(shape.arity(v)) if v + (c,) not in verts]
-            if missing:
-                raise ValueError(f"internal vertex {v} is missing children {missing}")
+    """Raise ValueError unless `leaves` is the leaf set of a complete subtree.
+
+    Sorted, a prefix comes right before its extensions.  With maximum depth
+    D a leaf at depth j covers |V_D| / |V_j| points of V_D, so prefix-free
+    vertices are the leaves of a complete subtree exactly when they cover
+    V_D: when this Kraft sum is |V_D| (the empty set sums to 0).
+    """
+    leaves = sorted(leaves)  # so first letters ascend: the ends bound them
+    deeper = [c for v in leaves for c in v[1:]]
+    if leaves and leaves[0] and not 0 <= leaves[0][0] <= leaves[-1][0] < shape.k or \
+            deeper and not 0 <= min(deeper) <= max(deeper) < shape.d:
+        bad = next(v for v in leaves if not _is_vertex(shape, v))
+        raise ValueError(f"leaf {bad} is not a vertex of the tree")
+    for v, w in zip(leaves, leaves[1:]):
+        if w[:len(v)] == v:
+            raise ValueError(f"leaf {v} has descendants in the subtree")
+    sizes = [shape.level_size(j) for j in range(max(map(len, leaves), default=0) + 1)]
+    if sum(sizes[-1] // sizes[len(v)] for v in leaves) != sizes[-1]:
+        raise ValueError("subtree leaves do not cover the boundary of the tree")
+
+
+def _split_leaves(g, target_vertices: set, by_image: bool) -> tuple:
+    """Leaf map and twists of g with leaves split, twists pushed down, until
+    no domain leaf (image leaf if `by_image`) has children in `target_vertices`."""
+    leaf_map, twists = {}, {}
+    todo = [(a, b, g.twists[a]) for a, b in g.leaf_map.items()]
+    while todo:
+        a, b, portrait = todo.pop()
+        if (b if by_image else a) + (0,) not in target_vertices:
+            leaf_map[a], twists[a] = b, portrait
+            continue
+        perm = portrait.get(()) or range(g.shape.arity(a))
+        todo.extend((a + (c,), b + (x,), _portrait_restrict(portrait, c))
+                    for c, x in enumerate(perm))
+    return leaf_map, twists
 
 
 @dataclass(frozen=True)
@@ -131,6 +161,9 @@ class AlmostAutomorphism:
         for a in leaf_map:
             portrait = _portrait_normalize(self.twists.get(a, {}))
             for r, perm in portrait.items():
+                if not _is_vertex(self.shape, a + r):
+                    raise ValueError(
+                        f"twist at leaf {a}, address {r} is not a vertex of the tree")
                 arity = self.shape.arity(a + r)
                 if sorted(perm) != list(range(arity)):
                     raise ValueError(
@@ -189,38 +222,19 @@ class AlmostAutomorphism:
 
     # -- refinement ---------------------------------------------------------------------
 
-    def expand_leaf(self, a: tuple) -> "AlmostAutomorphism":
-        """Split leaf a into its children, pushing the twist data down."""
-        b = self.leaf_map[a]
-        portrait = self.twists[a]
-        arity = self.shape.arity(a)
-        root_perm = portrait.get((), tuple(range(arity)))
-        leaf_map = {x: y for x, y in self.leaf_map.items() if x != a}
-        twists = {x: t for x, t in self.twists.items() if x != a}
-        for c in range(arity):
-            child = a + (c,)
-            leaf_map[child] = b + (root_perm[c],)
-            twists[child] = _portrait_restrict(portrait, c)
+    def _refined(self, target_vertices: set, by_image: bool) -> "AlmostAutomorphism":
+        leaf_map, twists = _split_leaves(self, target_vertices, by_image)
+        if len(leaf_map) == len(self.leaf_map):
+            return self
         return AlmostAutomorphism(self.shape, leaf_map, twists)
 
     def refined_to_domain(self, target_vertices: set) -> "AlmostAutomorphism":
-        """Expand until every domain leaf is a leaf of the target subtree."""
-        cur = self
-        while True:
-            internal = [a for a in cur.leaf_map if a + (0,) in target_vertices]
-            if not internal:
-                return cur
-            cur = cur.expand_leaf(min(internal, key=lambda v: (len(v), v)))
+        """Split until no domain leaf has children in `target_vertices`."""
+        return self._refined(target_vertices, by_image=False)
 
     def refined_to_image(self, target_vertices: set) -> "AlmostAutomorphism":
-        """Expand until every image leaf is a leaf of the target subtree."""
-        cur = self
-        while True:
-            internal = [a for a, b in cur.leaf_map.items()
-                        if b + (0,) in target_vertices]
-            if not internal:
-                return cur
-            cur = cur.expand_leaf(min(internal, key=lambda v: (len(v), v)))
+        """Split until no image leaf has children in `target_vertices`."""
+        return self._refined(target_vertices, by_image=True)
 
     # -- evaluation ------------------------------------------------------------------------
 
@@ -249,13 +263,10 @@ def compose(g: AlmostAutomorphism, h: AlmostAutomorphism) -> AlmostAutomorphism:
     if g.shape != h.shape:
         raise ValueError("elements live on different tree shapes")
     interface = _tree_vertices(set(g.leaf_map.values()) | set(h.leaf_map.keys()))
-    g2 = g.refined_to_image(interface)
-    h2 = h.refined_to_domain(interface)
-    leaf_map = {}
-    twists = {}
-    for a, b in g2.leaf_map.items():
-        leaf_map[a] = h2.leaf_map[b]
-        twists[a] = _portrait_compose(g2.twists[a], h2.twists[b])
+    g_map, g_twists = _split_leaves(g, interface, by_image=True)
+    h_map, h_twists = _split_leaves(h, interface, by_image=False)
+    leaf_map = {a: h_map[b] for a, b in g_map.items()}
+    twists = {a: _portrait_compose(g_twists[a], h_twists[b]) for a, b in g_map.items()}
     return AlmostAutomorphism(g.shape, leaf_map, twists)
 
 
@@ -266,60 +277,50 @@ def inverse(g: AlmostAutomorphism) -> AlmostAutomorphism:
 
 
 def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
-    """The unique minimal representative.
+    """The unique minimal representative; `g` itself if it is minimal.
 
-    Greedily merges sibling leaf blocks (deepest first, then by address)
-    whose images form a full sibling block; idempotent.
+    Merges every sibling leaf block whose images form a full sibling block,
+    deepest level first.  A merge only turns its parent into a leaf, so
+    merges commute and one sweep per level reaches the fixed point; idempotent.
     """
     leaf_map = dict(g.leaf_map)
     twists = dict(g.twists)
     shape = g.shape
-    while True:
-        candidates = {}
-        for a in leaf_map:
-            if a:
-                candidates.setdefault(a[:-1], []).append(a)
-        merged = False
-        for parent in sorted(candidates, key=lambda v: (-len(v), v)):
-            children = candidates[parent]
-            if len(children) != shape.arity(parent):
+    for depth in range(max(map(len, leaf_map)), 0, -1):
+        for parent in {a[:-1] for a in leaf_map if len(a) == depth}:
+            children = [parent + (c,) for c in range(shape.arity(parent))]
+            if any(child not in leaf_map for child in children):
                 continue
-            images = [leaf_map[parent + (c,)] for c in range(shape.arity(parent))]
-            heads = [img[:-1] for img in images if img]
-            if len(heads) != len(images) or len(set(heads)) != 1:
+            images = [leaf_map[child] for child in children]
+            target = images[0][:-1]
+            letters = tuple(image[-1] for image in images)
+            if any(image[:-1] != target for image in images) or \
+                    sorted(letters) != list(range(shape.arity(target))):
                 continue
-            target = heads[0]
-            letters = [img[-1] for img in images]
-            if sorted(letters) != list(range(shape.arity(target))):
-                continue
-            portrait = {(): tuple(letters)}
-            for c in range(shape.arity(parent)):
-                child_twist = twists[parent + (c,)]
-                for r, perm in child_twist.items():
-                    portrait[(c,) + r] = perm
-            for c in range(shape.arity(parent)):
-                del leaf_map[parent + (c,)]
-                del twists[parent + (c,)]
+            portrait = {(): letters}
+            for c, child in enumerate(children):
+                portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
+                del leaf_map[child]
             leaf_map[parent] = target
             twists[parent] = _portrait_normalize(portrait)
-            merged = True
-            break
-        if not merged:
-            return AlmostAutomorphism(shape, leaf_map, twists)
+    if len(leaf_map) == len(g.leaf_map):
+        return g
+    return AlmostAutomorphism(shape, leaf_map, twists)
 
 
 # -- level subgroups and the double-coset bridge ------------------------------------------------
 
+def _level_refinement(g: AlmostAutomorphism, n: int) -> AlmostAutomorphism | None:
+    """g with A = B = the radius-n ball, or None outside the level-n subgroup.
+    Refined, no domain leaf lies above V_n, so if the (equally many) image
+    leaves all lie on V_n, every domain leaf does too."""
+    refined = canonical_form(g).refined_to_domain(set(g.shape.ball(n)))
+    return refined if all(len(b) == n for b in refined.leaf_map.values()) else None
+
+
 def is_in_level_subgroup(g: AlmostAutomorphism, n: int) -> bool:
     """Whether g is represented by a forest automorphism off the radius-n ball."""
-    c = canonical_form(g)
-    if any(len(a) > n for a in c.leaf_map):
-        return False
-    if any(len(b) > n for b in c.leaf_map.values()):
-        return False
-    ball = _tree_vertices(set(g.shape.vertices(n)))
-    refined = c.refined_to_domain(ball)
-    return all(len(b) == n for b in refined.leaf_map.values())
+    return _level_refinement(g, n) is not None
 
 
 def minimal_level(g: AlmostAutomorphism, n_max: int = 16) -> int | None:
@@ -332,10 +333,9 @@ def minimal_level(g: AlmostAutomorphism, n_max: int = 16) -> int | None:
 
 def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     """The induced permutation of the ordered level set V_n."""
-    if not is_in_level_subgroup(g, n):
+    refined = _level_refinement(g, n)
+    if refined is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")
-    ball = _tree_vertices(set(g.shape.vertices(n)))
-    refined = canonical_form(g).refined_to_domain(ball)
     level = g.shape.vertices(n)
     position = {addr: i for i, addr in enumerate(level)}
     return Permutation([position[refined.leaf_map[a]] for a in level])

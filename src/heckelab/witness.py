@@ -41,6 +41,8 @@ SCORING_HORIZON = 64
 ACCEPT_CEILING = 0.999
 FIT_RESIDUAL_TOL = 1e-8
 SELFADJOINT_TOL = 1e-12
+#: root-scan candidates this close to the minimum distance count as ties
+ROOT_SCAN_TIE = 1e-9
 #: rotation φ of the eigenvalue pencil in `spectral_data`; any angle works, a
 #: generic one keeps the collision line θ₁ + θ₂ ≡ 2φ off conjugate pairs (φ = 0)
 PENCIL_ANGLE = 0.5772156649015329
@@ -251,27 +253,27 @@ def root_of_unity_scan(spectral: SpectralData, order: int, weight_floor: float =
     spectrally visible distinct atoms the scan reports the closest approach
     of (λ_j / λ_j')^m to 1 over 1 <= m <= order.  A tiny value flags a
     near-resonance that a bounded moment check cannot distinguish from an
-    exact root of unity.
+    exact root of unity.  Of the (pair, m) within `ROOT_SCAN_TIE` of the
+    minimum, the lexicographically least is reported.
     """
     atoms = cluster_spectrum(spectral)
     visible = np.where(atoms.weights > weight_floor)[0]
     if len(visible) < 2:
         return {"min_distance": None, "pair": None, "m": None,
                 "visible_atoms": int(len(visible))}
-    best = (math.inf, None, None)
     angles = atoms.angles[visible]
     ms = np.arange(1, order + 1)
-    for a in range(len(visible)):
-        diff = angles[a] - angles[a + 1:]
-        if len(diff) == 0:
-            continue
-        dist = np.abs(np.exp(1j * np.outer(ms, diff)) - 1.0)
-        m_idx, b_idx = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[m_idx, b_idx] < best[0]:
-            best = (float(dist[m_idx, b_idx]),
-                    (int(visible[a]), int(visible[a + 1 + b_idx])),
-                    int(ms[m_idx]))
-    return {"min_distance": best[0], "pair": best[1], "m": best[2],
+
+    def distances(a):  # rows: atoms b > a, columns: m
+        return np.abs(np.exp(1j * np.outer(angles[a] - angles[a + 1:], ms)) - 1.0)
+
+    row_min = np.array([distances(a).min() for a in range(len(visible) - 1)])
+    min_distance = float(row_min.min())
+    # mirror atoms θ, −θ tie up to rounding: report the least (pair, m) of the ties
+    a = int(np.argmax(row_min <= min_distance + ROOT_SCAN_TIE))
+    b, m = np.argwhere(distances(a) <= min_distance + ROOT_SCAN_TIE)[0]
+    return {"min_distance": min_distance,
+            "pair": (int(visible[a]), int(visible[a + 1 + b])), "m": int(ms[m]),
             "visible_atoms": int(len(visible))}
 
 

@@ -223,3 +223,78 @@ def lift_by_coefficients(big_carrier, x, to_big):
     from heckelab.groupalg import AlgebraElement
     coeffs = {to_big(x.carrier.elements[i]): x.vec.coeff(i) for i in x.vec.support()}
     return AlgebraElement.from_coefficients(big_carrier, coeffs)
+
+
+def expand_leaf(g, a):
+    """Split leaf a of g into its children, pushing the twist data down: one
+    validated element per split, as the stepwise refinement built them."""
+    b, portrait = g.leaf_map[a], g.twists[a]
+    arity = g.shape.arity(a)
+    root_perm = portrait.get((), tuple(range(arity)))
+    leaf_map = {x: y for x, y in g.leaf_map.items() if x != a}
+    twists = {x: t for x, t in g.twists.items() if x != a}
+    for c in range(arity):
+        leaf_map[a + (c,)] = b + (root_perm[c],)
+        twists[a + (c,)] = {r[1:]: p for r, p in portrait.items() if r and r[0] == c}
+    return type(g)(g.shape, leaf_map, twists)
+
+
+def refine_by_expansion(g, target_vertices, by_image=False):
+    """Split the least splittable leaf, one element per step, until no domain
+    leaf (image leaf if `by_image`) has children in `target_vertices`."""
+    while True:
+        internal = [a for a, b in g.leaf_map.items()
+                    if (b if by_image else a) + (0,) in target_vertices]
+        if not internal:
+            return g
+        g = expand_leaf(g, min(internal, key=lambda v: (len(v), v)))
+
+
+def check_complete_by_vertices(shape, leaves):
+    """Completeness from the vertex set: every leaf childless, every other
+    vertex with all its children.  Letters are not range-checked and the
+    empty set passes."""
+    leaves = set(leaves)
+    verts = {leaf[:j] for leaf in leaves for j in range(len(leaf) + 1)}
+    for v in verts:
+        if v in leaves:
+            if any(v + (c,) in verts for c in range(shape.arity(v))):
+                raise ValueError(f"leaf {v} has descendants in the subtree")
+        else:
+            missing = [c for c in range(shape.arity(v)) if v + (c,) not in verts]
+            if missing:
+                raise ValueError(f"internal vertex {v} is missing children {missing}")
+
+
+def canonical_by_restarts(g):
+    """Merge the deepest, then least, mergeable sibling block and rescan the
+    leaves after every merge, as the greedy canonical form did."""
+    leaf_map, twists, shape = dict(g.leaf_map), dict(g.twists), g.shape
+    while True:
+        candidates = {}
+        for a in leaf_map:
+            if a:
+                candidates.setdefault(a[:-1], []).append(a)
+        for parent in sorted(candidates, key=lambda v: (-len(v), v)):
+            arity = shape.arity(parent)
+            if len(candidates[parent]) != arity:
+                continue
+            images = [leaf_map[parent + (c,)] for c in range(arity)]
+            heads = {img[:-1] for img in images if img}
+            if len(heads) != 1 or not all(images):
+                continue
+            target = heads.pop()
+            letters = [img[-1] for img in images]
+            if sorted(letters) != list(range(shape.arity(target))):
+                continue
+            portrait = {(): tuple(letters)}
+            for c in range(arity):
+                for r, perm in twists.pop(parent + (c,)).items():
+                    portrait[(c,) + r] = perm
+                del leaf_map[parent + (c,)]
+            leaf_map[parent] = target
+            twists[parent] = {r: p for r, p in portrait.items()
+                              if any(i != x for i, x in enumerate(p))}
+            break
+        else:
+            return type(g)(shape, leaf_map, twists)

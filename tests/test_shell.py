@@ -156,6 +156,10 @@ def _spher_doc():
     (dict(_spher_doc(), d="2"), "'d'"),
     (dict(_spher_doc(), twists={"": [["", 5]]}), "permutation"),
     (dict(_spher_doc(), A=["", ["x"]]), "address"),
+    (dict(_spher_doc(), phi=[["0", "0"], ["1", "1"], ["2", "2"]], twists={}),
+     "not a vertex"),
+    (dict(_spher_doc(), phi=[], twists={}), "cover"),
+    (dict(_spher_doc(), twists={"": [["7", [1, 0]]]}), "not a vertex"),
 ])
 def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document, field):
     (workdir / "bad.json").write_text(json.dumps(document))

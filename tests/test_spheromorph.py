@@ -32,6 +32,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             AlmostAutomorphism(SHAPE, {(): ()}, {(): {(): (0, 0)}})
 
+    def test_out_of_range_letters(self):
+        # children 0, 1, 2 of a binary root; the image side alone passes the
+        # Kraft sum, {0, 2} covering as many level-1 points as {0, 1}
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(SHAPE, {(0,): (0,), (1,): (1,), (2,): (2,)}, {})
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(SHAPE, {(0,): (0,), (1,): (2,)}, {})
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(SHAPE, {(0,): (0,), (1,): (-1,)}, {})
+        # below the root: {0, 10, 12} and {0, 10, 1(-1)} pass the Kraft sum
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="not a vertex"):
+                AlmostAutomorphism(SHAPE, {(0,): (0,), (1, 0): (1, 0), (1, bad): (1, 1)},
+                                   {})
+
+    def test_empty_leaf_map(self):
+        with pytest.raises(ValueError, match="cover"):
+            AlmostAutomorphism(SHAPE, {}, {})
+
+    def test_twist_addresses_are_vertices(self):
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(SHAPE, {(): ()}, {(): {(7,): (1, 0)}})
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(SHAPE, {(0,): (0,), (1,): (1,)}, {(1,): {(2,): (1, 0)}})
+        shape = TreeShape(2, 3)
+        AlmostAutomorphism(shape, {(): ()}, {(): {(2,): (1, 0)}})
+        with pytest.raises(ValueError, match="not a vertex"):
+            AlmostAutomorphism(shape, {(): ()}, {(): {(0, 2): (1, 0)}})
+
     def test_twist_arity_at_root(self):
         shape = TreeShape(2, 3)  # root has three children
         AlmostAutomorphism(shape, {(): ()}, {(): {(): (2, 0, 1)}})
@@ -95,6 +124,14 @@ class TestCanonicalForm:
             g = random_element(SHAPE, rng)
             refined = g.refined_to_domain(ball)
             assert canonical_form(refined).data_equal(canonical_form(g))
+
+    def test_block_onto_part_of_the_root_block_stays(self):
+        # 00, 01 map onto two of the root's three children: no single vertex
+        # map covers them, so the block must not merge
+        shape = TreeShape(2, 3)
+        g = AlmostAutomorphism(shape, {(0, 0): (0,), (0, 1): (1,), (1,): (2, 0),
+                                       (2,): (2, 1)}, {})
+        assert canonical_form(g).data_equal(g)
 
     def test_twisted_identity_collapses_to_root_portrait(self):
         # an automorphism presented on the level-2 ball

@@ -157,6 +157,29 @@ class TestSpectra:
         assert scan["visible_atoms"] >= 2
         assert scan["min_distance"] > 0
 
+    @pytest.mark.parametrize("source", ["mirror", "flagship"])
+    def test_root_scan_ties_report_the_least_pair(self, source, flagship_certificate):
+        # atoms θ, −θ make mirror pairs with equal distances; rounding noise
+        # must not decide which of them is reported
+        if source == "mirror":
+            angles = np.array([0.0, 0.7, -0.7, 1.9, -1.9, 2.6, -2.6])
+            weights = np.full(7, 1 / 7)
+        else:
+            angles = flagship_certificate.angles
+            weights = flagship_certificate.weights
+        exact = root_of_unity_scan(SpectralData(angles, weights), 360)
+        atoms = cluster_spectrum(SpectralData(angles, weights))
+        visible = atoms.angles[atoms.weights > 1e-4]
+        diffs = np.subtract.outer(visible, visible)[np.triu_indices(len(visible), 1)]
+        brute = np.abs(np.exp(1j * np.outer(diffs, np.arange(1, 361))) - 1.0).min()
+        assert exact["min_distance"] == brute
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            noisy = angles + rng.uniform(-1e-13, 1e-13, len(angles))
+            scan = root_of_unity_scan(SpectralData(noisy, weights), 360)
+            assert (scan["pair"], scan["m"]) == (exact["pair"], exact["m"])
+            assert abs(scan["min_distance"] - exact["min_distance"]) < 1e-9
+
     def test_spectral_data_of_diagonal_matrix(self):
         angles = np.array([0.3, -1.2, 2.5])
         matrix = np.diag(np.exp(1j * angles))
