@@ -28,10 +28,6 @@ class PairMismatchError(ValueError):
     """Two algebra elements belong to different Hecke pairs or carriers."""
 
 
-class AlgebraMembershipError(ValueError):
-    """A matrix could not be fitted into the algebra's basis span."""
-
-
 class LevelError(ValueError):
     """An almost automorphism does not stabilize the requested ball complement."""
 

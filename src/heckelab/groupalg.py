@@ -196,9 +196,6 @@ class AlgebraElement:
     def coeff(self, p: Permutation):
         return self.vec.coeff(self.carrier.index_of(p))
 
-    def support_elements(self):
-        return [self.carrier.elements[i] for i in self.vec.support()]
-
     def conjugated_by(self, a: Permutation) -> "AlgebraElement":
         """The function x -> f(a x a^{-1}); a must normalize the carrier group."""
         carrier = self.carrier

@@ -11,9 +11,11 @@ in D}.  Products are computed through structure constants, never through
 element-level convolution over G.  The constants are counted one row of
 the cell table at a time: row i comes from the right translation of the
 cosets by r_i^{-1}, which the action of G's generators on H\\G gives as one
-gather per coset.  The full λ-matrices are built only when asked for.  The
-group algebra corner p_H C[G] p_H is kept available as an independent
-oracle via corner_isomorphism_check.
+gather per coset.  Float products use the left-regular matrices of the
+structure constants (`HeckePair.left_matrix`), of size dim × dim; the full
+λ-matrices are built only when asked for, as cross-checks.  The group
+algebra corner p_H C[G] p_H is kept available as an independent oracle via
+corner_isomorphism_check.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -75,8 +77,6 @@ class HeckePair:
         self.r_indices = np.array([e.r_index for e in self.table.entries], dtype=np.int64)
         self.star_map = np.array(self.table.inverse_class, dtype=np.int32)
         self.class_of_coset = np.array(self.table._class_of_coset, dtype=np.int32)
-        self.first_coset = np.array([e.right_cosets[0] for e in self.table.entries],
-                                    dtype=np.int32)
         self._struct = None
         self._struct_obj = None
         # (d, l) of the tree pair (S_{d^l}, Q_l), set where such a pair is
@@ -113,10 +113,6 @@ class HeckePair:
         """Integer λ-matrix of the basis element e_j."""
         return (self.cell_class == j).astype(np.int64)
 
-    def lambda_of_coefficients(self, coefficients):
-        """λ-matrix of the element with the given coefficient vector."""
-        return np.asarray(coefficients)[self.cell_class]
-
     def structure_constants(self):
         """Integer tensor N[d, e, f] with e_d e_e = sum_f N[d,e,f] e_f.
 
@@ -142,6 +138,10 @@ class HeckePair:
             self._struct = struct
             self._struct_obj = struct.astype(object)
         return self._struct
+
+    def left_matrix(self, coefficients) -> np.ndarray:
+        """Matrix of g ↦ c·g on coefficient vectors: L[f, e] = Σ_d c_d N[d, e, f]."""
+        return np.tensordot(coefficients, self.structure_constants(), axes=1).T
 
     # -- element constructors -----------------------------------------------------
 
@@ -274,16 +274,8 @@ class HeckeElement:
             return self.exact.is_zero()
         return not self.approx.any()
 
-    def lambda_matrix(self):
-        """The action matrix on ℓ²(H\\G); integer-exact data yields object dtype."""
-        if self.exact is not None:
-            num = self.exact.re[self.pair.cell_class]
-            if self.exact.im is not None:
-                return (num, self.exact.im[self.pair.cell_class], self.exact.den)
-            return (num, None, self.exact.den)
-        return self.approx[self.pair.cell_class]
-
     def lambda_matrix_complex(self) -> np.ndarray:
+        """The action matrix on ℓ²(H\\G)."""
         return self.coefficients_complex()[self.pair.cell_class]
 
     def star(self) -> "HeckeElement":
@@ -341,11 +333,8 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
                     has_im = True
         vec = ExactVector(f.exact.den * g.exact.den, re, im if has_im else None)
         return HeckeElement(pair, exact=vec)
-    # float path: pull the product back through the base-coset columns
-    lf = f.to_float().lambda_matrix_complex()
-    col = g.coefficients_complex()[pair.class_of_coset]
-    values = lf @ col
-    return HeckeElement(pair, approx=values[pair.first_coset])
+    return HeckeElement(pair, approx=pair.left_matrix(f.coefficients_complex())
+                        @ g.coefficients_complex())
 
 
 def trace_inner_product(f: HeckeElement, g: HeckeElement):

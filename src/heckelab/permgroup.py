@@ -237,11 +237,6 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    @property
-    def base_points(self) -> tuple:
-        """Chain base points with nontrivial orbits, in increasing order."""
-        return tuple(level.base for level in self._levels if len(level.orbit) > 1)
-
     def transversal(self, base: int) -> dict:
         """Orbit-to-representative map of the chain level at `base`."""
         return {point: _wrap(u) for point, u in self._levels[base].orbit.items()}
@@ -361,10 +356,6 @@ def symmetric_group(degree: int) -> PermGroup:
     if degree > 2:
         gens.append(Permutation.from_cycles(degree, tuple(range(degree))))
     return PermGroup(degree, gens)
-
-
-def cyclic_group(degree: int) -> PermGroup:
-    return PermGroup(degree, [Permutation.from_cycles(degree, tuple(range(degree)))])
 
 
 def dihedral_square() -> PermGroup:

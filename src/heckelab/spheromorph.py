@@ -85,7 +85,7 @@ def _portrait_restrict(portrait: dict, c: int) -> dict:
 
 
 def _portrait_normalize(portrait: dict) -> dict:
-    return {tuple(r): tuple(perm) for r, perm in portrait.items()
+    return {r: perm for r, perm in portrait.items()
             if any(i != x for i, x in enumerate(perm))}
 
 
@@ -157,9 +157,14 @@ class AlmostAutomorphism:
         if len(set(images)) != len(images):
             raise ValueError("leaf map is not injective")
         _check_complete(self.shape, images)
+        stray = [a for a in self.twists if a not in leaf_map]
+        if stray:
+            raise ValueError(f"twist at {stray[0]} is not at a domain leaf")
         twists = {}
         for a in leaf_map:
-            portrait = _portrait_normalize(self.twists.get(a, {}))
+            # identities are dropped only after their arity is checked
+            portrait = {tuple(r): tuple(perm)
+                        for r, perm in self.twists.get(a, {}).items()}
             for r, perm in portrait.items():
                 if not _is_vertex(self.shape, a + r):
                     raise ValueError(
@@ -169,7 +174,7 @@ class AlmostAutomorphism:
                     raise ValueError(
                         f"twist at leaf {a}, address {r} is not a permutation "
                         f"of {arity} children")
-            twists[a] = portrait
+            twists[a] = _portrait_normalize(portrait)
         object.__setattr__(self, "leaf_map", leaf_map)
         object.__setattr__(self, "twists", twists)
 
@@ -196,9 +201,6 @@ class AlmostAutomorphism:
 
     def leaves(self) -> list:
         return sorted(self.leaf_map)
-
-    def image_leaves(self) -> list:
-        return sorted(self.leaf_map.values())
 
     def data_equal(self, other: "AlmostAutomorphism") -> bool:
         return (self.shape == other.shape and self.leaf_map == other.leaf_map

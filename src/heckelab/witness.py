@@ -1,17 +1,21 @@
 """Witness unitaries with non-recurrent commutator moments, and their decay.
 
-In a noncommutative Hecke algebra realized by λ-matrices, this module
-searches for unitaries u = exp(i·λ(a)), v = exp(i·λ(b)) (a, b self-adjoint
-elements of the algebra, so membership is automatic) whose commutator
-w = u v u* v* has all moments τ(w^k) bounded away from the unit circle on a
-verified range of k.  The moments of the tensor powers w^{⊗N} are then
+In a noncommutative Hecke algebra, this module searches for unitaries
+u = exp(i·a), v = exp(i·b) (a, b self-adjoint elements of the algebra, so
+membership is automatic) whose commutator w = u v u* v* has all moments
+τ(w^k) bounded away from the unit circle on a verified range of k.  The
+search works on the GNS space of τ, where the basis vectors e_d are
+orthogonal with ⟨e_d, e_e⟩ = δ_de·R(d): every element acts there by a
+dim × dim matrix (`gns_matrix`), and τ(x) = ⟨x e_H, e_H⟩ as for λ(x) at
+δ_H.  The moments of the tensor powers w^{⊗N} are then
 τ(w^k)^N with N the level size, so each column decays geometrically; the
 decay table and the comparison of trigonometric-polynomial averages against
 their constant coefficient (the circle average) are computed directly from
 the base moment table, never by forming tensor-power matrices.
 
 Certificates serialize (u, v, moments, spectral data, tolerances) and are
-re-verified from scratch by an independent reader.
+re-verified from scratch by an independent reader, in the λ-representation
+on ℓ²(H\\G) that the search never uses.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlgebraMembershipError, SearchFailureError
+from .errors import SearchFailureError
 from .hecke import HeckeElement, HeckePair, pair_for_depth
 from .treefam import TreeShape
 
@@ -39,7 +43,6 @@ SCORING_HORIZON = 64
 #: accept a candidate only if its full-range moment maximum stays below this;
 #: keeps the certificate margin far from the 1 - 1e-6 contract line
 ACCEPT_CEILING = 0.999
-FIT_RESIDUAL_TOL = 1e-8
 SELFADJOINT_TOL = 1e-12
 #: root-scan candidates this close to the minimum distance count as ties
 ROOT_SCAN_TIE = 1e-9
@@ -57,12 +60,23 @@ PENCIL_CLUSTER_GAP = 1.5e-8
 
 @dataclass
 class UnitaryElement:
-    """A unitary member of the algebra with its λ-matrix and quality numbers."""
+    """A unitary member of the algebra with its unitarity defect ‖x x* − 1‖
+    (Frobenius) in the representation it was computed in."""
 
     element: HeckeElement
-    matrix: np.ndarray
     unitarity_defect: float
-    fit_residual: float
+
+
+def gns_matrix(x: HeckeElement) -> np.ndarray:
+    """Left multiplication by x on the GNS space of τ, in the orthonormal
+    basis e_d / √R(d): S·L_x·S⁻¹ with S = diag(√R), Hermitian when x is
+    self-adjoint and unitary when x is; entry (0, 0) is τ(x)."""
+    root = np.sqrt(x.pair.r_indices)
+    return root[:, None] * x.pair.left_matrix(x.coefficients_complex()) / root
+
+
+def _unitarity_defect(matrix: np.ndarray) -> float:
+    return float(np.linalg.norm(matrix @ matrix.conj().T - np.eye(len(matrix))))
 
 
 def selfadjoint_parameter_layout(pair: HeckePair) -> list:
@@ -100,51 +114,28 @@ def selfadjoint_defect(a: HeckeElement) -> float:
     return float(np.max(np.abs(coef - np.conj(coef[a.pair.star_map]))))
 
 
-def fit_to_basis(pair: HeckePair, matrix: np.ndarray):
-    """Project a matrix onto the algebra span: block means over basis cells.
-
-    Returns (coefficients, residual); the residual is the largest deviation
-    of the matrix from constancy on the double-coset cells.
-    """
-    coef = np.empty(pair.dim, dtype=np.complex128)
-    for d in range(pair.dim):
-        cells = pair.cell_class == d
-        coef[d] = matrix[cells].mean()
-    residual = float(np.max(np.abs(matrix - coef[pair.cell_class])))
-    return coef, residual
-
-
 def unitary_from_selfadjoint(pair: HeckePair, a: HeckeElement) -> UnitaryElement:
-    """exp(i·a) computed through the spectral calculus of the Hermitian λ(a).
+    """exp(i·a) through one `eigh` of the Hermitian `gns_matrix(a)`.
 
-    The exponential stays inside the (finite-dimensional, closed) algebra,
-    so its matrix must be constant on basis cells; a fit residual above
-    tolerance means the input was not a member and raises.
+    exp(i·a) = exp(i·a)·e_H is column 0 of exp(i·L_a); in the orthonormal
+    basis that column is scaled by √R, and R(0) = 1.  The unitarity defect
+    is measured on the GNS space.
     """
     if a.pair is not pair:
         raise ValueError("element belongs to a different pair")
     defect = selfadjoint_defect(a)
     if defect > SELFADJOINT_TOL:
         raise ValueError(f"element is not self-adjoint (defect {defect:.2e})")
-    A = a.to_float().lambda_matrix_complex()
-    eigenvalues, vectors = np.linalg.eigh(A)
+    eigenvalues, vectors = np.linalg.eigh(gns_matrix(a))
     U = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
-    coef, residual = fit_to_basis(pair, U)
-    if residual > FIT_RESIDUAL_TOL:
-        raise AlgebraMembershipError(
-            f"exponential does not fit the basis span (residual {residual:.2e})")
-    member = coef[pair.cell_class]
-    eye = np.eye(pair.size)
-    defect_u = float(np.linalg.norm(member @ member.conj().T - eye))
-    return UnitaryElement(pair.element_from_floats(coef), member, defect_u, residual)
+    coef = U[:, 0] / np.sqrt(pair.r_indices)
+    return UnitaryElement(pair.element_from_floats(coef), _unitarity_defect(U))
 
 
 def unitary_from_coefficients(pair: HeckePair, coef) -> UnitaryElement:
-    coef = np.asarray(coef, dtype=np.complex128)
-    matrix = coef[pair.cell_class]
-    eye = np.eye(pair.size)
-    defect = float(np.linalg.norm(matrix @ matrix.conj().T - eye))
-    return UnitaryElement(pair.element_from_floats(coef), matrix, defect, 0.0)
+    """The element with these coefficients, its defect measured on λ(u)."""
+    u = pair.element_from_floats(coef)
+    return UnitaryElement(u, _unitarity_defect(u.lambda_matrix_complex()))
 
 
 # -- moments and spectra -----------------------------------------------------------
@@ -167,13 +158,13 @@ def moment_table(matrix: np.ndarray, k_max: int):
     return moments, float(defect)
 
 
-def moments(w: UnitaryElement, k_max: int):
-    return moment_table(w.matrix, k_max)
-
-
 @dataclass
 class SpectralData:
-    """Unit-circle eigenvalues of λ(w) weighted by the base-coset vector."""
+    """Unit-circle eigenvalues of a unitary w weighted by its base vector.
+
+    The search takes them from w on the GNS space of τ, with base vector
+    e_H; the spectral measure there is that of λ(w) at δ_H.
+    """
 
     angles: np.ndarray
     weights: np.ndarray
@@ -413,7 +404,7 @@ def _candidate(pair: HeckePair, params_a, params_b):
     b = selfadjoint_from_parameters(pair, params_b)
     u = unitary_from_selfadjoint(pair, a)
     v = unitary_from_selfadjoint(pair, b)
-    return u, v, _commutator(u.matrix, v.matrix)
+    return u, v, _commutator(gns_matrix(u.element), gns_matrix(v.element))
 
 
 def _refine(pair: HeckePair, params_a, params_b, score, step: float, sweeps: int):
@@ -445,7 +436,8 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
 
     Candidates are seeded random self-adjoint pairs, scored on a short
     moment horizon, refined by coordinate descent when the score is poor,
-    and accepted only after the full-range bound holds.  Deterministic for
+    and accepted only after the full-range bound holds.  Every step runs on
+    dim × dim GNS matrices; no λ-matrix is built.  Deterministic for
     fixed (pair, seed, budget): candidate i draws from an rng keyed by
     (seed, i), and the first acceptable candidate in that order wins.
     """
@@ -631,8 +623,9 @@ def verify_certificate(cert: WitnessCertificate,
     """Re-derive everything in the certificate from its (d, l) parameters.
 
     Rebuilds the pair and its double-coset basis, re-checks the basis order,
-    unitarity, the moment table (fresh matrix powers), the moment bound, the
-    spectral reconstruction, and runs the root-of-unity diagnostic scan.
+    unitarity and the moment table on the λ-matrices of u and v (fresh matrix
+    powers on ℓ²(H\\G), not the GNS matrices of the search), the moment
+    bound, the spectral reconstruction, and runs the root-of-unity scan.
     """
     failures = []
     diagnostics = {}
@@ -656,7 +649,8 @@ def verify_certificate(cert: WitnessCertificate,
     if v.unitarity_defect > tol["unitarity"]:
         failures.append("unitarity-v")
 
-    w = _commutator(u.matrix, v.matrix)
+    w = _commutator(u.element.lambda_matrix_complex(),
+                    v.element.lambda_matrix_complex())
     table, conj_defect = moment_table(w, cert.k_max)
     diagnostics["conjugate_symmetry_defect"] = conj_defect
     moment_gap = float(np.max(np.abs(table - cert.moments)))

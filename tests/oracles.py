@@ -147,12 +147,13 @@ def lambda_structure_constants(pair, cell):
     dim, size = pair.dim, pair.size
     indicator = np.zeros((size, dim), dtype=np.int64)
     indicator[np.arange(size), pair.class_of_coset] = 1
+    first_coset = [entry.right_cosets[0] for entry in pair.table.entries]
     struct = np.empty((dim, dim, dim), dtype=np.int64)
     for d in range(dim):
         prod = (cell == d).astype(np.int64) @ indicator
         for e in range(dim):
             col = prod[:, e]
-            vals = col[pair.first_coset]
+            vals = col[first_coset]
             for f in range(dim):
                 cosets = pair.table.entries[f].right_cosets
                 if any(col[c] != vals[f] for c in cosets):
@@ -186,6 +187,17 @@ def schur_spectral_data(matrix):
     T, Z = scipy.linalg.schur(matrix, output="complex")
     offdiag = float(np.linalg.norm(T - np.diag(np.diag(T))))
     return SpectralData(np.angle(np.diag(T)), np.abs(Z[0, :]) ** 2, offdiag)
+
+
+def lambda_exponential(pair, a):
+    """exp(i·a) from one `eigh` of the size × size λ(a), fitted back onto the
+    basis by its means over the cells of each double coset: the coset-space
+    exponential the GNS one replaced.  Returns (coefficients, residual), the
+    residual being the largest deviation of exp(i·λ(a)) from its fit."""
+    eigenvalues, vectors = np.linalg.eigh(a.lambda_matrix_complex())
+    U = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
+    coef = np.array([U[pair.cell_class == d].mean() for d in range(pair.dim)])
+    return coef, float(np.max(np.abs(U - coef[pair.cell_class])))
 
 
 def cayley_table_by_pairs(carrier):

@@ -1,0 +1,85 @@
+"""The witness search on the GNS space of τ against the λ-representation.
+
+`unitary_from_selfadjoint` and the search work on dim × dim matrices
+(`gns_matrix`); `oracles.lambda_exponential` is the size × size coset-space
+exponential they replaced, and λ-matrices are what `verify_certificate`
+uses.  Coefficients, products and commutator moments must agree.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from heckelab import hecke
+from heckelab.hecke import HeckePair, convolve, pair_for_depth
+from heckelab.witness import (_commutator, gns_matrix, moment_table, search_witness,
+                              selfadjoint_from_parameters,
+                              selfadjoint_parameter_layout, unitary_from_selfadjoint)
+
+import oracles
+from test_kernel import symmetric_over_cyclic
+
+QUICK = settings(deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+seeds = st.integers(0, 2 ** 32 - 1)
+scales = st.floats(0.1, 3.0)
+
+
+def random_selfadjoint(pair, rng, scale):
+    layout = selfadjoint_parameter_layout(pair)
+    return selfadjoint_from_parameters(pair, scale * rng.standard_normal(len(layout)))
+
+
+def assert_gns_matches_lambda(pair, seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b = random_selfadjoint(pair, rng, scale), random_selfadjoint(pair, rng, scale)
+    u, v = unitary_from_selfadjoint(pair, a), unitary_from_selfadjoint(pair, b)
+    for x, unitary in ((a, u), (b, v)):
+        coef, residual = oracles.lambda_exponential(pair, x)
+        assert residual <= 1e-8
+        assert np.max(np.abs(unitary.element.approx - coef)) <= 1e-12
+        assert unitary.unitarity_defect <= 1e-10
+    # the float product is the λ-product
+    lam_u, lam_v = u.element.lambda_matrix_complex(), v.element.lambda_matrix_complex()
+    product = convolve(u.element, v.element).lambda_matrix_complex()
+    assert np.max(np.abs(product - lam_u @ lam_v)) <= 1e-10
+    gns, _ = moment_table(_commutator(gns_matrix(u.element), gns_matrix(v.element)),
+                          1024)
+    lam, _ = moment_table(_commutator(lam_u, lam_v), 1024)
+    assert np.max(np.abs(gns - lam)) <= 1e-9
+
+
+@settings(QUICK, max_examples=10)
+@given(seeds, scales)
+def test_flagship(flagship_pair, seed, scale):
+    assert_gns_matches_lambda(flagship_pair, seed, scale)
+
+
+@settings(QUICK, max_examples=25)
+@given(symmetric_over_cyclic(), seeds, scales)
+def test_noncommutative_small_pairs(gh, seed, scale):
+    pair = HeckePair(*gh)
+    assume(not pair.is_commutative().commutative)
+    assert_gns_matches_lambda(pair, seed, scale)
+
+
+def test_gns_matrix_of_the_basis():
+    # e_d acts by S·N[d]ᵀ·S⁻¹; e_d* e_d has trace R(d), the squared norm of e_d
+    pair = pair_for_depth(2, 3)
+    root = np.sqrt(pair.r_indices)
+    for d in range(pair.dim):
+        e = pair.basis_element(d, "float")
+        M = gns_matrix(e)
+        assert np.array_equal(pair.left_matrix(e.approx), pair.structure_constants()[d].T)
+        assert abs(M[d, 0] - root[d]) < 1e-12
+        assert np.max(np.abs(gns_matrix(e.star()) - M.conj().T)) < 1e-12
+
+
+def test_search_builds_no_lambda_matrix(monkeypatch):
+    pair = pair_for_depth(2, 3)
+    cert = search_witness(pair)
+    assert "cell_class" not in vars(pair)
+    monkeypatch.setattr(hecke, "LAMBDA_CAP", 1)
+    capped = search_witness(pair_for_depth(2, 3))
+    assert json.dumps(capped.to_json_dict()) == json.dumps(cert.to_json_dict())

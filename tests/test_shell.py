@@ -160,6 +160,8 @@ def _spher_doc():
      "not a vertex"),
     (dict(_spher_doc(), phi=[], twists={}), "cover"),
     (dict(_spher_doc(), twists={"": [["7", [1, 0]]]}), "not a vertex"),
+    (dict(_spher_doc(), twists={"0": [["", [1, 0]]]}), "not at a domain leaf"),
+    (dict(_spher_doc(), twists={"": [["", [0, 1, 2]]]}), "permutation"),
 ])
 def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document, field):
     (workdir / "bad.json").write_text(json.dumps(document))

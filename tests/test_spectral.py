@@ -53,7 +53,8 @@ def test_flagship_commutators(flagship_pair, seed):
     cert = search_witness(flagship_pair, seed=seed)
     u = unitary_from_coefficients(flagship_pair, cert.u_coefficients)
     v = unitary_from_coefficients(flagship_pair, cert.v_coefficients)
-    w = _commutator(u.matrix, v.matrix)
+    w = _commutator(u.element.lambda_matrix_complex(),
+                    v.element.lambda_matrix_complex())
     spec, reference = spectral_data(w), oracles.schur_spectral_data(w)
     assert spec.offdiagonal_residual < 1e-11
     assert abs(spec.weights.sum() - 1.0) < 1e-12

@@ -61,6 +61,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="not a vertex"):
             AlmostAutomorphism(shape, {(): ()}, {(): {(0, 2): (1, 0)}})
 
+    def test_twists_only_at_domain_leaves(self):
+        # a twist anywhere else used to be dropped without a word
+        with pytest.raises(ValueError, match="not at a domain leaf"):
+            AlmostAutomorphism(SHAPE, {(): ()}, {(0,): {(): (1, 0)}})
+        with pytest.raises(ValueError, match="not at a domain leaf"):
+            AlmostAutomorphism(SHAPE, {(0,): (1,), (1,): (0,)}, {(): {}})
+        AlmostAutomorphism(SHAPE, {(0,): (1,), (1,): (0,)}, {(1,): {(): (1, 0)}})
+
+    def test_identity_twists_are_checked(self):
+        # identities are dropped from a portrait, but only after the check
+        with pytest.raises(ValueError, match="permutation of 2 children"):
+            AlmostAutomorphism(SHAPE, {(): ()}, {(): {(): (0, 1, 2)}})
+        with pytest.raises(ValueError, match="permutation of 2 children"):
+            AlmostAutomorphism(SHAPE, {(): ()}, {(): {(1,): (0,)}})
+        g = AlmostAutomorphism(SHAPE, {(): ()}, {(): {(): (0, 1), (0,): (1, 0)}})
+        assert g.twists == {(): {(0,): (1, 0)}}
+
     def test_twist_arity_at_root(self):
         shape = TreeShape(2, 3)  # root has three children
         AlmostAutomorphism(shape, {(): ()}, {(): {(): (2, 0, 1)}})
