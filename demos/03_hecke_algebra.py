@@ -8,7 +8,7 @@ corner p_H C[G] p_H is the independent oracle for all of it.
 
 import numpy as np
 
-from heckelab.hecke import (convolve, corner_isomorphism_check, pair_for_depth,
+from heckelab.hecke import (PairSpec, convolve, corner_isomorphism_check,
                             trace_inner_product)
 from heckelab.permgroup import dihedral_square, symmetric_group
 from heckelab.hecke import HeckePair
@@ -36,7 +36,7 @@ print("corner oracle agrees:", ok, detail)
 # The depth pairs of the binary tree: commutative at depth 2, and from
 # depth 3 on the algebra stops being commutative.
 for l in (2, 3):
-    p = pair_for_depth(2, l)
+    p = PairSpec.depth(2, l).pair()
     verdict = p.is_commutative()
     print(f"\n{p.name}: dimension {p.dim}, commutative = {verdict.commutative}")
     if not verdict.commutative:

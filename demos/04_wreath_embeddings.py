@@ -11,9 +11,8 @@ lands everything inside the flagship algebra of (S_8, Q_3).
 from heckelab.embed import (embed_invariant, hecke_image, scenario_report,
                             scenario_s4_d4)
 from heckelab.groupalg import convolve, corner_trace
-from heckelab.hecke import convolve as hecke_convolve
+from heckelab.hecke import PairSpec, convolve as hecke_convolve
 from heckelab.treefam import q_group
-from heckelab.witness import witness_pair
 
 scenario = scenario_s4_d4()
 print(scenario)
@@ -31,7 +30,7 @@ print(f"\ninvariant corner dimension: {len(invariant)}")
 # so embedded elements are bi-invariant functions on S_8 and expand in the
 # double-coset basis of (S_8, Q_3).
 print("V_0 ⋊ Γ equals Q_3:", scenario.V0_gamma.same_group(q_group(2, 3)))
-flagship = witness_pair(2, 3)
+flagship = PairSpec.depth(2, 3).pair()
 images = [embed_invariant(scenario, x) for x in invariant]
 lifted = [hecke_image(y, flagship) for y in images]
 for h in lifted:

@@ -10,12 +10,13 @@ converge to their circle means.
 
 import numpy as np
 
+from heckelab.hecke import PairSpec
 from heckelab.treefam import TreeShape
 from heckelab.witness import (decay_table, fejer_coefficients,
                               haar_convergence_check, search_witness,
-                              verify_certificate, witness_pair)
+                              verify_certificate)
 
-pair = witness_pair(2, 3)
+pair = PairSpec.depth(2, 3).pair()
 print(pair)
 
 # Deterministic search: same seed, same certificate, bit for bit.

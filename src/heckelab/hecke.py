@@ -22,10 +22,14 @@ The canonical trace is the vector state at the base coset, τ(f) =
 because R(x) = R(x^{-1}) holds for every double coset; the constructor
 verifies this and refuses pairs where it fails rather than carrying a
 modular correction.
+
+Every tree pair, depth (S_{d^l}, Q_l) or level (S_{|V_n|}, P_n), is built
+through one `PairSpec`, which also checks its caps and names it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,8 +40,8 @@ from ._exactvec import ExactVector
 from .errors import PairMismatchError, ScaleError
 from .groupalg import (AlgebraElement, EnumeratedGroup, ORACLE_CAP, convolve as
                        group_convolve, corner_basis, corner_trace, projector)
-from .permgroup import DoubleCosetTable, PermGroup, symmetric_group
-from .treefam import TreeShape, ball_aut_group, q_group
+from .permgroup import DoubleCosetTable, PermGroup, check_coset_count, symmetric_group
+from .treefam import TreeShape, ball_aut_group, check_level, closed_form_order
 
 #: largest coset space whose λ-matrices (`HeckePair.cell_class`) are built:
 #: 4096² int32 cells are 64 MB
@@ -53,18 +57,91 @@ class GelfandReport:
     entry: tuple | None = None        # (row, col, commutator value)
 
 
+@dataclass(frozen=True)
+class PairSpec:
+    """The tree pair (S_{|V_n|}, P_n) of root degree k and branching degree d.
+
+    A depth pair (S_{d^l}, Q_l) is the level pair with k = d and n = l;
+    `kind` says which was asked for, and so which parameters its reports,
+    cache entry and certificate name.  Construction checks the point and
+    coset caps from closed forms, before any group is built.
+    """
+
+    kind: str          # "depth" or "level"
+    d: int
+    k: int
+    n: int
+
+    def __post_init__(self):
+        if self.kind not in ("depth", "level"):
+            raise ValueError(f"unknown pair kind {self.kind!r}")
+        if self.d < 2 or self.k < 2:
+            raise ScaleError("tree degrees d and k must be at least 2")
+        names = ("depth l", "d^l") if self.kind == "depth" else ("level n", "|V_n|")
+        points = check_level(self.shape, self.n, *names)
+        check_coset_count(math.factorial(points) // closed_form_order(self.shape, self.n))
+
+    @classmethod
+    def depth(cls, d: int, l: int) -> "PairSpec":
+        return cls("depth", d, d, l)
+
+    @classmethod
+    def level(cls, d: int, k: int, n: int) -> "PairSpec":
+        return cls("level", d, k, n)
+
+    @property
+    def shape(self) -> TreeShape:
+        return TreeShape(self.d, self.k)
+
+    @property
+    def points(self) -> int:
+        return self.shape.level_size(self.n)
+
+    @property
+    def fields(self) -> dict:
+        """The parameters a report names: d and l, or d, k and n."""
+        if self.kind == "depth":
+            return {"d": self.d, "l": self.n}
+        return {"d": self.d, "k": self.k, "n": self.n}
+
+    @property
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, **self.fields}
+
+    def cache_file(self, version: int) -> str:
+        params = "_".join(f"{key}{value}" for key, value in self.fields.items())
+        return f"dc_{self.kind}_{params}_v{version}.json"
+
+    @property
+    def label(self) -> str:
+        letter = "Q" if self.kind == "depth" else "P"
+        return f"(S_{self.points}, {letter}_{self.n})"
+
+    def subgroup(self) -> PermGroup:
+        return ball_aut_group(self.shape, self.n)
+
+    def pair(self, table: DoubleCosetTable | None = None) -> "HeckePair":
+        """The Hecke pair, on `table` when given (a table of this pair)."""
+        if table is None:
+            table = DoubleCosetTable(symmetric_group(self.points), self.subgroup())
+        return HeckePair(table.group, table.subgroup, table, name=self.label, spec=self)
+
+
 class HeckePair:
     """A pair (G, H) with its double-coset table and structure constants.
 
     λ-matrices are built on demand, from the action of G's generators on
-    H\\G (see `cell_class`).
+    H\\G (see `cell_class`).  `spec` is the tree pair it was built from,
+    None for a pair built by hand.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup,
-                 table: DoubleCosetTable | None = None, name: str = ""):
+                 table: DoubleCosetTable | None = None, name: str = "",
+                 spec: PairSpec | None = None):
         self.group = G
         self.subgroup = H
         self.name = name
+        self.spec = spec
         self.table = table if table is not None else DoubleCosetTable(G, H)
         if not self.table.is_unimodular():
             raise RuntimeError(
@@ -79,9 +156,6 @@ class HeckePair:
         self.class_of_coset = np.array(self.table._class_of_coset, dtype=np.int32)
         self._struct = None
         self._struct_obj = None
-        # (d, l) of the tree pair (S_{d^l}, Q_l), set where such a pair is
-        # built; a witness certificate carries them, so no other pair has them
-        self.tree_d = self.tree_l = None
 
     def _cell_rows(self):
         """Yield (i, row i of `cell_class`) for every coset i.
@@ -350,24 +424,6 @@ def trace_norm_formula(f: HeckeElement):
         re, im = f.exact.coeff(j)
         total += int(f.pair.r_indices[j]) * (re * re + im * im)
     return total
-
-
-# -- pairs from tree data ----------------------------------------------------------
-
-def pair_for_depth(d: int, l: int) -> HeckePair:
-    """The pair (S_{d^l}, Q_l): ambient symmetric group on the level set of
-    the regular tree, against the depth-l tree-automorphism quotient."""
-    points = d ** l
-    pair = HeckePair(symmetric_group(points), q_group(d, l), name=f"(S_{points}, Q_{l})")
-    pair.tree_d, pair.tree_l = d, l
-    return pair
-
-
-def pair_for_level(shape: TreeShape, n: int) -> HeckePair:
-    """The pair (S_{|V_n|}, P_n) for the tree with root degree k."""
-    points = shape.level_size(n)
-    return HeckePair(symmetric_group(points), ball_aut_group(shape, n),
-                     name=f"(S_{points}, P_{n})")
 
 
 # -- oracle bridge -------------------------------------------------------------------

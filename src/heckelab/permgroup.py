@@ -373,6 +373,13 @@ def _check_subgroup(G: PermGroup, H: PermGroup):
         raise ContainmentError("claimed subgroup is not contained in the group")
 
 
+def check_coset_count(size: int) -> int:
+    """Refuse right-coset spaces above COSET_INDEX_CAP."""
+    if size > COSET_INDEX_CAP:
+        raise ScaleError(f"right-coset space of size {size} exceeds cap {COSET_INDEX_CAP}")
+    return size
+
+
 class CosetIndex:
     """The right-coset space H\\G with canonical (lex-minimal) representatives.
 
@@ -386,10 +393,7 @@ class CosetIndex:
 
     def __init__(self, G: PermGroup, H: PermGroup):
         _check_subgroup(G, H)
-        size = G.order() // H.order()
-        if size > COSET_INDEX_CAP:
-            raise ScaleError(
-                f"right-coset space of size {size} exceeds cap {COSET_INDEX_CAP}")
+        size = check_coset_count(G.order() // H.order())
         self.group = G
         self.subgroup = H
         gens = [g.images for g in G.generators]
@@ -570,9 +574,9 @@ class DoubleCosetTable:
         Groups are rebuilt from the stored generators and the coset space is
         enumerated afresh, which also rebuilds the generator action; the
         stored representatives must equal that enumeration.  Entries must
-        partition the cosets, and their sizes must match |H| times the coset
-        counts.  When `descriptor` is given, the stored one must equal it.
-        Any malformed or mismatched field raises ValueError.
+        partition the cosets in the constructor's order, each of size |H|
+        times its coset count.  When `descriptor` is given, the stored one
+        must equal it.  Any malformed or mismatched field raises ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError("cached table is not a JSON object")
@@ -608,6 +612,9 @@ class DoubleCosetTable:
             block = tuple(_int_row(raw.get("right_cosets"), "entry cosets"))
             if not block or any(not 0 <= c < len(reps) or lookup[c] >= 0 for c in block):
                 raise ValueError("cached entries do not partition the coset space")
+            if any(a >= b for a, b in zip(block, block[1:])) or (
+                    entries and block[0] <= entries[-1].right_cosets[0]):
+                raise ValueError("cached entries are out of order")
             for c in block:
                 lookup[c] = ci
             numbers = [raw.get(key) for key in ("size", "r_index", "r_index_inv")]

@@ -1,12 +1,14 @@
 """Command-line interface: census, gelfand, witness, verify, decay,
 embed-check, and spher subcommands.
 
-Reports are JSON lines (written to --out when given, otherwise to stdout)
-plus a human-readable summary on stdout.  Double-coset tables are cached on
-disk keyed by tree parameters and pair kind; cache writes are atomic
-(write-temp-then-rename) and the cache root can be overridden with --cache
-or the HECKELAB_CACHE environment variable.  Primary output files carry no
-timestamps, so identical configurations reproduce identical bytes.
+Each tree pair named by the options or a certificate is one `PairSpec`,
+checked against the caps before any group is built.  Reports are JSON lines
+(written to --out when given, otherwise to stdout) plus a human-readable
+summary on stdout.  Double-coset tables are cached on disk under the spec's
+file name and descriptor; cache writes are atomic (write-temp-then-rename)
+and the cache root can be overridden with --cache or the HECKELAB_CACHE
+environment variable.  Primary output files carry no timestamps, so
+identical configurations reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 from . import spheromorph
 from .embed import SCENARIOS, scenario_report
 from .errors import ScaleError, SearchFailureError
-from .hecke import HeckePair
+from .hecke import HeckePair, PairSpec
 from .permgroup import DoubleCosetTable, symmetric_group
-from .treefam import LEVEL_POINT_CAP, LevelGroupSpec, TreeShape
+from .treefam import TreeShape, check_level
 from .witness import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_SEED,
                       WitnessCertificate, decay_table, fejer_coefficients,
                       haar_convergence_check, search_witness, verify_certificate)
@@ -57,19 +59,6 @@ class RunConfig:
     def validate(self):
         if self.d < 2 or self.k < 2:
             raise ScaleError("tree degrees d and k must be at least 2")
-        if self.l is not None:
-            if self.l < 1:
-                raise ScaleError("depth l must be at least 1")
-            if self.d ** self.l > LEVEL_POINT_CAP:
-                raise ScaleError(
-                    f"d^l = {self.d ** self.l} exceeds the point cap {LEVEL_POINT_CAP}")
-        if self.n is not None:
-            if self.n < 1:
-                raise ScaleError("level n must be at least 1")
-            size = TreeShape(self.d, self.k).level_size(self.n)
-            if size > LEVEL_POINT_CAP:
-                raise ScaleError(
-                    f"|V_n| = {size} exceeds the point cap {LEVEL_POINT_CAP}")
         if self.k_max < 1:
             raise ScaleError("k-max must be at least 1")
         if self.budget < 1:
@@ -97,26 +86,18 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def load_or_build_pair(config: RunConfig, kind: str) -> HeckePair:
-    """Build (S_points, tree group) with the double-coset table cached on disk.
+def load_or_build_pair(config: RunConfig, spec: PairSpec) -> HeckePair:
+    """Build the pair of `spec` with its double-coset table cached on disk.
 
-    A cache entry is used only if it loads cleanly, carries the requested
+    A cache entry is used only if it loads cleanly, carries the spec's
     descriptor and holds exactly these groups; otherwise it is rebuilt.
     """
-    if kind == "depth":
-        spec = LevelGroupSpec("depth", config.d, config.d, config.l)
-        key = f"dc_depth_d{config.d}_l{config.l}_v{CACHE_VERSION}.json"
-        descriptor = {"kind": "depth", "d": config.d, "l": config.l}
-    else:
-        spec = LevelGroupSpec("ball", config.d, config.k, config.n)
-        key = f"dc_level_d{config.d}_k{config.k}_n{config.n}_v{CACHE_VERSION}.json"
-        descriptor = {"kind": "level", "d": config.d, "k": config.k, "n": config.n}
-    path = os.path.join(cache_root(config), key)
-    subgroup = spec.realize()
+    path = os.path.join(cache_root(config), spec.cache_file(CACHE_VERSION))
+    subgroup = spec.subgroup()
     table = None
     if os.path.exists(path):
         try:
-            table = DoubleCosetTable.load(path, descriptor)
+            table = DoubleCosetTable.load(path, spec.descriptor)
         except ValueError:
             table = None
     # a subgroup of S_m of order m! is S_m
@@ -127,11 +108,8 @@ def load_or_build_pair(config: RunConfig, kind: str) -> HeckePair:
         table = None
     if table is None:
         table = DoubleCosetTable(symmetric_group(spec.points), subgroup)
-        _atomic_write(path, json.dumps(table.to_json_dict(descriptor)) + "\n")
-    pair = HeckePair(table.group, table.subgroup, table, name=spec.label())
-    if kind == "depth":
-        pair.tree_d, pair.tree_l = config.d, config.l
-    return pair
+        _atomic_write(path, json.dumps(table.to_json_dict(spec.descriptor)) + "\n")
+    return spec.pair(table)
 
 
 class Reporter:
@@ -158,42 +136,29 @@ class Reporter:
 
 # -- subcommands -----------------------------------------------------------------------
 
-def _pair_row(pair: HeckePair, config: RunConfig, kind: str) -> dict:
+def _pair_row(pair: HeckePair) -> dict:
     report = pair.is_commutative()
-    row = {
+    return {
         "format": "heckelab/census-row/v1",
-        "d": config.d,
-    }
-    if kind == "depth":
-        row["l"] = config.l
-    else:
-        row["k"] = config.k
-        row["n"] = config.n
-    row.update({
+        **pair.spec.fields,
         "group_order": pair.group.order(),
         "subgroup_order": pair.subgroup.order(),
         "index": pair.size,
         "double_coset_count": pair.dim,
         "commutative": report.commutative,
         "witness_pair": list(report.witness) if report.witness else None,
-    })
-    return row
+    }
 
 
 def cmd_census(config: RunConfig) -> int:
     reporter = Reporter(config.out)
-    kinds = []
-    if config.l is not None:
-        kinds.append("depth")
+    # every pair is checked before the first is built; (d, 3) by default
+    specs = [PairSpec.depth(config.d, config.l)] if config.l is not None else []
     if config.n is not None:
-        kinds.append("level")
-    if not kinds:
-        kinds = ["depth"]
-        config.l = 3
-        config.validate()
-    for kind in kinds:
-        pair = load_or_build_pair(config, kind)
-        row = _pair_row(pair, config, kind)
+        specs.append(PairSpec.level(config.d, config.k, config.n))
+    for spec in specs or [PairSpec.depth(config.d, 3)]:
+        pair = load_or_build_pair(config, spec)
+        row = _pair_row(pair)
         reporter.emit(row)
         reporter.summary(
             f"{pair.name}: |G|={row['group_order']} |H|={row['subgroup_order']} "
@@ -205,12 +170,11 @@ def cmd_census(config: RunConfig) -> int:
 
 def cmd_gelfand(config: RunConfig) -> int:
     reporter = Reporter(config.out)
-    pair = load_or_build_pair(config, "depth")
+    pair = load_or_build_pair(config, PairSpec.depth(config.d, config.l))
     report = pair.is_commutative()
     record = {
         "format": "heckelab/gelfand-verdict/v1",
-        "d": config.d,
-        "l": config.l,
+        **pair.spec.fields,
         "commutative": report.commutative,
         "witness_pair": list(report.witness) if report.witness else None,
         "witness_entry": list(report.entry) if report.entry else None,
@@ -225,7 +189,7 @@ def cmd_gelfand(config: RunConfig) -> int:
 
 
 def cmd_witness(config: RunConfig) -> int:
-    pair = load_or_build_pair(config, "depth")
+    pair = load_or_build_pair(config, PairSpec.depth(config.d, config.l))
     out = config.out or "witness-certificate.json"
     try:
         cert = search_witness(pair, seed=config.seed, budget=config.budget,
@@ -242,9 +206,7 @@ def cmd_witness(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     cert = WitnessCertificate.load(config.cert)
-    config.d, config.l = cert.d, cert.l
-    config.validate()
-    pair = load_or_build_pair(config, "depth")
+    pair = load_or_build_pair(config, PairSpec.depth(cert.d, cert.l))
     report = verify_certificate(cert, pair)
     print(report.summary())
     return 0 if report.ok else 1
@@ -307,6 +269,9 @@ def cmd_spher(config: RunConfig) -> int:
     def read(path):
         with open(path) as fh:
             return spheromorph.from_json_dict(json.load(fh))
+
+    if config.n is not None:
+        check_level(TreeShape(config.d, config.k), config.n)
 
     if config.op == "compose":
         if len(config.files) != 2:

@@ -66,6 +66,16 @@ def closed_form_order(shape: TreeShape, n: int) -> int:
     return math.factorial(shape.k) * math.factorial(shape.d) ** internal
 
 
+def check_level(shape: TreeShape, n: int, level="level n", size_name="|V_n|") -> int:
+    """|V_n|, refusing n < 1 and level sets above LEVEL_POINT_CAP."""
+    if n < 1:
+        raise ScaleError(f"{level} must be at least 1")
+    size = shape.level_size(n)
+    if size > LEVEL_POINT_CAP:
+        raise ScaleError(f"{size_name} = {size} exceeds the point cap {LEVEL_POINT_CAP}")
+    return size
+
+
 def _check_cap(shape: TreeShape, n: int):
     size = shape.level_size(n)
     if size > LEVEL_POINT_CAP:
@@ -110,42 +120,6 @@ def ball_aut_group(shape: TreeShape, n: int) -> PermGroup:
 def q_group(d: int, l: int) -> PermGroup:
     """Depth-l quotient of the automorphism group of the regular tree (k = d)."""
     return ball_aut_group(TreeShape(d, d), l)
-
-
-@dataclass(frozen=True)
-class LevelGroupSpec:
-    """Which tree group to realize: P_n of T_{d,k} or Q_l of the regular tree.
-
-    The depth groups are the ball groups of the regular tree (k = d), so a
-    "depth" spec is the same realization with k forced to d.
-    """
-
-    kind: str          # "ball" or "depth"
-    d: int
-    k: int
-    level: int
-
-    def __post_init__(self):
-        if self.kind not in ("ball", "depth"):
-            raise ValueError(f"unknown level-group kind {self.kind!r}")
-
-    @property
-    def shape(self) -> TreeShape:
-        return TreeShape(self.d, self.d if self.kind == "depth" else self.k)
-
-    @property
-    def points(self) -> int:
-        return self.shape.level_size(self.level)
-
-    def order(self) -> int:
-        return closed_form_order(self.shape, self.level)
-
-    def realize(self) -> PermGroup:
-        return ball_aut_group(self.shape, self.level)
-
-    def label(self) -> str:
-        letter = "Q" if self.kind == "depth" else "P"
-        return f"(S_{self.points}, {letter}_{self.level})"
 
 
 def restriction_to_level(shape: TreeShape, n: int, p: Permutation) -> Permutation:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchFailureError
-from .hecke import HeckeElement, HeckePair, pair_for_depth
+from .hecke import HeckeElement, HeckePair, PairSpec
 from .treefam import TreeShape
 
 DEFAULT_TOLERANCES = {
@@ -441,10 +441,10 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
     fixed (pair, seed, budget): candidate i draws from an rng keyed by
     (seed, i), and the first acceptable candidate in that order wins.
     """
-    if pair.tree_d is None or pair.tree_l is None:
+    if pair.spec is None or pair.spec.kind != "depth":
         raise ValueError(
             "pair carries no tree parameters (d, l) for the certificate; "
-            "build it with pair_for_depth")
+            "build it from PairSpec.depth")
     report = pair.is_commutative()
     if report.commutative:
         raise ValueError(
@@ -473,7 +473,7 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
             continue
         spec = spectral_data(w)
         return WitnessCertificate(
-            d=pair.tree_d, l=pair.tree_l,
+            d=pair.spec.d, l=pair.spec.n,
             basis=[e.representative.images for e in pair.table.entries],
             u_coefficients=u.element.coefficients_complex(),
             v_coefficients=v.element.coefficients_complex(),
@@ -485,10 +485,6 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
     raise SearchFailureError(
         f"no witness within budget {budget}; best max-moment seen {best_seen}",
         best_score=best_seen)
-
-
-#: the tree pair (S_{d^l}, Q_l), tagged with the (d, l) its certificate carries
-witness_pair = pair_for_depth
 
 
 # -- decay and circle averages ------------------------------------------------------------
@@ -630,7 +626,7 @@ def verify_certificate(cert: WitnessCertificate,
     failures = []
     diagnostics = {}
     if pair is None:
-        pair = witness_pair(cert.d, cert.l)
+        pair = PairSpec.depth(cert.d, cert.l).pair()
     tol = cert.tolerances
     reps = [e.representative.images for e in pair.table.entries]
     if [tuple(r) for r in cert.basis] != [tuple(r) for r in reps]:

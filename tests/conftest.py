@@ -1,15 +1,15 @@
 import pytest
 
-from heckelab.hecke import HeckePair
+from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import DoubleCosetTable, symmetric_group
 from heckelab.treefam import q_group
-from heckelab.witness import search_witness, witness_pair
+from heckelab.witness import search_witness
 
 
 @pytest.fixture(scope="session")
 def flagship_pair() -> HeckePair:
     """(S_8, Q_3), built once per session."""
-    return witness_pair(2, 3)
+    return PairSpec.depth(2, 3).pair()
 
 
 @pytest.fixture(scope="session")

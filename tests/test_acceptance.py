@@ -17,8 +17,8 @@ import pytest
 from heckelab.embed import (embed_invariant, embed_top, check_commutation,
                             scenario_report, scenario_s2_squared, scenario_s4_d4)
 from heckelab.groupalg import corner_trace
-from heckelab.hecke import (HeckePair, convolve, corner_isomorphism_check,
-                            pair_for_depth, trace_inner_product, trace_norm_formula)
+from heckelab.hecke import (HeckePair, PairSpec, convolve, corner_isomorphism_check,
+                            trace_inner_product, trace_norm_formula)
 from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation,
                                 dihedral_square, symmetric_group)
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
@@ -28,7 +28,7 @@ from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_embed
 from heckelab.witness import (WitnessCertificate, decay_table, fejer_coefficients,
                               haar_convergence_check, kronecker_trace_check,
                               moment_table, search_witness, unitary_from_coefficients,
-                              verify_certificate, witness_pair)
+                              verify_certificate)
 
 
 def _report(num: int, text: str):
@@ -86,10 +86,10 @@ def test_criterion_04_trace_axioms(flagship_pair):
 
 def test_criterion_05_gelfand_verdicts():
     start = time.perf_counter()
-    commutative = pair_for_depth(2, 2)
+    commutative = PairSpec.depth(2, 2).pair()
     assert commutative.is_commutative().commutative
 
-    noncommutative = pair_for_depth(2, 3)
+    noncommutative = PairSpec.depth(2, 3).pair()
     verdict = noncommutative.is_commutative()
     assert not verdict.commutative
     d, e = verdict.witness
@@ -136,7 +136,7 @@ def test_criterion_08_wreath_identification():
 
 def test_criterion_09_witness_certificate(tmp_path):
     start = time.perf_counter()
-    pair = witness_pair(2, 3)
+    pair = PairSpec.depth(2, 3).pair()
     cert = search_witness(pair)
     assert cert.max_abs_moment <= 1.0 - 1e-6
     u = unitary_from_coefficients(pair, cert.u_coefficients)

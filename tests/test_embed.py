@@ -9,7 +9,7 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             scenario_s2_squared, scenario_s4_d4)
 from heckelab.groupalg import (AlgebraElement, convolve, corner_trace,
                                invariant_subalgebra, projector)
-from heckelab.hecke import convolve as hecke_convolve, pair_for_depth
+from heckelab.hecke import PairSpec, convolve as hecke_convolve
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group, trivial_group
 from heckelab.treefam import q_group
 
@@ -150,7 +150,7 @@ class TestTowerIdentification:
         # l = 1: the base corner is one-dimensional, the composite is unital
         scenario = WreathScenario(symmetric_group(2), q_group(2, 1), 2,
                                   symmetric_group(2), symmetric_group(2))
-        pair = pair_for_depth(2, 2)
+        pair = PairSpec.depth(2, 2).pair()
         invariant = scenario.invariant_corner_basis()
         assert len(invariant) == 1
         image = hecke_image(embed_invariant(scenario, invariant[0]), pair)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from heckelab import hecke
-from heckelab.hecke import HeckePair, convolve, pair_for_depth
+from heckelab.hecke import HeckePair, PairSpec, convolve
 from heckelab.witness import (_commutator, gns_matrix, moment_table, search_witness,
                               selfadjoint_from_parameters,
                               selfadjoint_parameter_layout, unitary_from_selfadjoint)
@@ -66,7 +66,7 @@ def test_noncommutative_small_pairs(gh, seed, scale):
 
 def test_gns_matrix_of_the_basis():
     # e_d acts by S·N[d]ᵀ·S⁻¹; e_d* e_d has trace R(d), the squared norm of e_d
-    pair = pair_for_depth(2, 3)
+    pair = PairSpec.depth(2, 3).pair()
     root = np.sqrt(pair.r_indices)
     for d in range(pair.dim):
         e = pair.basis_element(d, "float")
@@ -77,9 +77,9 @@ def test_gns_matrix_of_the_basis():
 
 
 def test_search_builds_no_lambda_matrix(monkeypatch):
-    pair = pair_for_depth(2, 3)
+    pair = PairSpec.depth(2, 3).pair()
     cert = search_witness(pair)
     assert "cell_class" not in vars(pair)
     monkeypatch.setattr(hecke, "LAMBDA_CAP", 1)
-    capped = search_witness(pair_for_depth(2, 3))
+    capped = search_witness(PairSpec.depth(2, 3).pair())
     assert json.dumps(capped.to_json_dict()) == json.dumps(cert.to_json_dict())

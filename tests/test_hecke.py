@@ -6,12 +6,10 @@ import pytest
 
 from heckelab.errors import PairMismatchError
 from heckelab.groupalg import EnumeratedGroup
-from heckelab.hecke import (HeckePair, convolve, corner_isomorphism_check,
-                            pair_for_depth, pair_for_level, trace_inner_product,
-                            trace_norm_formula)
+from heckelab.hecke import (HeckePair, PairSpec, convolve, corner_isomorphism_check,
+                            trace_inner_product, trace_norm_formula)
 from heckelab.permgroup import (PermGroup, Permutation, dihedral_square,
                                 symmetric_group, trivial_group)
-from heckelab.treefam import TreeShape, q_group
 
 import oracles
 
@@ -165,7 +163,7 @@ class TestGelfand:
         assert pair.is_commutative().commutative
 
     def test_depth_two_commutative(self):
-        assert pair_for_depth(2, 2).is_commutative().commutative
+        assert PairSpec.depth(2, 2).pair().is_commutative().commutative
 
     def test_depth_three_noncommutative_with_witness(self, flagship_pair):
         report = flagship_pair.is_commutative()
@@ -228,7 +226,7 @@ class TestCornerIsomorphism:
 
 class TestTreeIdentification:
     def test_level_pair_equals_depth_pair_for_regular_tree(self, flagship_pair):
-        level_pair = pair_for_level(TreeShape(2, 2), 3)
+        level_pair = PairSpec.level(2, 2, 3).pair()
         assert level_pair.group.same_group(flagship_pair.group)
         assert level_pair.subgroup.same_group(flagship_pair.subgroup)
         assert [e.size for e in level_pair.table.entries] == \

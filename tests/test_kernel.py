@@ -12,10 +12,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from heckelab import hecke
 from heckelab.errors import ScaleError
-from heckelab.hecke import HeckePair, corner_isomorphism_check, pair_for_depth, \
-    pair_for_level
+from heckelab.hecke import HeckePair, PairSpec, corner_isomorphism_check
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
-from heckelab.treefam import TreeShape
 
 import oracles
 
@@ -38,8 +36,8 @@ def test_fixtures(name, request):
 
 
 @pytest.mark.parametrize("make, size", [
-    (lambda: pair_for_level(TreeShape(2, 4), 2), 105),
-    (lambda: pair_for_depth(3, 2), 280),
+    (lambda: PairSpec.level(2, 4, 2).pair(), 105),
+    (lambda: PairSpec.depth(3, 2).pair(), 280),
 ])
 def test_level_pairs(make, size):
     pair = make()
@@ -48,7 +46,7 @@ def test_level_pairs(make, size):
 
 
 def test_structure_constants_are_lazy_and_cell_table_on_demand():
-    pair = pair_for_depth(2, 2)
+    pair = PairSpec.depth(2, 2).pair()
     assert "cell_class" not in vars(pair)
     pair.structure_constants()
     assert "cell_class" not in vars(pair)
@@ -56,7 +54,7 @@ def test_structure_constants_are_lazy_and_cell_table_on_demand():
 
 
 def test_gelfand_entry_needs_no_lambda_matrix():
-    pair = pair_for_depth(2, 3)
+    pair = PairSpec.depth(2, 3).pair()
     report = pair.is_commutative()
     assert (report.witness, report.entry) == ((1, 4), (0, 28, -1))
     assert "cell_class" not in vars(pair)
@@ -64,7 +62,7 @@ def test_gelfand_entry_needs_no_lambda_matrix():
 
 def test_lambda_matrices_refused_above_cap(monkeypatch):
     monkeypatch.setattr(hecke, "LAMBDA_CAP", 2)
-    pair = pair_for_depth(2, 2)
+    pair = PairSpec.depth(2, 2).pair()
     with pytest.raises(ScaleError, match="above cap 2"):
         pair.cell_class
     with pytest.raises(ScaleError):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,10 @@ import sys
 import pytest
 
 import heckelab
-from heckelab.permgroup import DoubleCosetTable, symmetric_group
+from heckelab.permgroup import DoubleCosetTable, PermGroup, symmetric_group
 from heckelab.shell import main
 from heckelab.spheromorph import AlmostAutomorphism, to_json_dict
-from heckelab.treefam import TreeShape, ball_aut_group
+from heckelab.treefam import TreeShape, ball_aut_group, closed_form_order
 
 
 @pytest.fixture()
@@ -55,6 +56,78 @@ def test_gelfand_verdicts(workdir, capsys):
     verdict = json.loads((workdir / "g3.json").read_text())
     assert verdict["commutative"] is False
     assert verdict["witness_pair"] is not None
+
+
+FLAGSHIP_SUMMARY = ("# (S_8, Q_3): |G|=40320 |H|=128 index=315 classes=16 "
+                    "commutative=False")
+FLAGSHIP_ROW = ('{"format": "heckelab/census-row/v1", "d": 2, "l": 3, '
+                '"group_order": 40320, "subgroup_order": 128, "index": 315, '
+                '"double_coset_count": 16, "commutative": false, "witness_pair": [1, 4]}')
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["census"], [FLAGSHIP_SUMMARY, FLAGSHIP_ROW]),
+    (["census", "--d", "2", "--l", "3", "--k", "2", "--n", "2"], [
+        FLAGSHIP_SUMMARY,
+        "# (S_4, P_2): |G|=24 |H|=8 index=3 classes=2 commutative=True",
+        FLAGSHIP_ROW,
+        '{"format": "heckelab/census-row/v1", "d": 2, "k": 2, "n": 2, '
+        '"group_order": 24, "subgroup_order": 8, "index": 3, '
+        '"double_coset_count": 2, "commutative": true, "witness_pair": null}',
+    ]),
+    (["census", "--d", "2", "--k", "4", "--n", "2"], [
+        "# (S_8, P_2): |G|=40320 |H|=384 index=105 classes=5 commutative=True",
+        '{"format": "heckelab/census-row/v1", "d": 2, "k": 4, "n": 2, '
+        '"group_order": 40320, "subgroup_order": 384, "index": 105, '
+        '"double_coset_count": 5, "commutative": true, "witness_pair": null}',
+    ]),
+    (["gelfand", "--d", "2", "--l", "3"], [
+        "# (S_8, Q_3) is noncommutative; witness basis pair (1, 4), "
+        "commutator entry (0, 28, -1)",
+        '{"format": "heckelab/gelfand-verdict/v1", "d": 2, "l": 3, '
+        '"commutative": false, "witness_pair": [1, 4], "witness_entry": [0, 28, -1]}',
+    ]),
+], ids=["census-default", "census-depth-and-level", "census-level", "gelfand"])
+def test_pinned_stdout(workdir, capsys, argv, lines):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_cache_file_names_and_descriptors(workdir, capsys):
+    assert main(["census", "--d", "2", "--l", "3"]) == 0
+    assert main(["census", "--d", "2", "--k", "4", "--n", "2"]) == 0
+    descriptors = {path.name: json.loads(path.read_text())["descriptor"]
+                   for path in (workdir / "cache").iterdir()}
+    assert descriptors == {
+        "dc_depth_d2_l3_v1.json": {"kind": "depth", "d": 2, "l": 3},
+        "dc_level_d2_k4_n2_v1.json": {"kind": "level", "d": 2, "k": 4, "n": 2},
+    }
+
+
+@pytest.mark.parametrize("argv, d, k, n", [
+    (["census", "--d", "2", "--l", "6"], 2, 2, 6),
+    (["census", "--d", "8", "--l", "2"], 8, 8, 2),
+    (["census", "--d", "2", "--k", "3", "--n", "5"], 2, 3, 5),
+    (["verify", "cert.json"], 2, 2, 6),
+])
+def test_over_cap_pairs_refused_before_any_group(workdir, capsys, monkeypatch,
+                                                 flagship_certificate, argv, d, k, n):
+    # S_64 alone takes about 40 s to build; the closed-form index refuses first
+    data = flagship_certificate.to_json_dict()
+    data["l"] = 6
+    (workdir / "cert.json").write_text(json.dumps(data))
+
+    def no_groups(*args, **kwargs):
+        raise AssertionError("a permutation group was built")
+
+    monkeypatch.setattr(PermGroup, "__init__", no_groups)
+    assert main(argv) == 2
+    shape = TreeShape(d, k)
+    size = math.factorial(shape.level_size(n)) // closed_form_order(shape, n)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"scale cap violated: right-coset space of size {size} "
+                            "exceeds cap 100000\n")
 
 
 def test_scale_error_exit_code(workdir, capsys):
@@ -118,7 +191,14 @@ def _other_subgroup(data):
     data.update(other.to_json_dict(data["descriptor"]))
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup])
+def _swapped_entries(data):
+    # entries 1 and 8 both hold 4 cosets, so every size still checks out
+    entries = data["entries"]
+    entries[1], entries[8] = entries[8], entries[1]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup,
+                                     _swapped_entries])
 def test_bad_cache_entry_is_rebuilt(workdir, capsys, corrupt):
     assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
     (path,) = (workdir / "cache").glob("*.json")

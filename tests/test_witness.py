@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heckelab.errors import SearchFailureError
-from heckelab.hecke import HeckePair, pair_for_depth, pair_for_level
+from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 from heckelab.treefam import TreeShape
 from heckelab.witness import (ACCEPT_CEILING, SpectralData, WitnessCertificate,
@@ -16,8 +16,7 @@ from heckelab.witness import (ACCEPT_CEILING, SpectralData, WitnessCertificate,
                               root_of_unity_scan, search_witness,
                               selfadjoint_from_parameters,
                               selfadjoint_parameter_layout, spectral_data,
-                              unitary_from_selfadjoint, verify_certificate,
-                              witness_pair)
+                              unitary_from_selfadjoint, verify_certificate)
 
 
 class TestUnitaries:
@@ -88,14 +87,14 @@ class TestMoments:
 class TestSearch:
     def test_rejects_commutative_pairs(self):
         with pytest.raises(ValueError):
-            search_witness(pair_for_depth(2, 2))
+            search_witness(PairSpec.depth(2, 2).pair())
 
     @pytest.mark.parametrize("make", [
         lambda: HeckePair(symmetric_group(5),
                           PermGroup(5, [Permutation.from_cycles(5, [0, 1], [2, 3])])),
         lambda: HeckePair(symmetric_group(6),
                           PermGroup(6, [Permutation.from_cycles(6, [0, 1, 2])])),
-        lambda: pair_for_level(TreeShape(2, 3), 2),
+        lambda: PairSpec.level(2, 3, 2).pair(),
     ])
     def test_untagged_pairs_get_no_certificate(self, make):
         # a certificate's (d, l) rebuild its pair; none may be invented
@@ -103,9 +102,9 @@ class TestSearch:
             search_witness(make())
 
     def test_tree_pairs_carry_their_parameters(self, flagship_pair, flagship_certificate):
-        assert (flagship_pair.tree_d, flagship_pair.tree_l) == (2, 3)
+        assert flagship_pair.spec.fields == {"d": 2, "l": 3}
         assert (flagship_certificate.d, flagship_certificate.l) == (2, 3)
-        assert (pair_for_depth(3, 2).tree_d, pair_for_depth(3, 2).tree_l) == (3, 2)
+        assert PairSpec.depth(3, 2).pair().spec.fields == {"d": 3, "l": 2}
 
     def test_certificate_bound(self, flagship_certificate):
         cert = flagship_certificate
