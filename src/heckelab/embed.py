@@ -29,22 +29,8 @@ from .errors import ContainmentError, InvarianceError
 from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
                        corner_trace, invariant_subalgebra, projector)
 from .hecke import HeckeElement, HeckePair
-from .permgroup import (DoubleCosetTable, PermGroup, Permutation,
-                        symmetric_group, trivial_group)
-
-
-def block_element(i: int, g: Permutation, blocks: int) -> Permutation:
-    """The base-group element g acting inside block i of `blocks` blocks."""
-    m0 = g.degree
-    images = list(range(blocks * m0))
-    for r in range(m0):
-        images[i * m0 + r] = i * m0 + g(r)
-    return Permutation(images)
-
-
-def block_permutation(sigma: Permutation, m0: int) -> Permutation:
-    """The rigid permutation of `sigma.degree` blocks of size m0."""
-    return Permutation([sigma(i) * m0 + r for i in range(sigma.degree) for r in range(m0)])
+from .permgroup import DoubleCosetTable, PermGroup, symmetric_group, trivial_group
+from .treefam import block_element, block_permutation, q_group
 
 
 def _normalizes(gens, group: PermGroup) -> bool:
@@ -315,9 +301,9 @@ def hecke_image(embedded: AlgebraElement, pair: HeckePair) -> HeckeElement:
     values = [Fraction(0)] * pair.dim
     values_im = [Fraction(0)] * pair.dim
     counts = [0] * pair.dim
-    for i in embedded.vec.support():
-        p = embedded.carrier.elements[i]
-        cls = pair.table.class_of(p)
+    support = embedded.vec.support()
+    classes = pair.class_of_coset[pair.cosets.cosets_of(embedded.carrier.images[support])]
+    for i, cls in zip(support, classes.tolist()):
         re, im = embedded.vec.coeff(i)
         if counts[cls] == 0:
             values[cls], values_im[cls] = re, im
@@ -342,7 +328,6 @@ def scenario_s2_squared() -> WreathScenario:
 
 def scenario_s4_d4() -> WreathScenario:
     """Two swapped copies of S_4 over the dihedral tree subgroup Q_2."""
-    from .treefam import q_group
     s2 = symmetric_group(2)
     return WreathScenario(symmetric_group(4), q_group(2, 2), 2, s2, s2,
                           name="s4-squared")

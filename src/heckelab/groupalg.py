@@ -16,7 +16,8 @@ import numpy as np
 
 from ._exactvec import ExactVector
 from .errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
-from .permgroup import DoubleCosetTable, PermGroup, Permutation, _orbit
+from .permgroup import (ROW, DoubleCosetTable, PermGroup, Permutation, orbit_roots,
+                        rank_keys, row_keys)
 
 #: largest group this oracle will enumerate
 ORACLE_CAP = 10_000
@@ -24,18 +25,9 @@ ORACLE_CAP = 10_000
 #: full Cayley tables are precomputed below this order
 TABLE_CAP = 4096
 
-#: permutation rows: big-endian, so a row's bytes sort like its image tuple
-_ROW = np.dtype(">u2")
-
 #: composed images per block when ranking products: with their keys and
 #: indices, about 1 MB of temporaries
 _BLOCK_ENTRIES = 1 << 17
-
-
-def _keys(rows):
-    """One opaque byte key per row; keys compare like the image tuples."""
-    rows = np.ascontiguousarray(rows, dtype=_ROW)
-    return rows.view(np.dtype((np.void, rows.shape[-1] * _ROW.itemsize)))[..., 0]
 
 
 class EnumeratedGroup:
@@ -54,11 +46,11 @@ class EnumeratedGroup:
                 f"group of order {group.order()} exceeds the oracle cap {cap}")
         self.group = group
         elements = group.elements()
-        rows = np.array([p.images for p in elements], dtype=_ROW)
-        order = np.argsort(_keys(rows), kind="stable")
+        rows = np.array([p.images for p in elements], dtype=ROW)
+        order = np.argsort(row_keys(rows), kind="stable")
         self.elements = tuple(elements[i] for i in order)
         self.images = rows[order]
-        self._sorted_keys = _keys(self.images)
+        self._sorted_keys = row_keys(self.images)
         inverse = np.empty_like(self.images)
         inverse[np.arange(len(rows))[:, None], self.images] = np.arange(group.degree)
         self.inverse_index = self.rank(inverse)
@@ -79,11 +71,10 @@ class EnumeratedGroup:
         rows = np.asarray(rows)
         if rows.shape[-1:] != (self.group.degree,):
             raise ContainmentError("permutation degree differs from the group's")
-        keys = _keys(rows)
-        idx = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
-        if not np.array_equal(self._sorted_keys[idx], keys):
+        idx, found = rank_keys(self._sorted_keys, row_keys(rows))
+        if not found.all():
             raise ContainmentError("permutation is not an element of this group")
-        return idx.astype(np.int32)
+        return idx
 
     def products(self, left, right) -> np.ndarray:
         """int32 array of the indices of p_i·p_j, i in `left`, j in `right`.
@@ -300,16 +291,11 @@ def invariant_subalgebra(elements: list, action: PermGroup) -> list:
                     f"conjugation by {a.cycle_string()} does not permute "
                     "the given basis") from None
         maps.append(images)
-    seen = [False] * len(elements)
+    roots = orbit_roots(np.array(maps).reshape(len(maps), len(elements)), len(elements))
     sums = []
-    for seed in range(len(elements)):
-        if seen[seed]:
-            continue
-        orbit, _ = _orbit(seed, maps, lambda i, m: m[i])
+    for seed in np.unique(roots).tolist():
         total = elements[seed]
-        for i in sorted(orbit):
-            seen[i] = True
-            if i != seed:
-                total = total + elements[i]
+        for i in np.flatnonzero(roots == seed)[1:].tolist():
+            total = total + elements[i]
         sums.append(total)
     return sums

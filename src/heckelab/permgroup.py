@@ -8,14 +8,22 @@ coset representatives: the subgroup at level i fixes every point below i,
 so a greedy descent of the chain computes min(H g) under the total order
 "lexicographic on image arrays".
 
-Double cosets H\\G/H are computed as orbits of H acting by right
-translation on the right-coset index, never on raw group elements.
+Cosets are handled as whole arrays of permutation rows, after the Schreier
+vector coset enumeration of Seress, *Permutation Group Algorithms* (CUP
+2003), ch. 4.  One routine canonicalises a block of rows (per chain level,
+an argmin over the orbit and a gather with the transversal), one walks the
+orbit of a coset under right multiplication a frontier at a time, and rows
+are ranked against sorted rows by binary search on byte keys.  The coset
+space H\\G with its generator action, R-indices and minimal double-coset
+elements come from these; double cosets H\\G/H are the orbits of H's
+action arrays on H\\G, never computed on raw group elements.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +34,10 @@ COSET_INDEX_CAP = 100_000
 
 #: exhaustive element enumeration is refused beyond this order
 ENUMERATION_CAP = 1_000_000
+
+#: permutation rows as arrays: big-endian, so the bytes of a row sort like
+#: its image tuple
+ROW = np.dtype(">u2")
 
 
 def _mul(p, q):
@@ -289,53 +301,101 @@ class PermGroup:
 
     # -- canonical coset representatives --------------------------------------
 
+    @cached_property
+    def generator_rows(self) -> np.ndarray:
+        """The generators as an (S, m) array of rows."""
+        return np.array([g.images for g in self.generators], dtype=ROW).reshape(-1, self.degree)
+
+    @cached_property
+    def _descent(self) -> list:
+        """(orbit points, stacked transversal) of each chain level with a
+        nontrivial orbit, in base order."""
+        return [(np.array(sorted(level.orbit)),
+                 np.array([level.orbit[p] for p in sorted(level.orbit)]))
+                for level in self._levels if len(level.orbit) > 1]
+
+    def canonical_rows(self, rows) -> np.ndarray:
+        """Lexicographically minimal element of (self)·g for every row g of
+        the (N, m) array `rows`.
+
+        h = s·u with s in the next stabilizer and u the transversal element,
+        so (u·g)[base] = g[u[base]]: each level picks the orbit point where
+        g is least and composes with its transversal row.
+        """
+        rows = np.asarray(rows, dtype=ROW)
+        at = np.arange(len(rows))[:, None]
+        for points, transversal in self._descent:
+            best = rows[:, points].argmin(axis=1)
+            rows = rows[at, transversal[best]]
+        return rows
+
+    def coset_orbit(self, start, gens):
+        """Orbit of the right coset (self)·start under right multiplication
+        by the rows of `gens`, an (S, m) array.
+
+        Returns (rows, targets): the canonical rows of the orbit in
+        breadth-first discovery order, rows[0] being that of (self)·start,
+        and targets[k, s], the byte key of the canonical row of
+        (self)·rows[k]·gens[s].  Each frontier is multiplied by every
+        generator at once and its new cosets are kept in order of first
+        occurrence, which is the order a first-in first-out walk finds them.
+        """
+        frontier = self.canonical_rows([start])
+        seen = row_keys(frontier)
+        blocks, targets = [frontier], []
+        while len(frontier):
+            images = self.canonical_rows(
+                gens[:, frontier].swapaxes(0, 1).reshape(-1, self.degree))
+            keys = row_keys(images)
+            targets.append(keys)
+            fresh, first = np.unique(keys, return_index=True)
+            _, known = rank_keys(seen, fresh)
+            frontier = images[np.sort(first[~known])]
+            seen = np.sort(np.concatenate([seen, row_keys(frontier)]))
+            blocks.append(frontier)
+        rows = np.concatenate(blocks)
+        return rows, np.concatenate(targets).reshape(len(rows), len(gens))
+
     def min_in_right_coset(self, g: Permutation) -> Permutation:
         """Lexicographically minimal element of the right coset (self)·g."""
-        return _wrap(self._min_coset_images(g.images))
-
-    def _min_coset_images(self, g):
-        # h = s·u with s in the stabilizer and u the transversal element, so
-        # (h·g)[base] = g[u[base]]; minimize level by level.
-        cur = g
-        for level in self._levels:
-            orbit = level.orbit
-            if len(orbit) == 1:
-                continue
-            best = min(orbit, key=cur.__getitem__)
-            if best != level.base:
-                cur = _mul(orbit[best], cur)
-        return cur
+        return _wrap(self.canonical_rows([g.images])[0].tolist())
 
     def min_in_double_coset(self, g: Permutation) -> Permutation:
         """Lexicographically minimal element of (self)·g·(self)."""
-        gens = [h.images for h in self.generators]
-        reps, _ = _orbit(self._min_coset_images(g.images), gens,
-                         lambda r, h: self._min_coset_images(_mul(r, h)))
-        return _wrap(min(reps))
+        rows, _ = self.coset_orbit(g.images, self.generator_rows)
+        return _wrap(min(rows.tolist()))
 
 
-def _orbit(start, gens, step):
-    """Orbit of `start` under the maps x ↦ step(x, g) for g in `gens`.
+def row_keys(rows) -> np.ndarray:
+    """One opaque byte key per row; keys compare like the image tuples."""
+    rows = np.ascontiguousarray(rows, dtype=ROW)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * ROW.itemsize)))[..., 0]
 
-    Breadth first.  Returns (points, edges): the orbit in discovery order,
-    points[0] being `start`, and edges[k][s], the position in `points` of
-    step(points[k], gens[s]).  Each point k > 0 is the target of its
-    discovering edge before any other edge in row order, so the first edges
-    into the points form a breadth-first spanning tree of the orbit.
+
+def rank_keys(sorted_keys, keys):
+    """(positions, found): where each key sits in the sorted `sorted_keys`
+    (int32), and whether it is there."""
+    idx = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return idx.astype(np.int32), sorted_keys[idx] == keys
+
+
+def orbit_roots(maps, size: int) -> np.ndarray:
+    """The least point of the orbit of each point of range(size) under the
+    permutations `maps` (rows of an int array).
+
+    Min-label propagation with pointer jumping: at the fixed point a label
+    never exceeds the label of its image under any map, so labels are
+    constant on every orbit, and each label is its own label.
     """
-    index = {start: 0}
-    points = [start]
-    edges = []
-    for x in points:                      # grows while it is walked
-        row = []
-        for g in gens:
-            y = step(x, g)
-            j = index.setdefault(y, len(points))
-            if j == len(points):
-                points.append(y)
-            row.append(j)
-        edges.append(row)
-    return points, edges
+    label = np.arange(size)
+    while True:
+        new = label
+        for row in maps:
+            new = np.minimum(new, new[row])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def build_chain(generators, degree: int) -> PermGroup:
@@ -384,11 +444,11 @@ class CosetIndex:
     """The right-coset space H\\G with canonical (lex-minimal) representatives.
 
     Representatives are sorted lexicographically, which puts the identity
-    (the representative of the coset H itself) at index 0.  The enumeration
-    keeps the right action of G's generators on the cosets, ``action[s, i]``
-    being the index of H·r_i·g_s, and the breadth-first tree it grew along:
-    coset j > 0 was first reached as ``action[tree_generator[j],
-    tree_parent[j]]``.
+    (the representative of the coset H itself) at index 0; `rows` holds them
+    as an (N, m) array.  The enumeration keeps the right action of G's
+    generators on the cosets, ``action[s, i]`` being the index of
+    H·r_i·g_s, and the breadth-first tree it grew along: coset j > 0 was
+    first reached as ``action[tree_generator[j], tree_parent[j]]``.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -396,36 +456,44 @@ class CosetIndex:
         size = check_coset_count(G.order() // H.order())
         self.group = G
         self.subgroup = H
-        gens = [g.images for g in G.generators]
-        points, edges = _orbit(H._min_coset_images(tuple(range(G.degree))), gens,
-                               lambda r, g: H._min_coset_images(_mul(r, g)))
-        reps = sorted(points)
-        if len(reps) != size:
+        gens = G.generator_rows
+        found, targets = H.coset_orbit(np.arange(G.degree), gens)
+        if len(found) != size:
             raise RuntimeError(
-                f"coset enumeration found {len(reps)} cosets, expected {size}")
-        self.representatives = tuple(_wrap(r) for r in reps)
-        self._where = {r: i for i, r in enumerate(reps)}
+                f"coset enumeration found {len(found)} cosets, expected {size}")
+        order = np.argsort(row_keys(found), kind="stable")
+        self.rows = found[order]
+        self._keys = row_keys(self.rows)
+        self.representatives = tuple(_wrap(r) for r in self.rows.tolist())
         # discovery order -> sorted order
-        position = np.array([self._where[p] for p in points], dtype=np.int32)
-        moves = np.array(edges, dtype=np.int32).reshape(size, len(gens))
+        position = np.empty(size, dtype=np.int32)
+        position[order] = np.arange(size, dtype=np.int32)
+        moves, _ = rank_keys(self._keys, targets)
         self.action = np.empty((len(gens), size), dtype=np.int32)
-        self.action[:, position] = position[moves].T
-        parent, generator = [-1] * size, [-1] * size
-        for k, row in enumerate(edges):
-            for s, j in enumerate(row):
-                if j and parent[j] < 0:
-                    parent[j], generator[j] = k, s
+        self.action[:, position] = moves.T
+        # the first edge into a coset, in discovery order, is its tree edge
+        edge = np.full(size, -1)
+        reached, first = np.unique(order[moves], return_index=True)
+        edge[reached] = first
+        parent, generator = np.divmod(edge[1:], len(gens))
         self.tree_parent = np.full(size, -1, dtype=np.int32)
         self.tree_generator = np.full(size, -1, dtype=np.int32)
-        self.tree_parent[position[1:]] = position[parent[1:]]
-        self.tree_generator[position[1:]] = generator[1:]
+        self.tree_parent[position[1:]] = position[parent]
+        self.tree_generator[position[1:]] = generator
 
     def __len__(self):
         return len(self.representatives)
 
+    def cosets_of(self, rows) -> np.ndarray:
+        """Indices (int32) of the right cosets H·g, g over the rows of `rows`."""
+        idx, found = rank_keys(self._keys, row_keys(self.subgroup.canonical_rows(rows)))
+        if not found.all():
+            raise ContainmentError("permutation is not an element of the group")
+        return idx
+
     def coset_of(self, p: Permutation) -> int:
         """Index of the right coset H·p."""
-        return self._where[self.subgroup._min_coset_images(p.images)]
+        return int(self.cosets_of([p.images])[0])
 
     def translations(self):
         """Yield (j, R_j) for every coset j, where R_j[i] is the coset H·r_i·w_j⁻¹.
@@ -481,49 +549,24 @@ class DoubleCosetTable:
             _check_subgroup(G, H)
         self.group = G
         self.subgroup = H
-        reps = [r.images for r in self.cosets.representatives]
-        where = self.cosets._where
-        gens = [h.images for h in H.generators]
-        assigned = [False] * len(reps)
-        blocks = []
-        for seed in range(len(reps)):
-            if assigned[seed]:
-                continue
-            block, _ = _orbit(seed, gens,
-                              lambda i, h: where[H._min_coset_images(_mul(reps[i], h))])
-            for c in block:
-                assigned[c] = True
-            blocks.append(sorted(block))
-        # canonical representative of a class is the minimum over its cosets'
-        # canonical representatives, i.e. the minimum of the double coset
-        keyed = sorted(blocks, key=lambda b: reps[b[0]])
+        cosets = self.cosets
+        # a class is an orbit of H on H\\G; its least coset holds the minimum
+        # of the double coset, so classes sort like their representatives
+        action = [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows]
+        roots, classes = np.unique(orbit_roots(action, len(cosets)), return_inverse=True)
+        counts = np.bincount(classes)
+        blocks = np.split(np.argsort(classes, kind="stable"), np.cumsum(counts)[:-1])
+        # the inverse of a permutation row is its argsort
+        inverse = classes[cosets.cosets_of(np.argsort(cosets.rows[roots], axis=1))]
         order_h = H.order()
-        entries = []
-        for block in keyed:
-            entries.append({
-                "rep": self.cosets.representatives[block[0]],
-                "cosets": tuple(block),
-                "r": len(block),
-            })
-        inv_class = []
-        lookup = {}
-        for ci, e in enumerate(entries):
-            for c in e["cosets"]:
-                lookup[c] = ci
-        self._class_of_coset = tuple(lookup[i] for i in range(len(reps)))
-        final = []
-        for e in entries:
-            inv_idx = self._class_of_coset[self.cosets.coset_of(e["rep"].inverse())]
-            final.append(DoubleCosetEntry(
-                representative=e["rep"],
-                size=order_h * e["r"],
-                right_cosets=e["cosets"],
-                r_index=e["r"],
-                r_index_inv=entries[inv_idx]["r"],
-            ))
-            inv_class.append(inv_idx)
-        self.entries = tuple(final)
-        self.inverse_class = tuple(inv_class)
+        self.entries = tuple(
+            DoubleCosetEntry(representative=cosets.representatives[root],
+                             size=order_h * r, right_cosets=tuple(block.tolist()),
+                             r_index=r, r_index_inv=r_inv)
+            for root, block, r, r_inv in zip(roots.tolist(), blocks, counts.tolist(),
+                                             counts[inverse].tolist()))
+        self._class_of_coset = tuple(classes.tolist())
+        self.inverse_class = tuple(inverse.tolist())
         assert sum(e.size for e in self.entries) == G.order()
 
     def __len__(self):
@@ -569,14 +612,12 @@ class DoubleCosetTable:
 
     @classmethod
     def from_json_dict(cls, data: dict, descriptor=None) -> "DoubleCosetTable":
-        """Reconstruct a cached table, revalidating its invariants cheaply.
+        """Rebuild a cached table from its stored groups.
 
-        Groups are rebuilt from the stored generators and the coset space is
-        enumerated afresh, which also rebuilds the generator action; the
-        stored representatives must equal that enumeration.  Entries must
-        partition the cosets in the constructor's order, each of size |H|
-        times its coset count.  When `descriptor` is given, the stored one
-        must equal it.  Any malformed or mismatched field raises ValueError.
+        The stored document must equal the rebuilt table's, so a table is
+        used only if it is the orbit computation of its groups.  When
+        `descriptor` is given, the stored one must equal it.  Any malformed
+        or mismatched field raises ValueError.
         """
         if not isinstance(data, dict):
             raise ValueError("cached table is not a JSON object")
@@ -590,56 +631,9 @@ class DoubleCosetTable:
             raise ValueError(f"cached degree {m!r} is not a positive integer")
         G = PermGroup(m, _int_rows(data.get("group_generators"), "group generators"))
         H = PermGroup(m, _int_rows(data.get("subgroup_generators"), "subgroup generators"))
-        cosets = CosetIndex(G, H)
-        reps = [r.images for r in cosets.representatives]
-        stored = _int_rows(data.get("coset_representatives"), "coset representatives")
-        if [tuple(r) for r in stored] != reps:
-            raise ValueError("cached coset representatives differ from the enumeration")
-
-        table = cls.__new__(cls)
-        table.group = G
-        table.subgroup = H
-        table.cosets = cosets
-        order_h = H.order()
-        raw_entries = data.get("entries")
-        if not isinstance(raw_entries, list) or not raw_entries:
-            raise ValueError("cached entries are not a nonempty list")
-        entries = []
-        lookup = [-1] * len(reps)
-        for ci, raw in enumerate(raw_entries):
-            if not isinstance(raw, dict):
-                raise ValueError("cached entry is not an object")
-            block = tuple(_int_row(raw.get("right_cosets"), "entry cosets"))
-            if not block or any(not 0 <= c < len(reps) or lookup[c] >= 0 for c in block):
-                raise ValueError("cached entries do not partition the coset space")
-            if any(a >= b for a, b in zip(block, block[1:])) or (
-                    entries and block[0] <= entries[-1].right_cosets[0]):
-                raise ValueError("cached entries are out of order")
-            for c in block:
-                lookup[c] = ci
-            numbers = [raw.get(key) for key in ("size", "r_index", "r_index_inv")]
-            if any(type(x) is not int for x in numbers):
-                raise ValueError("cached entry sizes are not integers")
-            size, r, r_inv = numbers
-            if size != order_h * len(block) or r != len(block):
-                raise ValueError("cached entry sizes are inconsistent")
-            if _int_row(raw.get("representative"), "entry representative") != \
-                    list(reps[block[0]]):
-                raise ValueError("cached entry representative is not minimal")
-            entries.append(DoubleCosetEntry(
-                representative=cosets.representatives[block[0]],
-                size=size, right_cosets=block, r_index=r, r_index_inv=r_inv))
-        if -1 in lookup:
-            raise ValueError("cached entries do not partition the coset space")
-        table.entries = tuple(entries)
-        table._class_of_coset = tuple(lookup)
-        inverse_class = [
-            table._class_of_coset[cosets.coset_of(e.representative.inverse())]
-            for e in entries]
-        for e, inv in zip(entries, inverse_class):
-            if e.r_index_inv != entries[inv].r_index:
-                raise ValueError("cached inverse indices are inconsistent")
-        table.inverse_class = tuple(inverse_class)
+        table = cls(G, H)
+        if table.to_json_dict(data.get("descriptor")) != data:
+            raise ValueError("cached table differs from the orbit computation of its groups")
         return table
 
     @classmethod
@@ -660,19 +654,11 @@ def r_index(x: Permutation, H: PermGroup) -> int:
     """
     if x.degree != H.degree:
         raise DomainMismatchError("element degree differs from subgroup degree")
-    gens = [h.images for h in H.generators]
-    reps, _ = _orbit(H._min_coset_images(x.images), gens,
-                     lambda r, h: H._min_coset_images(_mul(r, h)))
-    return len(reps)
-
-
-def _int_row(value, what: str) -> list:
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"cached {what} are not a list of integers")
-    return value
+    return len(H.coset_orbit(x.images, H.generator_rows)[0])
 
 
 def _int_rows(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"cached {what} are not a list")
-    return [_int_row(row, what) for row in value]
+    if not isinstance(value, list) or any(
+            not isinstance(row, list) or any(type(x) is not int for x in row) for row in value):
+        raise ValueError(f"cached {what} are not lists of integers")
+    return value

@@ -89,8 +89,9 @@ def _atomic_write(path: str, text: str):
 def load_or_build_pair(config: RunConfig, spec: PairSpec) -> HeckePair:
     """Build the pair of `spec` with its double-coset table cached on disk.
 
-    A cache entry is used only if it loads cleanly, carries the spec's
-    descriptor and holds exactly these groups; otherwise it is rebuilt.
+    A cache entry is used only if it carries the spec's descriptor, holds
+    exactly these groups and equals a fresh orbit computation from them;
+    otherwise it is rebuilt.
     """
     path = os.path.join(cache_root(config), spec.cache_file(CACHE_VERSION))
     subgroup = spec.subgroup()

@@ -76,11 +76,18 @@ def check_level(shape: TreeShape, n: int, level="level n", size_name="|V_n|") ->
     return size
 
 
-def _check_cap(shape: TreeShape, n: int):
-    size = shape.level_size(n)
-    if size > LEVEL_POINT_CAP:
-        raise ScaleError(
-            f"level {n} has {size} vertices, above the cap {LEVEL_POINT_CAP}")
+def block_element(i: int, g: Permutation, blocks: int) -> Permutation:
+    """The base-group element g acting inside block i of `blocks` blocks."""
+    m0 = g.degree
+    images = list(range(blocks * m0))
+    for r in range(m0):
+        images[i * m0 + r] = i * m0 + g(r)
+    return Permutation(images)
+
+
+def block_permutation(sigma: Permutation, m0: int) -> Permutation:
+    """The rigid permutation of `sigma.degree` blocks of size m0."""
+    return Permutation([sigma(i) * m0 + r for i in range(sigma.degree) for r in range(m0)])
 
 
 def _subtree_swap(shape: TreeShape, n: int, vertex: tuple, c: int) -> Permutation:
@@ -106,7 +113,7 @@ def ball_aut_group(shape: TreeShape, n: int) -> PermGroup:
     """
     if n < 1:
         raise ValueError("ball automorphism groups are built for n >= 1")
-    _check_cap(shape, n)
+    check_level(shape, n)
     gens = []
     for depth in range(n):
         for vertex in shape.vertices(depth):
@@ -152,7 +159,7 @@ class WreathEmbedding:
     n: int
 
     def __post_init__(self):
-        _check_cap(self.shape, self.n + self.l)
+        check_level(self.shape, self.n + self.l)
 
     @property
     def block_count(self) -> int:
@@ -174,19 +181,13 @@ class WreathEmbedding:
         """Image of a permutation of d^l points acting inside block i."""
         if p.degree != self.block_size:
             raise ValueError(f"expected a permutation of {self.block_size} points")
-        D = self.block_size
-        images = list(range(self.total_points))
-        for r in range(D):
-            images[i * D + r] = i * D + p(r)
-        return Permutation(images)
+        return block_element(i, p, self.block_count)
 
     def top_embed(self, sigma: Permutation) -> Permutation:
         """Image of a block permutation moving the |V_n| blocks rigidly."""
         if sigma.degree != self.block_count:
             raise ValueError(f"expected a permutation of {self.block_count} blocks")
-        D = self.block_size
-        images = [sigma(i) * D + r for i in range(self.block_count) for r in range(D)]
-        return Permutation(images)
+        return block_permutation(sigma, self.block_size)
 
     def base_copies(self, group: PermGroup) -> list:
         """Generators of every block copy of `group` (degree d^l)."""

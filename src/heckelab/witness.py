@@ -39,7 +39,6 @@ DEFAULT_TOLERANCES = {
 DEFAULT_K_MAX = 1024
 DEFAULT_BUDGET = 16
 DEFAULT_SEED = 0
-SCORING_HORIZON = 64
 #: accept a candidate only if its full-range moment maximum stays below this;
 #: keeps the certificate margin far from the 1 - 1e-6 contract line
 ACCEPT_CEILING = 0.999
@@ -390,9 +389,10 @@ def _complexes(data: dict, where: str) -> np.ndarray:
 
 # -- the search -------------------------------------------------------------------------
 
-def _score(matrix: np.ndarray, horizon: int) -> float:
-    table, _ = moment_table(matrix, horizon)
-    return float(np.max(np.abs(table)))
+def _score(matrix: np.ndarray, k_max: int):
+    """(max_k |τ(w^k)|, the moment table) over 1 <= k <= k_max."""
+    table, _ = moment_table(matrix, k_max)
+    return float(np.max(np.abs(table))), table
 
 
 def _commutator(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -407,7 +407,8 @@ def _candidate(pair: HeckePair, params_a, params_b):
     return u, v, _commutator(gns_matrix(u.element), gns_matrix(v.element))
 
 
-def _refine(pair: HeckePair, params_a, params_b, score, step: float, sweeps: int):
+def _refine(pair: HeckePair, params_a, params_b, score, k_max: int,
+            step: float, sweeps: int):
     """Deterministic coordinate perturbation descent on the max-moment score."""
     params = np.concatenate([params_a, params_b])
     half = len(params_a)
@@ -418,7 +419,7 @@ def _refine(pair: HeckePair, params_a, params_b, score, step: float, sweeps: int
                 trial = params.copy()
                 trial[i] += delta
                 _, _, w = _candidate(pair, trial[:half], trial[half:])
-                s = _score(w, SCORING_HORIZON)
+                s, _ = _score(w, k_max)
                 if s < score:
                     score = s
                     params = trial
@@ -426,7 +427,7 @@ def _refine(pair: HeckePair, params_a, params_b, score, step: float, sweeps: int
                     break
         if not improved:
             break
-    return params[:half], params[half:], score
+    return params[:half], params[half:]
 
 
 def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
@@ -434,9 +435,9 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
                    scale: float = 1.7) -> WitnessCertificate:
     """Find unitaries u, v with max_{1<=k<=k_max} |τ((u v u* v*)^k)| well below 1.
 
-    Candidates are seeded random self-adjoint pairs, scored on a short
-    moment horizon, refined by coordinate descent when the score is poor,
-    and accepted only after the full-range bound holds.  Every step runs on
+    Candidates are seeded random self-adjoint pairs, scored by their
+    moments over the full range 1 <= k <= k_max, refined by coordinate
+    descent when the score is poor, and accepted when that score holds.  Every step runs on
     dim × dim GNS matrices; no λ-matrix is built.  Deterministic for
     fixed (pair, seed, budget): candidate i draws from an rng keyed by
     (seed, i), and the first acceptable candidate in that order wins.
@@ -458,13 +459,12 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         params_a = scale * rng.standard_normal(n_params)
         params_b = scale * rng.standard_normal(n_params)
         u, v, w = _candidate(pair, params_a, params_b)
-        score = _score(w, SCORING_HORIZON)
-        if score > ACCEPT_CEILING:
-            params_a, params_b, score = _refine(
-                pair, params_a, params_b, score, step=0.25, sweeps=1)
+        full, table = _score(w, k_max)
+        if full > ACCEPT_CEILING:
+            params_a, params_b = _refine(
+                pair, params_a, params_b, full, k_max, step=0.25, sweeps=1)
             u, v, w = _candidate(pair, params_a, params_b)
-        table, _ = moment_table(w, k_max)
-        full = float(np.max(np.abs(table)))
+            full, table = _score(w, k_max)
         if best_seen is None or full < best_seen:
             best_seen = full
         if full > min(1.0 - margin, ACCEPT_CEILING):

@@ -125,19 +125,125 @@ def orbit_count_burnside(elements, action_maps):
 
 # -- slow paths kept as references ----------------------------------------------
 
+def orbit(start, gens, step):
+    """Orbit of `start` under the maps x ↦ step(x, g) for g in `gens`.
+
+    Breadth first.  Returns (points, edges): the orbit in discovery order,
+    points[0] being `start`, and edges[k][s], the position in `points` of
+    step(points[k], gens[s]).
+    """
+    index = {start: 0}
+    points = [start]
+    edges = []
+    for x in points:                      # grows while it is walked
+        row = []
+        for g in gens:
+            y = step(x, g)
+            j = index.setdefault(y, len(points))
+            if j == len(points):
+                points.append(y)
+            row.append(j)
+        edges.append(row)
+    return points, edges
+
+
+def chain_levels(H):
+    """(base, {orbit point: transversal images}) for each level of H's
+    stabilizer chain with a nontrivial orbit, in base order."""
+    levels = []
+    for base in range(H.degree):
+        transversal = H.transversal(base)
+        if len(transversal) > 1:
+            levels.append((base, {p: u.images for p, u in transversal.items()}))
+    return levels
+
+
+def min_coset_images(levels, g):
+    """min(H·g) by greedy descent of the chain, one level and one point at a
+    time: the scalar canonicaliser the whole-array one replaced."""
+    cur = tuple(g)
+    for base, orbit_map in levels:
+        best = min(orbit_map, key=cur.__getitem__)
+        if best != base:
+            cur = mul(orbit_map[best], cur)
+    return cur
+
+
+def coset_enumeration(G, H):
+    """(representatives, action, tree_parent, tree_generator) of H\\G from a
+    Python breadth-first walk, one canonical coset per coset and generator."""
+    levels = chain_levels(H)
+    gens = [g.images for g in G.generators]
+    points, edges = orbit(min_coset_images(levels, range(G.degree)), gens,
+                          lambda r, g: min_coset_images(levels, mul(r, g)))
+    reps = sorted(points)
+    where = {r: i for i, r in enumerate(reps)}
+    size = len(reps)
+    position = np.array([where[p] for p in points], dtype=np.int32)
+    moves = np.array(edges, dtype=np.int32).reshape(size, len(gens))
+    action = np.empty((len(gens), size), dtype=np.int32)
+    action[:, position] = position[moves].T
+    parent, generator = [-1] * size, [-1] * size
+    for k, row in enumerate(edges):
+        for s, j in enumerate(row):
+            if j and parent[j] < 0:
+                parent[j], generator[j] = k, s
+    tree_parent = np.full(size, -1, dtype=np.int32)
+    tree_generator = np.full(size, -1, dtype=np.int32)
+    tree_parent[position[1:]] = position[parent[1:]]
+    tree_generator[position[1:]] = generator[1:]
+    return reps, action, tree_parent, tree_generator
+
+
+def double_coset_classes(H, reps):
+    """(blocks, class_of_coset, inverse_class) from the H-orbit of each coset
+    of the sorted representatives `reps`, walked one coset at a time."""
+    levels = chain_levels(H)
+    where = {r: i for i, r in enumerate(reps)}
+    gens = [h.images for h in H.generators]
+    class_of = [-1] * len(reps)
+    blocks = []
+    for seed in range(len(reps)):
+        if class_of[seed] < 0:
+            block, _ = orbit(seed, gens,
+                             lambda i, h: where[min_coset_images(levels, mul(reps[i], h))])
+            for c in block:
+                class_of[c] = len(blocks)
+            blocks.append(tuple(sorted(block)))
+    inverse = [class_of[where[min_coset_images(levels, inv(reps[b[0]]))]] for b in blocks]
+    return blocks, tuple(class_of), tuple(inverse)
+
+
+def coset_orbit_under(H, x):
+    """Canonical rows of the H-orbit of the coset H·x, walked one coset at a time."""
+    levels = chain_levels(H)
+    gens = [h.images for h in H.generators]
+    points, _ = orbit(min_coset_images(levels, x), gens,
+                      lambda r, h: min_coset_images(levels, mul(r, h)))
+    return points
+
+
+def r_index(x, H):
+    return len(coset_orbit_under(H, x))
+
+
+def min_in_double_coset(H, x):
+    return min(coset_orbit_under(H, x))
+
+
 def dense_cell_table(pair):
     """cell[i, j] = class of the coset H·r_i·r_j⁻¹, one canonical-coset
     computation per cell: the O(n²) table the coset-action kernel replaced."""
     reps = [r.images for r in pair.cosets.representatives]
     invs = [inv(r) for r in reps]
-    sub = pair.subgroup
+    levels = chain_levels(pair.subgroup)
     where = {r: i for i, r in enumerate(reps)}
     cls = pair.class_of_coset
     n = len(reps)
     cell = np.empty((n, n), dtype=np.int32)
     for j in range(n):
         for i in range(n):
-            cell[i, j] = cls[where[sub._min_coset_images(mul(reps[i], invs[j]))]]
+            cell[i, j] = cls[where[min_coset_images(levels, mul(reps[i], invs[j]))]]
     return cell
 
 

@@ -1,10 +1,17 @@
-"""The coset-action kernel against the dense cell table it replaced.
+"""The array kernels against the slow paths they replaced.
 
 `HeckePair` derives its λ-cell table and structure constants from the right
 action of G's generators on H\\G; `oracles.dense_cell_table` and
-`oracles.lambda_structure_constants` are the per-cell slow paths.  Both
-must agree exactly.
+`oracles.lambda_structure_constants` are the per-cell slow paths.  The coset
+space, its action and tree, the double-coset classes, R-indices and minimal
+double-coset elements come from whole-array orbits in `permgroup`;
+`oracles.coset_enumeration`, `oracles.double_coset_classes`,
+`oracles.r_index` and `oracles.min_in_double_coset` walk them one coset at
+a time.  Both must agree exactly.
 """
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +20,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab import hecke
 from heckelab.errors import ScaleError
 from heckelab.hecke import HeckePair, PairSpec, corner_isomorphism_check
-from heckelab.permgroup import PermGroup, Permutation, symmetric_group
+from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index,
+                                symmetric_group)
+from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
 import oracles
 
@@ -160,3 +169,66 @@ def test_gelfand_entry_matches_dense_commutator(gh):
     report = pair.is_commutative()
     assert (report.commutative, report.witness, report.entry) == \
         oracles.dense_gelfand_report(pair, oracles.dense_cell_table(pair))
+
+
+# -- the whole-array coset kernel against the scalar paths it replaced ---------------
+
+def assert_cosets_match_oracle(G, H):
+    table = DoubleCosetTable(G, H)
+    cosets = table.cosets
+    reps, action, parent, generator = oracles.coset_enumeration(G, H)
+    assert [r.images for r in cosets.representatives] == reps
+    for got, want in ((cosets.action, action), (cosets.tree_parent, parent),
+                      (cosets.tree_generator, generator)):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    blocks, class_of, inverse = oracles.double_coset_classes(H, reps)
+    assert [e.right_cosets for e in table.entries] == blocks
+    assert [e.representative.images for e in table.entries] == [reps[b[0]] for b in blocks]
+    assert table._class_of_coset == class_of
+    assert table.inverse_class == inverse
+    for e in table.entries:
+        r = oracles.r_index(e.representative.images, H)
+        assert e.r_index == r_index(e.representative, H) == r
+        assert e.size == H.order() * r
+    assert [e.r_index_inv for e in table.entries] == \
+        [table.entries[c].r_index for c in inverse]
+
+
+def tree_pairs(max_cosets):
+    """(d, k, n) of every level pair (S_{|V_n|}, P_n) inside the point cap
+    with 1 < |H\\G| <= max_cosets."""
+    pairs = []
+    for d in range(2, LEVEL_POINT_CAP + 1):
+        for k in range(2, LEVEL_POINT_CAP + 1):
+            shape, n = TreeShape(d, k), 2
+            while shape.level_size(n) <= LEVEL_POINT_CAP:
+                cosets = math.factorial(shape.level_size(n)) // closed_form_order(shape, n)
+                if 1 < cosets <= max_cosets:
+                    pairs.append((d, k, n))
+                n += 1
+    return pairs
+
+
+@pytest.mark.parametrize("d, k, n", tree_pairs(945))
+def test_tree_pairs_match_the_scalar_cosets(d, k, n):
+    spec = PairSpec.level(d, k, n)
+    assert_cosets_match_oracle(symmetric_group(spec.points), spec.subgroup())
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_pairs())
+def test_random_small_pairs_match_the_scalar_cosets(gh):
+    assert_cosets_match_oracle(*gh)
+
+
+@pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_min_in_double_coset_matches_the_scalar_orbit(d, k, n):
+    H = ball_aut_group(TreeShape(d, k), n)
+    rng = random.Random(f"{d}{k}{n}")
+    for _ in range(100):
+        images = list(range(H.degree))
+        rng.shuffle(images)
+        x = Permutation(images)
+        assert H.min_in_double_coset(x).images == oracles.min_in_double_coset(H, x.images)
+        assert r_index(x, H) == oracles.r_index(x.images, H)

@@ -197,8 +197,17 @@ def _swapped_entries(data):
     entries[1], entries[8] = entries[8], entries[1]
 
 
+def _fused_entries(data):
+    # the identity class and one class of the other 314 cosets: a partition
+    # in the constructor's order, with sizes and R-indices that add up
+    entries = data["entries"]
+    rest = sorted(c for entry in entries[1:] for c in entry["right_cosets"])
+    entries[1:] = [{"representative": entries[1]["representative"], "size": 128 * 314,
+                    "right_cosets": rest, "r_index": 314, "r_index_inv": 314}]
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup,
-                                     _swapped_entries])
+                                     _swapped_entries, _fused_entries])
 def test_bad_cache_entry_is_rebuilt(workdir, capsys, corrupt):
     assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
     (path,) = (workdir / "cache").glob("*.json")

@@ -133,6 +133,20 @@ class TestSearch:
         assert info.value.best_score is not None
         assert info.value.best_score > 1e-9
 
+    def test_candidates_are_scored_over_the_full_range(self, flagship_pair, monkeypatch):
+        # seed 54's first candidate scores above ACCEPT_CEILING and is refined
+        import heckelab.witness as witness_module
+        ranges = []
+
+        def recording(matrix, k_max):
+            ranges.append(k_max)
+            return moment_table(matrix, k_max)
+
+        monkeypatch.setattr(witness_module, "moment_table", recording)
+        cert = search_witness(flagship_pair, seed=54)
+        assert len(ranges) > 2 and set(ranges) == {cert.k_max}
+        assert verify_certificate(cert, flagship_pair).ok
+
 
 class TestSpectra:
     def test_weights_sum_to_one(self, flagship_pair, flagship_certificate):
