@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -81,39 +82,34 @@ class WreathScenario:
             raise RuntimeError("block realization of V ⋊ G is not faithful")
         if not _normalizes(self.gamma_gens, self.V0):
             raise InvarianceError("gamma does not leave V_0 invariant")
-        self._carrier_V = None
-        self._carrier_big = None
-        self._carrier_top = None
-        self._table_V = None
-        self._table_top = None
 
     # -- carriers, built on first use ------------------------------------------
 
-    @property
+    @cached_property
     def carrier_V(self) -> EnumeratedGroup:
-        if self._carrier_V is None:
-            self._carrier_V = EnumeratedGroup(self.V)
-        return self._carrier_V
+        return EnumeratedGroup(self.V)
 
-    @property
+    @cached_property
     def carrier_big(self) -> EnumeratedGroup:
-        if self._carrier_big is None:
-            self._carrier_big = EnumeratedGroup(self.big)
-        return self._carrier_big
+        return EnumeratedGroup(self.big)
 
-    @property
+    @cached_property
     def carrier_top(self) -> EnumeratedGroup:
         """The top group G on its own block domain (for the corner of (G, Γ))."""
-        if self._carrier_top is None:
-            self._carrier_top = EnumeratedGroup(self.top)
-        return self._carrier_top
+        return EnumeratedGroup(self.top)
+
+    @cached_property
+    def _table_V(self) -> DoubleCosetTable:
+        return DoubleCosetTable(self.V, self.V0)
+
+    @cached_property
+    def _table_top(self) -> DoubleCosetTable:
+        return DoubleCosetTable(self.top, self.gamma)
 
     # -- corners ------------------------------------------------------------------
 
     def corner_basis_V(self) -> list:
         """Basis p_{V0} δ_x p_{V0} of the corner of (V, V_0)."""
-        if self._table_V is None:
-            self._table_V = DoubleCosetTable(self.V, self.V0)
         return corner_basis(self.carrier_V, self.V0, self._table_V)
 
     def invariant_corner_basis(self) -> list:
@@ -122,8 +118,6 @@ class WreathScenario:
 
     def corner_basis_top(self) -> list:
         """Basis p_Γ δ_σ p_Γ of the corner of (G, Γ), on the block domain."""
-        if self._table_top is None:
-            self._table_top = DoubleCosetTable(self.top, self.gamma)
         return corner_basis(self.carrier_top, self.gamma, self._table_top)
 
     def projector_gamma(self) -> AlgebraElement:

@@ -62,8 +62,8 @@ class PairSpec:
     """The tree pair (S_{|V_n|}, P_n) of root degree k and branching degree d.
 
     A depth pair (S_{d^l}, Q_l) is the level pair with k = d and n = l;
-    `kind` says which was asked for, and so which parameters its reports,
-    cache entry and certificate name.  Construction checks the point and
+    `kind` says which was asked for, and so which parameters its reports
+    and certificate name.  Construction checks the point and
     coset caps from closed forms, before any group is built.
     """
 
@@ -105,14 +105,6 @@ class PairSpec:
         return {"d": self.d, "k": self.k, "n": self.n}
 
     @property
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, **self.fields}
-
-    def cache_file(self, version: int) -> str:
-        params = "_".join(f"{key}{value}" for key, value in self.fields.items())
-        return f"dc_{self.kind}_{params}_v{version}.json"
-
-    @property
     def label(self) -> str:
         letter = "Q" if self.kind == "depth" else "P"
         return f"(S_{self.points}, {letter}_{self.n})"
@@ -120,11 +112,9 @@ class PairSpec:
     def subgroup(self) -> PermGroup:
         return ball_aut_group(self.shape, self.n)
 
-    def pair(self, table: DoubleCosetTable | None = None) -> "HeckePair":
-        """The Hecke pair, on `table` when given (a table of this pair)."""
-        if table is None:
-            table = DoubleCosetTable(symmetric_group(self.points), self.subgroup())
-        return HeckePair(table.group, table.subgroup, table, name=self.label, spec=self)
+    def pair(self) -> "HeckePair":
+        return HeckePair(symmetric_group(self.points), self.subgroup(),
+                         name=self.label, spec=self)
 
 
 class HeckePair:

@@ -2,12 +2,12 @@
 embed-check, and spher subcommands.
 
 Each tree pair named by the options or a certificate is one `PairSpec`,
-checked against the caps before any group is built.  Reports are JSON lines
-(written to --out when given, otherwise to stdout) plus a human-readable
-summary on stdout.  Double-coset tables are cached on disk under the spec's
-file name and descriptor; cache writes are atomic (write-temp-then-rename)
-and the cache root can be overridden with --cache or the HECKELAB_CACHE
-environment variable.  Primary output files carry no timestamps, so
+checked against the caps before any group is built, and every command
+builds its pair afresh; nothing is written outside the --out and
+certificate files (`--cache` and HECKELAB_CACHE are accepted and ignored).
+Reports are JSON lines (written to --out when given, otherwise to stdout)
+plus a human-readable summary on stdout; file writes are atomic
+(write-temp-then-rename).  Primary output files carry no timestamps, so
 identical configurations reproduce identical bytes.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -25,14 +24,11 @@ from . import spheromorph
 from .embed import SCENARIOS, scenario_report
 from .errors import ScaleError, SearchFailureError
 from .hecke import HeckePair, PairSpec
-from .permgroup import DoubleCosetTable, symmetric_group
 from .treefam import TreeShape, check_level
 from .witness import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_SEED,
                       WitnessCertificate, decay_table, fejer_coefficients,
                       haar_convergence_check, search_witness, verify_certificate)
 
-CACHE_ENV = "HECKELAB_CACHE"
-CACHE_VERSION = 1
 DECAY_THRESHOLD = 1e-3
 
 
@@ -50,7 +46,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     budget: int = DEFAULT_BUDGET
     out: str | None = None
-    cache: str | None = None
     cert: str | None = None
     scenario: str | None = None
     op: str | None = None
@@ -68,10 +63,6 @@ class RunConfig:
         return self
 
 
-def cache_root(config: RunConfig) -> str:
-    return config.cache or os.environ.get(CACHE_ENV) or ".heckelab-cache"
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -86,31 +77,13 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def load_or_build_pair(config: RunConfig, spec: PairSpec) -> HeckePair:
-    """Build the pair of `spec` with its double-coset table cached on disk.
+def load_or_build_pair(spec: PairSpec) -> HeckePair:
+    """The one build of a command's pair: `spec.pair()`.
 
-    A cache entry is used only if it carries the spec's descriptor, holds
-    exactly these groups and equals a fresh orbit computation from them;
-    otherwise it is rebuilt.
+    Kept under this name because `perfbench/tracer.py` patches it by name
+    as the `shell.load_pair` span.
     """
-    path = os.path.join(cache_root(config), spec.cache_file(CACHE_VERSION))
-    subgroup = spec.subgroup()
-    table = None
-    if os.path.exists(path):
-        try:
-            table = DoubleCosetTable.load(path, spec.descriptor)
-        except ValueError:
-            table = None
-    # a subgroup of S_m of order m! is S_m
-    if table is not None and not (
-            table.group.degree == spec.points
-            and table.group.order() == math.factorial(spec.points)
-            and table.subgroup.same_group(subgroup)):
-        table = None
-    if table is None:
-        table = DoubleCosetTable(symmetric_group(spec.points), subgroup)
-        _atomic_write(path, json.dumps(table.to_json_dict(spec.descriptor)) + "\n")
-    return spec.pair(table)
+    return spec.pair()
 
 
 class Reporter:
@@ -158,7 +131,7 @@ def cmd_census(config: RunConfig) -> int:
     if config.n is not None:
         specs.append(PairSpec.level(config.d, config.k, config.n))
     for spec in specs or [PairSpec.depth(config.d, 3)]:
-        pair = load_or_build_pair(config, spec)
+        pair = load_or_build_pair(spec)
         row = _pair_row(pair)
         reporter.emit(row)
         reporter.summary(
@@ -171,7 +144,7 @@ def cmd_census(config: RunConfig) -> int:
 
 def cmd_gelfand(config: RunConfig) -> int:
     reporter = Reporter(config.out)
-    pair = load_or_build_pair(config, PairSpec.depth(config.d, config.l))
+    pair = load_or_build_pair(PairSpec.depth(config.d, config.l))
     report = pair.is_commutative()
     record = {
         "format": "heckelab/gelfand-verdict/v1",
@@ -190,7 +163,7 @@ def cmd_gelfand(config: RunConfig) -> int:
 
 
 def cmd_witness(config: RunConfig) -> int:
-    pair = load_or_build_pair(config, PairSpec.depth(config.d, config.l))
+    pair = load_or_build_pair(PairSpec.depth(config.d, config.l))
     out = config.out or "witness-certificate.json"
     try:
         cert = search_witness(pair, seed=config.seed, budget=config.budget,
@@ -207,7 +180,7 @@ def cmd_witness(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     cert = WitnessCertificate.load(config.cert)
-    pair = load_or_build_pair(config, PairSpec.depth(cert.d, cert.l))
+    pair = load_or_build_pair(PairSpec.depth(cert.d, cert.l))
     report = verify_certificate(cert, pair)
     print(report.summary())
     return 0 if report.ok else 1
@@ -314,14 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hecke algebras of tree pairs: tables, verdicts, witnesses")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tree=True, out=True, cache=True):
+    def common(p, *, tree=True, out=True):
         if tree:
             p.add_argument("--d", type=int, default=2, help="branching degree")
             p.add_argument("--k", type=int, default=2, help="root degree")
         if out:
             p.add_argument("--out", help="write the JSON report here")
-        if cache:
-            p.add_argument("--cache", help="cache directory (or HECKELAB_CACHE)")
+        p.add_argument("--cache", help="accepted and ignored; pairs are not cached")
 
     p = sub.add_parser("census", help="pair table: orders, classes, commutativity")
     common(p)

@@ -20,6 +20,7 @@ complete invariant of its two-sided orbit under tree automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import LevelError, ScaleError
 from .permgroup import PermGroup, Permutation
@@ -343,14 +344,9 @@ def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     return Permutation([position[refined.leaf_map[a]] for a in level])
 
 
-_LEVEL_GROUP_CACHE = {}
-
-
+@cache
 def _level_group(shape: TreeShape, n: int) -> PermGroup:
-    key = (shape.d, shape.k, n)
-    if key not in _LEVEL_GROUP_CACHE:
-        _LEVEL_GROUP_CACHE[key] = ball_aut_group(shape, n)
-    return _LEVEL_GROUP_CACHE[key]
+    return ball_aut_group(shape, n)
 
 
 def double_coset_key(g: AlmostAutomorphism, n: int) -> Permutation:

@@ -53,6 +53,14 @@ PENCIL_ANGLE = 0.5772156649015329
 #: g mix by about eps/g, and distinct angles that one cluster leaves to a flat
 #: sine part (near θ ≡ φ ± π/2) lie about g apart
 PENCIL_CLUSTER_GAP = 1.5e-8
+#: eigenvalue angles this close merge into one spectral atom
+ATOM_ANGLE_GAP = 1e-8
+#: atoms of at most this weight at δ_H are invisible to the root-of-unity scan
+VISIBLE_WEIGHT = 1e-4
+#: standard deviation of the random self-adjoint parameters of a candidate
+CANDIDATE_SCALE = 1.7
+#: coordinate step of the one refinement sweep of a poor candidate
+REFINE_STEP = 0.25
 
 
 # -- algebra-level unitaries -----------------------------------------------------
@@ -210,7 +218,7 @@ def spectral_data(matrix: np.ndarray) -> SpectralData:
     return SpectralData(angles=angles, weights=weights, offdiagonal_residual=offdiag)
 
 
-def cluster_spectrum(spectral: SpectralData, angle_gap: float = 1e-8) -> SpectralData:
+def cluster_spectrum(spectral: SpectralData) -> SpectralData:
     """Merge numerically equal eigenvalue angles into spectral atoms."""
     order = np.argsort(spectral.angles)
     angles = spectral.angles[order]
@@ -218,7 +226,7 @@ def cluster_spectrum(spectral: SpectralData, angle_gap: float = 1e-8) -> Spectra
     merged_angles = [angles[0]]
     merged_weights = [weights[0]]
     for theta, mu in zip(angles[1:], weights[1:]):
-        if theta - merged_angles[-1] <= angle_gap:
+        if theta - merged_angles[-1] <= ATOM_ANGLE_GAP:
             total = merged_weights[-1] + mu
             if total > 0:
                 merged_angles[-1] = (merged_angles[-1] * merged_weights[-1]
@@ -229,14 +237,14 @@ def cluster_spectrum(spectral: SpectralData, angle_gap: float = 1e-8) -> Spectra
             merged_weights.append(mu)
     # the circle wraps: -pi and pi are the same atom
     if len(merged_angles) > 1 and \
-            (2 * math.pi - (merged_angles[-1] - merged_angles[0])) <= angle_gap:
+            (2 * math.pi - (merged_angles[-1] - merged_angles[0])) <= ATOM_ANGLE_GAP:
         merged_weights[0] += merged_weights.pop()
         merged_angles.pop()
     return SpectralData(np.array(merged_angles), np.array(merged_weights),
                         spectral.offdiagonal_residual)
 
 
-def root_of_unity_scan(spectral: SpectralData, order: int, weight_floor: float = 1e-4):
+def root_of_unity_scan(spectral: SpectralData, order: int):
     """Diagnostic for near-rational eigenvalue-angle ratios.
 
     Numerically equal angles are merged into atoms first; for every pair of
@@ -247,7 +255,7 @@ def root_of_unity_scan(spectral: SpectralData, order: int, weight_floor: float =
     minimum, the lexicographically least is reported.
     """
     atoms = cluster_spectrum(spectral)
-    visible = np.where(atoms.weights > weight_floor)[0]
+    visible = np.where(atoms.weights > VISIBLE_WEIGHT)[0]
     if len(visible) < 2:
         return {"min_distance": None, "pair": None, "m": None,
                 "visible_atoms": int(len(visible))}
@@ -407,32 +415,28 @@ def _candidate(pair: HeckePair, params_a, params_b):
     return u, v, _commutator(gns_matrix(u.element), gns_matrix(v.element))
 
 
-def _refine(pair: HeckePair, params_a, params_b, score, k_max: int,
-            step: float, sweeps: int):
-    """Deterministic coordinate perturbation descent on the max-moment score."""
+def _refine(pair: HeckePair, params_a, params_b, score, k_max: int):
+    """One deterministic sweep of coordinate perturbation descent on the
+    max-moment score: each coordinate takes the first of ±`REFINE_STEP`
+    that lowers it."""
     params = np.concatenate([params_a, params_b])
     half = len(params_a)
-    for _ in range(sweeps):
-        improved = False
-        for i in range(len(params)):
-            for delta in (step, -step):
-                trial = params.copy()
-                trial[i] += delta
-                _, _, w = _candidate(pair, trial[:half], trial[half:])
-                s, _ = _score(w, k_max)
-                if s < score:
-                    score = s
-                    params = trial
-                    improved = True
-                    break
-        if not improved:
-            break
+    for i in range(len(params)):
+        for delta in (REFINE_STEP, -REFINE_STEP):
+            trial = params.copy()
+            trial[i] += delta
+            _, _, w = _candidate(pair, trial[:half], trial[half:])
+            s, _ = _score(w, k_max)
+            if s < score:
+                score = s
+                params = trial
+                break
     return params[:half], params[half:]
 
 
 def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
-                   budget: int = DEFAULT_BUDGET, k_max: int = DEFAULT_K_MAX,
-                   scale: float = 1.7) -> WitnessCertificate:
+                   budget: int = DEFAULT_BUDGET,
+                   k_max: int = DEFAULT_K_MAX) -> WitnessCertificate:
     """Find unitaries u, v with max_{1<=k<=k_max} |τ((u v u* v*)^k)| well below 1.
 
     Candidates are seeded random self-adjoint pairs, scored by their
@@ -456,13 +460,12 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
     best_seen = None
     for i in range(budget):
         rng = np.random.default_rng([seed, i])
-        params_a = scale * rng.standard_normal(n_params)
-        params_b = scale * rng.standard_normal(n_params)
+        params_a = CANDIDATE_SCALE * rng.standard_normal(n_params)
+        params_b = CANDIDATE_SCALE * rng.standard_normal(n_params)
         u, v, w = _candidate(pair, params_a, params_b)
         full, table = _score(w, k_max)
         if full > ACCEPT_CEILING:
-            params_a, params_b = _refine(
-                pair, params_a, params_b, full, k_max, step=0.25, sweeps=1)
+            params_a, params_b = _refine(pair, params_a, params_b, full, k_max)
             u, v, w = _candidate(pair, params_a, params_b)
             full, table = _score(w, k_max)
         if best_seen is None or full < best_seen:

@@ -16,7 +16,6 @@ from heckelab.treefam import TreeShape, ball_aut_group, closed_form_order
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("HECKELAB_CACHE", str(tmp_path / "cache"))
     return tmp_path
 
 
@@ -93,15 +92,29 @@ def test_pinned_stdout(workdir, capsys, argv, lines):
     assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_cache_file_names_and_descriptors(workdir, capsys):
-    assert main(["census", "--d", "2", "--l", "3"]) == 0
-    assert main(["census", "--d", "2", "--k", "4", "--n", "2"]) == 0
-    descriptors = {path.name: json.loads(path.read_text())["descriptor"]
-                   for path in (workdir / "cache").iterdir()}
-    assert descriptors == {
-        "dc_depth_d2_l3_v1.json": {"kind": "depth", "d": 2, "l": 3},
-        "dc_level_d2_k4_n2_v1.json": {"kind": "level", "d": 2, "k": 4, "n": 2},
-    }
+def test_unusable_cache_paths_are_ignored(workdir, capsys, monkeypatch):
+    # --cache and HECKELAB_CACHE are accepted and ignored, so a path that
+    # cannot be a directory no longer turns a computable result into exit 2
+    (workdir / "regular").write_text("")
+    assert main(["census", "--d", "2", "--l", "3", "--cache", "regular"]) == 0
+    assert capsys.readouterr() == (FLAGSHIP_SUMMARY + "\n" + FLAGSHIP_ROW + "\n", "")
+    monkeypatch.setenv("HECKELAB_CACHE", str(workdir / "regular" / "cache"))
+    assert main(["gelfand", "--d", "2", "--l", "3"]) == 0
+    assert capsys.readouterr() == (
+        "# (S_8, Q_3) is noncommutative; witness basis pair (1, 4), "
+        "commutator entry (0, 28, -1)\n"
+        '{"format": "heckelab/gelfand-verdict/v1", "d": 2, "l": 3, '
+        '"commutative": false, "witness_pair": [1, 4], "witness_entry": [0, 28, -1]}\n',
+        "")
+
+
+def test_pair_commands_write_only_their_outputs(workdir, capsys, monkeypatch):
+    monkeypatch.delenv("HECKELAB_CACHE", raising=False)
+    assert main(["census", "--d", "2", "--l", "3", "--out", "rows.jsonl"]) == 0
+    assert main(["gelfand", "--d", "2", "--l", "3", "--out", "verdict.json"]) == 0
+    assert main(["witness", "--d", "2", "--l", "3", "--out", "cert.json"]) == 0
+    assert main(["verify", "cert.json"]) == 0
+    assert sorted(os.listdir(workdir)) == ["cert.json", "rows.jsonl", "verdict.json"]
 
 
 @pytest.mark.parametrize("argv, d, k, n", [
@@ -161,12 +174,9 @@ def test_verify_rejects_tampered_certificate(workdir, capsys):
 
 
 def test_cache_reuse_and_byte_identical_outputs(workdir, capsys):
+    # pairs are no longer cached: a repeated census must still give the same bytes
     assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
-    cache_files = list((workdir / "cache").glob("*.json"))
-    assert len(cache_files) == 1
-    stamp = cache_files[0].stat().st_mtime_ns
     assert main(["census", "--d", "2", "--l", "3", "--out", "b.jsonl"]) == 0
-    assert cache_files[0].stat().st_mtime_ns == stamp
     assert (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
 
 
@@ -208,17 +218,24 @@ def _fused_entries(data):
 
 @pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup,
                                      _swapped_entries, _fused_entries])
-def test_bad_cache_entry_is_rebuilt(workdir, capsys, corrupt):
+def test_bad_cache_entry_is_rebuilt(workdir, capsys, monkeypatch, corrupt):
+    # a wrong table planted where the removed disk cache kept (S_8, Q_3) is
+    # never read: the verdict and output bytes stay, and the file is not touched
     assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
-    (path,) = (workdir / "cache").glob("*.json")
-    data = json.loads(path.read_text())
+    table = DoubleCosetTable(symmetric_group(8), ball_aut_group(TreeShape(2, 2), 3))
+    data = table.to_json_dict({"kind": "depth", "d": 2, "l": 3})
     corrupt(data)
+    path = workdir / "cache" / "dc_depth_d2_l3_v1.json"
+    path.parent.mkdir()
     path.write_text(json.dumps(data))
-    assert main(["census", "--d", "2", "--l", "3", "--out", "b.jsonl"]) == 0
+    planted = path.read_bytes()
+    monkeypatch.setenv("HECKELAB_CACHE", str(path.parent))
+    assert main(["census", "--d", "2", "--l", "3", "--cache", str(path.parent),
+                 "--out", "b.jsonl"]) == 0
     row = json.loads((workdir / "b.jsonl").read_text())
     assert {k: row[k] for k in PINNED_D2_L3_ROW} == PINNED_D2_L3_ROW
     assert (workdir / "a.jsonl").read_bytes() == (workdir / "b.jsonl").read_bytes()
-    assert json.loads(path.read_text()) != data
+    assert path.read_bytes() == planted
 
 
 @pytest.mark.parametrize("field", ["u", "moments", "tolerances", "d"])
