@@ -4,8 +4,8 @@ Walks through the basic vocabulary: permutations, stabilizer chains,
 right-coset indices, and the double-coset table with its R-indices.
 """
 
-from heckelab.permgroup import (DoubleCosetTable, Permutation, dihedral_square,
-                                r_index, right_coset_index, symmetric_group)
+from heckelab.permgroup import (CosetIndex, DoubleCosetTable, Permutation,
+                                dihedral_square, r_index, symmetric_group)
 
 # The classic warm-up pair: S_4 over the dihedral group of the square.
 G = symmetric_group(4)
@@ -14,7 +14,7 @@ print(f"|G| = {G.order()}, |H| = {H.order()}")
 
 # Right cosets H\G: canonical representatives are the lexicographic minima
 # of their cosets, so the identity always represents H itself at index 0.
-cosets = right_coset_index(G, H)
+cosets = CosetIndex(G, H)
 print(f"{len(cosets)} right cosets, representatives:")
 for i, rep in enumerate(cosets.representatives):
     print(f"  {i}: {rep.cycle_string()}")

@@ -17,7 +17,7 @@ from heckelab.hecke import HeckePair
 pair = HeckePair(symmetric_group(4), dihedral_square(), name="(S_4, D_4)")
 print(pair)
 e0, e1 = pair.basis()
-print("λ(e_H) is the identity:\n", pair.basis_element(0, "float").lambda_matrix_complex().real)
+print("λ(e_H) is the identity:\n", pair.lambda_matrix(e0.exact.to_complex()).real)
 print("λ(e_D) for the size-16 class:\n", pair.basis_matrix(1))
 
 # Products through structure constants: e_D * e_D = 2·e_H + e_D here.

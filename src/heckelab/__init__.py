@@ -2,20 +2,17 @@
 automorphism towers, and commutator-moment decay certificates."""
 
 from .permgroup import (CosetIndex, DoubleCosetTable, PermGroup, Permutation,
-                        build_chain, double_cosets, r_index, right_coset_index,
-                        symmetric_group)
-from .treefam import (TreeShape, ball_aut_group, closed_form_order, level_size,
-                      q_group, wreath_embed)
+                        r_index, symmetric_group)
+from .treefam import TreeShape, ball_aut_group, closed_form_order, q_group, wreath_embed
 from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
                        corner_trace, invariant_subalgebra, projector)
 from .hecke import (GelfandReport, HeckeElement, HeckePair, PairSpec,
                     corner_isomorphism_check)
 from .embed import (SCENARIOS, WreathScenario, check_commutation, embed_invariant,
                     embed_top, hecke_image, scenario_report)
-from .witness import (SpectralData, UnitaryElement, WitnessCertificate,
-                      decay_table, fejer_coefficients, haar_convergence_check,
-                      kronecker_trace_check, moment_table, search_witness,
-                      unitary_from_selfadjoint, verify_certificate)
+from .witness import (SpectralData, WitnessCertificate, decay_table,
+                      fejer_coefficients, haar_convergence_check, moment_table,
+                      search_witness, unitary_from_selfadjoint, verify_certificate)
 from .spheromorph import (AlmostAutomorphism, canonical_form, compose,
                           double_coset_key, inverse, is_in_level_subgroup)
 

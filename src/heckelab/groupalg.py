@@ -2,7 +2,7 @@
 
 Elements are complex-rational functions on an enumerated permutation group,
 multiplied by convolution (f·g)(x) = sum over uv = x of f(u) g(v).  All
-arithmetic is exact (arbitrary-precision integers over a common
+arithmetic is exact (unbounded Python integers over a common
 denominator); floating point never enters this module.
 
 The averaging projections p_H = (1/|H|) * sum of H and the corners
@@ -131,14 +131,6 @@ class AlgebraElement:
         re = np.zeros(len(carrier), dtype=object)
         re[carrier.index_of(p)] = 1
         return cls(carrier, ExactVector(1, re, None, reduce_terms=False))
-
-    @classmethod
-    def from_coefficients(cls, carrier: EnumeratedGroup, coeffs: dict) -> "AlgebraElement":
-        """Build from {Permutation: Fraction or (re, im) pair}."""
-        values = [0] * len(carrier)
-        for p, c in coeffs.items():
-            values[carrier.index_of(p)] = c
-        return cls(carrier, ExactVector.from_fractions(values))
 
     # -- linear structure -------------------------------------------------------
 

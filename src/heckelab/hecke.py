@@ -11,11 +11,14 @@ in D}.  Products are computed through structure constants, never through
 element-level convolution over G.  The constants are counted one row of
 the cell table at a time: row i comes from the right translation of the
 cosets by r_i^{-1}, which the action of G's generators on H\\G gives as one
-gather per coset.  Float products use the left-regular matrices of the
-structure constants (`HeckePair.left_matrix`), of size dim × dim; the full
-λ-matrices are built only when asked for, as cross-checks.  The group
-algebra corner p_H C[G] p_H is kept available as an independent oracle via
-corner_isomorphism_check.
+gather per coset.
+
+`HeckeElement` is exact: Gaussian-rational coefficients, multiplied through
+the integer structure constants.  Float elements are plain coefficient
+arrays: `HeckePair.left_matrix(c)` multiplies by one in dim × dim, and
+`HeckePair.lambda_matrix(c)` is its action on ℓ²(H\\G), built only when
+asked for, as a cross-check.  The group algebra corner p_H C[G] p_H is kept
+available as an independent oracle via corner_isomorphism_check.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -125,14 +128,13 @@ class HeckePair:
     None for a pair built by hand.
     """
 
-    def __init__(self, G: PermGroup, H: PermGroup,
-                 table: DoubleCosetTable | None = None, name: str = "",
+    def __init__(self, G: PermGroup, H: PermGroup, name: str = "",
                  spec: PairSpec | None = None):
         self.group = G
         self.subgroup = H
         self.name = name
         self.spec = spec
-        self.table = table if table is not None else DoubleCosetTable(G, H)
+        self.table = DoubleCosetTable(G, H)
         if not self.table.is_unimodular():
             raise RuntimeError(
                 "pair fails R(x) = R(x^{-1}); the canonical vector state "
@@ -177,6 +179,10 @@ class HeckePair:
         """Integer λ-matrix of the basis element e_j."""
         return (self.cell_class == j).astype(np.int64)
 
+    def lambda_matrix(self, coefficients) -> np.ndarray:
+        """λ(c) on ℓ²(H\\G) for the coefficient array c."""
+        return np.asarray(coefficients)[self.cell_class]
+
     def structure_constants(self):
         """Integer tensor N[d, e, f] with e_d e_e = sum_f N[d,e,f] e_f.
 
@@ -209,39 +215,19 @@ class HeckePair:
 
     # -- element constructors -----------------------------------------------------
 
-    def zero(self, precision: str = "exact") -> "HeckeElement":
-        if precision == "exact":
-            return HeckeElement(self, exact=ExactVector.zeros(self.dim))
-        return HeckeElement(self, approx=np.zeros(self.dim, dtype=np.complex128))
+    def unit(self) -> "HeckeElement":
+        return self.basis_element(0)
 
-    def unit(self, precision: str = "exact") -> "HeckeElement":
-        return self.basis_element(0, precision)
+    def basis_element(self, j: int) -> "HeckeElement":
+        re = np.zeros(self.dim, dtype=object)
+        re[j] = 1
+        return HeckeElement(self, ExactVector(1, re, None, reduce_terms=False))
 
-    def basis_element(self, j: int, precision: str = "exact") -> "HeckeElement":
-        if precision == "exact":
-            re = np.zeros(self.dim, dtype=object)
-            re[j] = 1
-            return HeckeElement(self, exact=ExactVector(1, re, None, reduce_terms=False))
-        coef = np.zeros(self.dim, dtype=np.complex128)
-        coef[j] = 1.0
-        return HeckeElement(self, approx=coef)
-
-    def basis(self, precision: str = "exact") -> list:
-        return [self.basis_element(j, precision) for j in range(self.dim)]
+    def basis(self) -> list:
+        return [self.basis_element(j) for j in range(self.dim)]
 
     def element_from_fractions(self, values) -> "HeckeElement":
-        return HeckeElement(self, exact=ExactVector.from_fractions(values))
-
-    def element_from_floats(self, values) -> "HeckeElement":
-        return HeckeElement(self, approx=np.asarray(values, dtype=np.complex128))
-
-    def random_exact_element(self, rng, span: int = 3) -> "HeckeElement":
-        """Gaussian-integer coefficients drawn uniformly from [-span, span]."""
-        re = np.array([int(rng.integers(-span, span + 1)) for _ in range(self.dim)],
-                      dtype=object)
-        im = np.array([int(rng.integers(-span, span + 1)) for _ in range(self.dim)],
-                      dtype=object)
-        return HeckeElement(self, exact=ExactVector(1, re, im))
+        return HeckeElement(self, ExactVector.from_fractions(values))
 
     # -- algebra-level checks -------------------------------------------------------
 
@@ -272,29 +258,13 @@ class HeckePair:
 
 
 class HeckeElement:
-    """Element of H(G, H) over the double-coset basis, exact or float."""
+    """Element of H(G, H) over the double-coset basis, with exact coefficients."""
 
-    __slots__ = ("pair", "exact", "approx")
+    __slots__ = ("pair", "exact")
 
-    def __init__(self, pair: HeckePair, exact: ExactVector | None = None,
-                 approx=None):
-        if (exact is None) == (approx is None):
-            raise ValueError("element needs exactly one of exact/approx data")
+    def __init__(self, pair: HeckePair, exact: ExactVector):
         self.pair = pair
         self.exact = exact
-        self.approx = None if approx is None else np.asarray(approx, dtype=np.complex128)
-
-    @property
-    def precision(self) -> str:
-        return "exact" if self.exact is not None else "float"
-
-    def coefficients_complex(self) -> np.ndarray:
-        return self.exact.to_complex() if self.exact is not None else self.approx.copy()
-
-    def to_float(self) -> "HeckeElement":
-        if self.approx is not None:
-            return self
-        return HeckeElement(self.pair, approx=self.exact.to_complex())
 
     def _same_pair(self, other: "HeckeElement"):
         if self.pair is not other.pair:
@@ -302,118 +272,75 @@ class HeckeElement:
 
     def __add__(self, other):
         self._same_pair(other)
-        if self.exact is not None and other.exact is not None:
-            return HeckeElement(self.pair, exact=self.exact + other.exact)
-        return HeckeElement(self.pair,
-                            approx=self.coefficients_complex() + other.coefficients_complex())
+        return HeckeElement(self.pair, self.exact + other.exact)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.exact is not None:
-            return HeckeElement(self.pair, exact=-self.exact)
-        return HeckeElement(self.pair, approx=-self.approx)
+        return HeckeElement(self.pair, -self.exact)
 
     def scaled(self, scalar) -> "HeckeElement":
-        if self.exact is not None and not isinstance(scalar, (float, complex)):
-            return HeckeElement(self.pair, exact=self.exact.scaled(scalar))
-        return HeckeElement(self.pair, approx=self.coefficients_complex() * scalar)
+        return HeckeElement(self.pair, self.exact.scaled(scalar))
 
     def __mul__(self, other):
         return convolve(self, other)
 
     def __eq__(self, other):
-        if not isinstance(other, HeckeElement) or self.pair is not other.pair:
-            return False
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        return np.array_equal(self.coefficients_complex(), other.coefficients_complex())
+        return (isinstance(other, HeckeElement) and self.pair is other.pair
+                and self.exact == other.exact)
 
     def __hash__(self):
-        return hash(self.exact) if self.exact is not None else hash(self.approx.tobytes())
+        return hash(self.exact)
 
     def is_zero(self) -> bool:
-        if self.exact is not None:
-            return self.exact.is_zero()
-        return not self.approx.any()
-
-    def lambda_matrix_complex(self) -> np.ndarray:
-        """The action matrix on ℓ²(H\\G)."""
-        return self.coefficients_complex()[self.pair.cell_class]
+        return self.exact.is_zero()
 
     def star(self) -> "HeckeElement":
         """Adjoint: λ(star(f)) is the conjugate transpose of λ(f)."""
-        if self.exact is not None:
-            return HeckeElement(
-                self.pair, exact=self.exact.permuted(self.pair.star_map).conjugate())
-        return HeckeElement(self.pair, approx=np.conj(self.approx[self.pair.star_map]))
+        return HeckeElement(self.pair, self.exact.permuted(self.pair.star_map).conjugate())
 
     def trace(self):
-        """⟨λ(f) δ_H, δ_H⟩ = the coefficient of f on e_H.
-
-        Returns a (re, im) pair of Fractions for exact elements, a complex
-        number for float ones.
-        """
-        if self.exact is not None:
-            return self.exact.coeff(0)
-        return complex(self.approx[0])
+        """⟨λ(f) δ_H, δ_H⟩ = the coefficient of f on e_H, a (re, im) pair of Fractions."""
+        return self.exact.coeff(0)
 
     def coeff(self, j: int):
-        if self.exact is not None:
-            return self.exact.coeff(j)
-        return complex(self.approx[j])
+        return self.exact.coeff(j)
 
     def __repr__(self):
-        if self.exact is not None:
-            body = ", ".join(f"e{j}:{self.exact.coeff(j)}" for j in self.exact.support())
-        else:
-            body = np.array2string(self.approx, precision=4)
-        return f"HeckeElement[{self.precision}]({body})"
+        body = ", ".join(f"e{j}:{self.exact.coeff(j)}" for j in self.exact.support())
+        return f"HeckeElement[exact]({body})"
 
 
 def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
-    """Product in H(G, H); λ(f·g) = λ(f) λ(g) exactly on exact inputs."""
+    """Product in H(G, H); λ(f·g) = λ(f) λ(g) exactly."""
     f._same_pair(g)
     pair = f.pair
-    if f.exact is not None and g.exact is not None:
-        pair.structure_constants()
-        struct = pair._struct_obj
-        re = np.zeros(pair.dim, dtype=object)
-        im = np.zeros(pair.dim, dtype=object)
-        has_im = False
-        fim = f.exact.im
-        gim = g.exact.im
-        for d in f.exact.support():
-            a = int(f.exact.re[d])
-            b = int(fim[d]) if fim is not None else 0
-            for e in g.exact.support():
-                c = int(g.exact.re[e])
-                dd = int(gim[e]) if gim is not None else 0
-                block = struct[d, e]
-                re = re + block * (a * c - b * dd)
-                if b or dd:
-                    im = im + block * (a * dd + b * c)
-                    has_im = True
-        vec = ExactVector(f.exact.den * g.exact.den, re, im if has_im else None)
-        return HeckeElement(pair, exact=vec)
-    return HeckeElement(pair, approx=pair.left_matrix(f.coefficients_complex())
-                        @ g.coefficients_complex())
+    pair.structure_constants()
+    struct = pair._struct_obj
+    re = np.zeros(pair.dim, dtype=object)
+    im = np.zeros(pair.dim, dtype=object)
+    has_im = False
+    fim = f.exact.im
+    gim = g.exact.im
+    for d in f.exact.support():
+        a = int(f.exact.re[d])
+        b = int(fim[d]) if fim is not None else 0
+        for e in g.exact.support():
+            c = int(g.exact.re[e])
+            dd = int(gim[e]) if gim is not None else 0
+            block = struct[d, e]
+            re = re + block * (a * c - b * dd)
+            if b or dd:
+                im = im + block * (a * dd + b * c)
+                has_im = True
+    return HeckeElement(pair, ExactVector(f.exact.den * g.exact.den, re,
+                                          im if has_im else None))
 
 
 def trace_inner_product(f: HeckeElement, g: HeckeElement):
     """τ(star(f)·g), the GNS inner product of the canonical trace."""
     return convolve(f.star(), g).trace()
-
-
-def trace_norm_formula(f: HeckeElement):
-    """Σ_D R(rep_D) |c_D|² as a Fraction; equals τ(star(f)·f) for exact f."""
-    assert f.exact is not None
-    total = Fraction(0)
-    for j in range(f.pair.dim):
-        re, im = f.exact.coeff(j)
-        total += int(f.pair.r_indices[j]) * (re * re + im * im)
-    return total
 
 
 # -- oracle bridge -------------------------------------------------------------------

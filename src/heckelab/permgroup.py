@@ -356,10 +356,6 @@ class PermGroup:
         rows = np.concatenate(blocks)
         return rows, np.concatenate(targets).reshape(len(rows), len(gens))
 
-    def min_in_right_coset(self, g: Permutation) -> Permutation:
-        """Lexicographically minimal element of the right coset (self)·g."""
-        return _wrap(self.canonical_rows([g.images])[0].tolist())
-
     def min_in_double_coset(self, g: Permutation) -> Permutation:
         """Lexicographically minimal element of (self)·g·(self)."""
         rows, _ = self.coset_orbit(g.images, self.generator_rows)
@@ -396,11 +392,6 @@ def orbit_roots(maps, size: int) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
-
-
-def build_chain(generators, degree: int) -> PermGroup:
-    """Construct a PermGroup from generator image arrays."""
-    return PermGroup(degree, generators)
 
 
 # -- standard groups ----------------------------------------------------------
@@ -520,10 +511,6 @@ class CosetIndex:
                 stack.append((c, R[inverse[self.tree_generator[c]]]))
 
 
-def right_coset_index(G: PermGroup, H: PermGroup) -> CosetIndex:
-    return CosetIndex(G, H)
-
-
 # -- double cosets --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -571,12 +558,6 @@ class DoubleCosetTable:
 
     def __len__(self):
         return len(self.entries)
-
-    def class_of_coset(self, coset: int) -> int:
-        return self._class_of_coset[coset]
-
-    def class_of(self, p: Permutation) -> int:
-        return self._class_of_coset[self.cosets.coset_of(p)]
 
     def is_unimodular(self) -> bool:
         """Whether every class satisfies R(rep) == R(rep^{-1})."""
@@ -640,10 +621,6 @@ class DoubleCosetTable:
     def load(cls, path, descriptor=None) -> "DoubleCosetTable":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh), descriptor)
-
-
-def double_cosets(G: PermGroup, H: PermGroup) -> DoubleCosetTable:
-    return DoubleCosetTable(G, H)
 
 
 def r_index(x: Permutation, H: PermGroup) -> int:

@@ -188,7 +188,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_decay(config: RunConfig) -> int:
     cert = WitnessCertificate.load(config.cert)
-    shape = TreeShape(config.d, config.k)
+    shape = TreeShape(cert.d, config.k)
     reporter = Reporter(config.out)
     report = decay_table(cert, shape, n_max=config.n_max, k_max=config.k_max,
                          threshold=DECAY_THRESHOLD)
@@ -318,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert", help="certificate file")
 
     p = sub.add_parser("decay", help="tensor-power moment decay and circle averages")
-    common(p)
+    common(p, tree=False)
+    p.add_argument("--k", type=int, default=2, help="root degree")
     p.add_argument("cert", help="certificate file")
     p.add_argument("--n-max", "--level-max", type=int, default=20, dest="n_max")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")

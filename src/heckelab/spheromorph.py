@@ -225,19 +225,12 @@ class AlmostAutomorphism:
 
     # -- refinement ---------------------------------------------------------------------
 
-    def _refined(self, target_vertices: set, by_image: bool) -> "AlmostAutomorphism":
-        leaf_map, twists = _split_leaves(self, target_vertices, by_image)
+    def refined_to_domain(self, target_vertices: set) -> "AlmostAutomorphism":
+        """Split until no domain leaf has children in `target_vertices`."""
+        leaf_map, twists = _split_leaves(self, target_vertices, by_image=False)
         if len(leaf_map) == len(self.leaf_map):
             return self
         return AlmostAutomorphism(self.shape, leaf_map, twists)
-
-    def refined_to_domain(self, target_vertices: set) -> "AlmostAutomorphism":
-        """Split until no domain leaf has children in `target_vertices`."""
-        return self._refined(target_vertices, by_image=False)
-
-    def refined_to_image(self, target_vertices: set) -> "AlmostAutomorphism":
-        """Split until no image leaf has children in `target_vertices`."""
-        return self._refined(target_vertices, by_image=True)
 
     # -- evaluation ------------------------------------------------------------------------
 

@@ -56,10 +56,6 @@ class TreeShape:
         return out
 
 
-def level_size(shape: TreeShape, n: int) -> int:
-    return shape.level_size(n)
-
-
 def closed_form_order(shape: TreeShape, n: int) -> int:
     """Order of the ball automorphism group: k! times d! per deeper internal vertex."""
     internal = sum(shape.level_size(j) for j in range(1, n))
@@ -127,22 +123,6 @@ def ball_aut_group(shape: TreeShape, n: int) -> PermGroup:
 def q_group(d: int, l: int) -> PermGroup:
     """Depth-l quotient of the automorphism group of the regular tree (k = d)."""
     return ball_aut_group(TreeShape(d, d), l)
-
-
-def restriction_to_level(shape: TreeShape, n: int, p: Permutation) -> Permutation:
-    """Project a level-(n+1) permutation of ball-automorphism type to level n.
-
-    A ball automorphism maps sibling blocks rigidly, so the image of a
-    level-n vertex is the parent of the image of its first child.
-    """
-    parents = shape.vertices(n)
-    children = shape.vertices(n + 1)
-    parent_pos = {addr: i for i, addr in enumerate(parents)}
-    images = []
-    for v in parents:
-        first_child_index = children.index(v + (0,))
-        images.append(parent_pos[children[p(first_child_index)][:-1]])
-    return Permutation(images)
 
 
 @dataclass(frozen=True)

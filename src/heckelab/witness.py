@@ -4,7 +4,8 @@ In a noncommutative Hecke algebra, this module searches for unitaries
 u = exp(i·a), v = exp(i·b) (a, b self-adjoint elements of the algebra, so
 membership is automatic) whose commutator w = u v u* v* has all moments
 τ(w^k) bounded away from the unit circle on a verified range of k.  The
-search works on the GNS space of τ, where the basis vectors e_d are
+search works on plain complex coefficient arrays over the double-coset
+basis, and on the GNS space of τ, where the basis vectors e_d are
 orthogonal with ⟨e_d, e_e⟩ = δ_de·R(d): every element acts there by a
 dim × dim matrix (`gns_matrix`), and τ(x) = ⟨x e_H, e_H⟩ as for λ(x) at
 δ_H.  The moments of the tensor powers w^{⊗N} are then
@@ -15,7 +16,9 @@ the base moment table, never by forming tensor-power matrices.
 
 Certificates serialize (u, v, moments, spectral data, tolerances) and are
 re-verified from scratch by an independent reader, in the λ-representation
-on ℓ²(H\\G) that the search never uses.
+on ℓ²(H\\G) that the search never uses.  The verifier's thresholds are
+`DEFAULT_TOLERANCES`, never the certificate's own: a certificate that
+records looser ones fails.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchFailureError
-from .hecke import HeckeElement, HeckePair, PairSpec
+from .hecke import HeckePair, PairSpec
 from .treefam import TreeShape
 
 DEFAULT_TOLERANCES = {
@@ -65,21 +68,13 @@ REFINE_STEP = 0.25
 
 # -- algebra-level unitaries -----------------------------------------------------
 
-@dataclass
-class UnitaryElement:
-    """A unitary member of the algebra with its unitarity defect ‖x x* − 1‖
-    (Frobenius) in the representation it was computed in."""
-
-    element: HeckeElement
-    unitarity_defect: float
-
-
-def gns_matrix(x: HeckeElement) -> np.ndarray:
-    """Left multiplication by x on the GNS space of τ, in the orthonormal
-    basis e_d / √R(d): S·L_x·S⁻¹ with S = diag(√R), Hermitian when x is
-    self-adjoint and unitary when x is; entry (0, 0) is τ(x)."""
-    root = np.sqrt(x.pair.r_indices)
-    return root[:, None] * x.pair.left_matrix(x.coefficients_complex()) / root
+def gns_matrix(pair: HeckePair, coef) -> np.ndarray:
+    """Left multiplication by the element with coefficients `coef` on the GNS
+    space of τ, in the orthonormal basis e_d / √R(d): S·L·S⁻¹ with
+    S = diag(√R), Hermitian when the element is self-adjoint and unitary
+    when it is; entry (0, 0) is its trace."""
+    root = np.sqrt(pair.r_indices)
+    return root[:, None] * pair.left_matrix(coef) / root
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
@@ -100,7 +95,8 @@ def selfadjoint_parameter_layout(pair: HeckePair) -> list:
     return layout
 
 
-def selfadjoint_from_parameters(pair: HeckePair, params) -> HeckeElement:
+def selfadjoint_from_parameters(pair: HeckePair, params) -> np.ndarray:
+    """Coefficients of the self-adjoint element with these layout parameters."""
     coef = np.zeros(pair.dim, dtype=np.complex128)
     layout = selfadjoint_parameter_layout(pair)
     assert len(params) == len(layout)
@@ -113,36 +109,27 @@ def selfadjoint_from_parameters(pair: HeckePair, params) -> HeckeElement:
         else:
             coef[spec[1]] += 1j * value
             coef[spec[2]] -= 1j * value
-    return pair.element_from_floats(coef)
+    return coef
 
 
-def selfadjoint_defect(a: HeckeElement) -> float:
-    coef = a.coefficients_complex()
-    return float(np.max(np.abs(coef - np.conj(coef[a.pair.star_map]))))
+def selfadjoint_defect(pair: HeckePair, coef) -> float:
+    return float(np.max(np.abs(coef - np.conj(coef[pair.star_map]))))
 
 
-def unitary_from_selfadjoint(pair: HeckePair, a: HeckeElement) -> UnitaryElement:
-    """exp(i·a) through one `eigh` of the Hermitian `gns_matrix(a)`.
+def unitary_from_selfadjoint(pair: HeckePair, a) -> tuple:
+    """exp(i·a) through one `eigh` of the Hermitian `gns_matrix(pair, a)`.
 
     exp(i·a) = exp(i·a)·e_H is column 0 of exp(i·L_a); in the orthonormal
-    basis that column is scaled by √R, and R(0) = 1.  The unitarity defect
-    is measured on the GNS space.
+    basis that column is scaled by √R, and R(0) = 1.  Returns the
+    coefficients of exp(i·a) and its unitarity defect ‖U U* − 1‖
+    (Frobenius), measured on the GNS space.
     """
-    if a.pair is not pair:
-        raise ValueError("element belongs to a different pair")
-    defect = selfadjoint_defect(a)
+    defect = selfadjoint_defect(pair, a)
     if defect > SELFADJOINT_TOL:
         raise ValueError(f"element is not self-adjoint (defect {defect:.2e})")
-    eigenvalues, vectors = np.linalg.eigh(gns_matrix(a))
+    eigenvalues, vectors = np.linalg.eigh(gns_matrix(pair, a))
     U = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
-    coef = U[:, 0] / np.sqrt(pair.r_indices)
-    return UnitaryElement(pair.element_from_floats(coef), _unitarity_defect(U))
-
-
-def unitary_from_coefficients(pair: HeckePair, coef) -> UnitaryElement:
-    """The element with these coefficients, its defect measured on λ(u)."""
-    u = pair.element_from_floats(coef)
-    return UnitaryElement(u, _unitarity_defect(u.lambda_matrix_complex()))
+    return U[:, 0] / np.sqrt(pair.r_indices), _unitarity_defect(U)
 
 
 # -- moments and spectra -----------------------------------------------------------
@@ -353,11 +340,6 @@ class WitnessCertificate:
             tolerances=dict(tolerances),
         )
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "WitnessCertificate":
         with open(path) as fh:
@@ -408,11 +390,14 @@ def _commutator(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _candidate(pair: HeckePair, params_a, params_b):
+    """(u, v, w, defect): the coefficients of u = exp(i·a) and v = exp(i·b),
+    their commutator w on the GNS space, and the larger unitarity defect."""
     a = selfadjoint_from_parameters(pair, params_a)
     b = selfadjoint_from_parameters(pair, params_b)
-    u = unitary_from_selfadjoint(pair, a)
-    v = unitary_from_selfadjoint(pair, b)
-    return u, v, _commutator(gns_matrix(u.element), gns_matrix(v.element))
+    u, u_defect = unitary_from_selfadjoint(pair, a)
+    v, v_defect = unitary_from_selfadjoint(pair, b)
+    w = _commutator(gns_matrix(pair, u), gns_matrix(pair, v))
+    return u, v, w, max(u_defect, v_defect)
 
 
 def _refine(pair: HeckePair, params_a, params_b, score, k_max: int):
@@ -425,7 +410,7 @@ def _refine(pair: HeckePair, params_a, params_b, score, k_max: int):
         for delta in (REFINE_STEP, -REFINE_STEP):
             trial = params.copy()
             trial[i] += delta
-            _, _, w = _candidate(pair, trial[:half], trial[half:])
+            _, _, w, _ = _candidate(pair, trial[:half], trial[half:])
             s, _ = _score(w, k_max)
             if s < score:
                 score = s
@@ -462,24 +447,24 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         rng = np.random.default_rng([seed, i])
         params_a = CANDIDATE_SCALE * rng.standard_normal(n_params)
         params_b = CANDIDATE_SCALE * rng.standard_normal(n_params)
-        u, v, w = _candidate(pair, params_a, params_b)
+        u, v, w, defect = _candidate(pair, params_a, params_b)
         full, table = _score(w, k_max)
         if full > ACCEPT_CEILING:
             params_a, params_b = _refine(pair, params_a, params_b, full, k_max)
-            u, v, w = _candidate(pair, params_a, params_b)
+            u, v, w, defect = _candidate(pair, params_a, params_b)
             full, table = _score(w, k_max)
         if best_seen is None or full < best_seen:
             best_seen = full
         if full > min(1.0 - margin, ACCEPT_CEILING):
             continue
-        if max(u.unitarity_defect, v.unitarity_defect) > DEFAULT_TOLERANCES["unitarity"]:
+        if defect > DEFAULT_TOLERANCES["unitarity"]:
             continue
         spec = spectral_data(w)
         return WitnessCertificate(
             d=pair.spec.d, l=pair.spec.n,
             basis=[e.representative.images for e in pair.table.entries],
-            u_coefficients=u.element.coefficients_complex(),
-            v_coefficients=v.element.coefficients_complex(),
+            u_coefficients=u,
+            v_coefficients=v,
             angles=spec.angles,
             weights=spec.weights,
             moments=table,
@@ -550,11 +535,6 @@ def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
                        threshold=threshold)
 
 
-def decay_entry(cert: WitnessCertificate, n: int, k: int, shape: TreeShape) -> complex:
-    """The single decay value τ(w^k)^{|V_n|}."""
-    return _power(complex(cert.moments[k - 1]), shape.level_size(n))
-
-
 def fejer_coefficients(order: int = 8, mass: float = 0.1) -> dict:
     """Fourier coefficients of a scaled Fejér kernel: positive on the circle,
     with constant coefficient `mass`."""
@@ -589,16 +569,6 @@ def haar_convergence_check(cert: WitnessCertificate, coefficients: dict,
     return rows
 
 
-def kronecker_trace_check(pair: HeckePair, x: HeckeElement) -> dict:
-    """τ(x ⊗ x) against τ(x)², with the tensor trace taken literally from the
-    Kronecker product matrix."""
-    M = x.to_float().lambda_matrix_complex()
-    tensor = np.kron(M, M)
-    lhs = complex(tensor[0, 0])
-    rhs = complex(M[0, 0]) ** 2
-    return {"tensor_trace": lhs, "moment_power": rhs, "difference": abs(lhs - rhs)}
-
-
 # -- verification ---------------------------------------------------------------------------
 
 @dataclass
@@ -625,12 +595,19 @@ def verify_certificate(cert: WitnessCertificate,
     unitarity and the moment table on the λ-matrices of u and v (fresh matrix
     powers on ℓ²(H\\G), not the GNS matrices of the search), the moment
     bound, the spectral reconstruction, and runs the root-of-unity scan.
+    Thresholds are `DEFAULT_TOLERANCES`; stored tolerances looser than those
+    fail as `tolerances`.
     """
     failures = []
     diagnostics = {}
     if pair is None:
         pair = PairSpec.depth(cert.d, cert.l).pair()
-    tol = cert.tolerances
+    tol = DEFAULT_TOLERANCES
+    stored = cert.tolerances
+    if stored["unitarity"] > tol["unitarity"] or \
+            stored["moment_margin"] < tol["moment_margin"] or \
+            stored["root_scan_order"] < tol["root_scan_order"]:
+        failures.append("tolerances")
     reps = [e.representative.images for e in pair.table.entries]
     if [tuple(r) for r in cert.basis] != [tuple(r) for r in reps]:
         failures.append("basis-order")
@@ -639,17 +616,14 @@ def verify_certificate(cert: WitnessCertificate,
         failures.append("coefficient-length")
         return VerificationReport(False, failures, diagnostics)
 
-    u = unitary_from_coefficients(pair, cert.u_coefficients)
-    v = unitary_from_coefficients(pair, cert.v_coefficients)
-    diagnostics["unitarity_defect_u"] = u.unitarity_defect
-    diagnostics["unitarity_defect_v"] = v.unitarity_defect
-    if u.unitarity_defect > tol["unitarity"]:
-        failures.append("unitarity-u")
-    if v.unitarity_defect > tol["unitarity"]:
-        failures.append("unitarity-v")
+    u = pair.lambda_matrix(cert.u_coefficients)
+    v = pair.lambda_matrix(cert.v_coefficients)
+    for name, matrix in (("u", u), ("v", v)):
+        defect = diagnostics[f"unitarity_defect_{name}"] = _unitarity_defect(matrix)
+        if defect > tol["unitarity"]:
+            failures.append(f"unitarity-{name}")
 
-    w = _commutator(u.element.lambda_matrix_complex(),
-                    v.element.lambda_matrix_complex())
+    w = _commutator(u, v)
     table, conj_defect = moment_table(w, cert.k_max)
     diagnostics["conjugate_symmetry_defect"] = conj_defect
     moment_gap = float(np.max(np.abs(table - cert.moments)))
@@ -680,7 +654,7 @@ def verify_certificate(cert: WitnessCertificate,
     if recon_gap > 1e-8:
         failures.append("spectral-reconstruction")
 
-    scan = root_of_unity_scan(spec, int(tol["root_scan_order"]))
+    scan = root_of_unity_scan(spec, tol["root_scan_order"])
     diagnostics["root_scan_min_distance"] = scan["min_distance"]
     diagnostics["root_scan_pair"] = scan["pair"]
     diagnostics["root_scan_m"] = scan["m"]

@@ -2,11 +2,13 @@
 
 Everything here works on raw image tuples with explicit set arithmetic, so
 expected values in the tests never come from the code paths they check.
-The exception is the last section: the slow paths the library replaced,
-kept as references for the fast ones.
+The exceptions are the last two sections: reference computations on the
+library's own objects, which the library itself never needs, and the slow
+paths the library replaced, kept as references for the fast ones.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,6 +123,63 @@ def orbit_count_burnside(elements, action_maps):
     """
     total = sum(sum(1 for x in elements if f(x) == x) for f in action_maps)
     return total // len(action_maps)
+
+
+# -- references on the library's objects ------------------------------------------
+
+def restriction_to_level(shape, n, p):
+    """Project a level-(n+1) permutation of ball-automorphism type to level n.
+
+    A ball automorphism maps sibling blocks rigidly, so the image of a
+    level-n vertex is the parent of the image of its first child.
+    """
+    from heckelab.permgroup import Permutation
+    parents = shape.vertices(n)
+    children = shape.vertices(n + 1)
+    parent_pos = {addr: i for i, addr in enumerate(parents)}
+    return Permutation(parent_pos[children[p(children.index(v + (0,)))][:-1]]
+                       for v in parents)
+
+
+def algebra_element(carrier, coeffs):
+    """The group-algebra element {Permutation: Fraction or (re, im) pair}."""
+    from heckelab._exactvec import ExactVector
+    from heckelab.groupalg import AlgebraElement
+    values = [0] * len(carrier)
+    for p, c in coeffs.items():
+        values[carrier.index_of(p)] = c
+    return AlgebraElement(carrier, ExactVector.from_fractions(values))
+
+
+def random_exact_element(pair, rng, span=3):
+    """Hecke element with Gaussian-integer coefficients drawn uniformly from
+    [-span, span]."""
+    from heckelab._exactvec import ExactVector
+    from heckelab.hecke import HeckeElement
+    re = np.array([int(rng.integers(-span, span + 1)) for _ in range(pair.dim)],
+                  dtype=object)
+    im = np.array([int(rng.integers(-span, span + 1)) for _ in range(pair.dim)],
+                  dtype=object)
+    return HeckeElement(pair, ExactVector(1, re, im))
+
+
+def trace_norm_formula(f):
+    """Σ_D R(rep_D) |c_D|² as a Fraction; equals τ(star(f)·f)."""
+    total = Fraction(0)
+    for j in range(f.pair.dim):
+        re, im = f.exact.coeff(j)
+        total += int(f.pair.r_indices[j]) * (re * re + im * im)
+    return total
+
+
+def kronecker_trace_check(pair, coef):
+    """τ(x ⊗ x) against τ(x)² for the element x with coefficients `coef`, the
+    tensor trace taken literally from the Kronecker product of λ(x)."""
+    M = pair.lambda_matrix(coef)
+    tensor = np.kron(M, M)
+    lhs = complex(tensor[0, 0])
+    rhs = complex(M[0, 0]) ** 2
+    return {"tensor_trace": lhs, "moment_power": rhs, "difference": abs(lhs - rhs)}
 
 
 # -- slow paths kept as references ----------------------------------------------
@@ -296,11 +355,12 @@ def schur_spectral_data(matrix):
 
 
 def lambda_exponential(pair, a):
-    """exp(i·a) from one `eigh` of the size × size λ(a), fitted back onto the
-    basis by its means over the cells of each double coset: the coset-space
-    exponential the GNS one replaced.  Returns (coefficients, residual), the
-    residual being the largest deviation of exp(i·λ(a)) from its fit."""
-    eigenvalues, vectors = np.linalg.eigh(a.lambda_matrix_complex())
+    """exp(i·a) from one `eigh` of the size × size λ(a), a being a coefficient
+    array, fitted back onto the basis by its means over the cells of each
+    double coset: the coset-space exponential the GNS one replaced.  Returns
+    (coefficients, residual), the residual being the largest deviation of
+    exp(i·λ(a)) from its fit."""
+    eigenvalues, vectors = np.linalg.eigh(pair.lambda_matrix(a))
     U = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
     coef = np.array([U[pair.cell_class == d].mean() for d in range(pair.dim)])
     return coef, float(np.max(np.abs(U - coef[pair.cell_class])))
@@ -338,9 +398,8 @@ def conjugation_index_by_dict(carrier, a):
 
 def lift_by_coefficients(big_carrier, x, to_big):
     """Reindex x onto big_carrier through Fractions, one element at a time."""
-    from heckelab.groupalg import AlgebraElement
     coeffs = {to_big(x.carrier.elements[i]): x.vec.coeff(i) for i in x.vec.support()}
-    return AlgebraElement.from_coefficients(big_carrier, coeffs)
+    return algebra_element(big_carrier, coeffs)
 
 
 def expand_leaf(g, a):

@@ -18,7 +18,7 @@ from heckelab.embed import (embed_invariant, embed_top, check_commutation,
                             scenario_report, scenario_s2_squared, scenario_s4_d4)
 from heckelab.groupalg import corner_trace
 from heckelab.hecke import (HeckePair, PairSpec, convolve, corner_isomorphism_check,
-                            trace_inner_product, trace_norm_formula)
+                            trace_inner_product)
 from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation,
                                 dihedral_square, symmetric_group)
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
@@ -26,9 +26,10 @@ from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
                                   random_tree_automorphism)
 from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_embed
 from heckelab.witness import (WitnessCertificate, decay_table, fejer_coefficients,
-                              haar_convergence_check, kronecker_trace_check,
-                              moment_table, search_witness, unitary_from_coefficients,
+                              haar_convergence_check, moment_table, search_witness,
                               verify_certificate)
+
+import oracles
 
 
 def _report(num: int, text: str):
@@ -73,12 +74,12 @@ def test_criterion_04_trace_axioms(flagship_pair):
     rng = np.random.default_rng(20240801)
     zero = Fraction(0)
     for _ in range(100):
-        f = flagship_pair.random_exact_element(rng)
-        g = flagship_pair.random_exact_element(rng)
+        f = oracles.random_exact_element(flagship_pair, rng)
+        g = oracles.random_exact_element(flagship_pair, rng)
         assert convolve(f, g).trace() == convolve(g, f).trace()
         norm_re, norm_im = trace_inner_product(f, f)
         assert norm_im == zero
-        assert norm_re == trace_norm_formula(f)
+        assert norm_re == oracles.trace_norm_formula(f)
         if not f.is_zero():
             assert norm_re > zero
     _report(4, "τ(fg) = τ(gf) and τ(f*f) > 0 on 100 seeded exact elements, exactly")
@@ -139,10 +140,9 @@ def test_criterion_09_witness_certificate(tmp_path):
     pair = PairSpec.depth(2, 3).pair()
     cert = search_witness(pair)
     assert cert.max_abs_moment <= 1.0 - 1e-6
-    u = unitary_from_coefficients(pair, cert.u_coefficients)
-    v = unitary_from_coefficients(pair, cert.v_coefficients)
-    assert u.unitarity_defect <= 1e-10
-    assert v.unitarity_defect <= 1e-10
+    for coefficients in (cert.u_coefficients, cert.v_coefficients):
+        U = pair.lambda_matrix(coefficients)
+        assert np.linalg.norm(U @ U.conj().T - np.eye(pair.size)) <= 1e-10
     k = np.arange(1, cert.k_max + 1)
     reconstruction = np.exp(1j * np.outer(k, cert.angles)) @ cert.weights
     assert np.max(np.abs(reconstruction - cert.moments)) <= 1e-8
@@ -151,7 +151,7 @@ def test_criterion_09_witness_certificate(tmp_path):
     assert report.ok, report.failures
 
     path = tmp_path / "cert.json"
-    cert.save(path)
+    path.write_text(json.dumps(cert.to_json_dict()))
     tampered = WitnessCertificate.load(path)
     tampered.v_coefficients[1] += 1e-3
     assert not verify_certificate(tampered, pair).ok
@@ -186,8 +186,8 @@ def test_criterion_11_kronecker_cross_check(s4_d4_pair):
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(5):
-        x = s4_d4_pair.random_exact_element(rng).to_float()
-        result = kronecker_trace_check(s4_d4_pair, x)
+        x = oracles.random_exact_element(s4_d4_pair, rng).exact.to_complex()
+        result = oracles.kronecker_trace_check(s4_d4_pair, x)
         worst = max(worst, result["difference"])
     assert worst <= 1e-10
     _report(11, f"τ(x⊗x) = τ(x)² against explicit Kronecker traces, "

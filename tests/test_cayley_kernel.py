@@ -111,7 +111,7 @@ def _random_support_element(carrier, rng, size):
     for i in rng.sample(range(len(carrier)), size):
         coeffs[carrier.elements[i]] = (Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
                                        Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
-    return AlgebraElement.from_coefficients(carrier, coeffs)
+    return oracles.algebra_element(carrier, coeffs)
 
 
 @pytest.mark.parametrize("group", [symmetric_group(4), SCENARIOS["s4-squared"]().V])

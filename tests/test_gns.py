@@ -1,9 +1,10 @@
 """The witness search on the GNS space of τ against the λ-representation.
 
-`unitary_from_selfadjoint` and the search work on dim × dim matrices
-(`gns_matrix`); `oracles.lambda_exponential` is the size × size coset-space
-exponential they replaced, and λ-matrices are what `verify_certificate`
-uses.  Coefficients, products and commutator moments must agree.
+`unitary_from_selfadjoint` and the search work on coefficient arrays and
+dim × dim matrices (`gns_matrix`); `oracles.lambda_exponential` is the
+size × size coset-space exponential they replaced, and λ-matrices are what
+`verify_certificate` uses.  Coefficients, products and commutator moments
+must agree.
 """
 
 import json
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from heckelab import hecke
-from heckelab.hecke import HeckePair, PairSpec, convolve
+from heckelab.hecke import HeckePair, PairSpec
 from heckelab.witness import (_commutator, gns_matrix, moment_table, search_witness,
                               selfadjoint_from_parameters,
                               selfadjoint_parameter_layout, unitary_from_selfadjoint)
@@ -35,16 +36,16 @@ def assert_gns_matches_lambda(pair, seed, scale):
     rng = np.random.default_rng(seed)
     a, b = random_selfadjoint(pair, rng, scale), random_selfadjoint(pair, rng, scale)
     u, v = unitary_from_selfadjoint(pair, a), unitary_from_selfadjoint(pair, b)
-    for x, unitary in ((a, u), (b, v)):
+    for x, (unitary, defect) in ((a, u), (b, v)):
         coef, residual = oracles.lambda_exponential(pair, x)
         assert residual <= 1e-8
-        assert np.max(np.abs(unitary.element.approx - coef)) <= 1e-12
-        assert unitary.unitarity_defect <= 1e-10
+        assert np.max(np.abs(unitary - coef)) <= 1e-12
+        assert defect <= 1e-10
     # the float product is the λ-product
-    lam_u, lam_v = u.element.lambda_matrix_complex(), v.element.lambda_matrix_complex()
-    product = convolve(u.element, v.element).lambda_matrix_complex()
+    lam_u, lam_v = pair.lambda_matrix(u[0]), pair.lambda_matrix(v[0])
+    product = pair.lambda_matrix(pair.left_matrix(u[0]) @ v[0])
     assert np.max(np.abs(product - lam_u @ lam_v)) <= 1e-10
-    gns, _ = moment_table(_commutator(gns_matrix(u.element), gns_matrix(v.element)),
+    gns, _ = moment_table(_commutator(gns_matrix(pair, u[0]), gns_matrix(pair, v[0])),
                           1024)
     lam, _ = moment_table(_commutator(lam_u, lam_v), 1024)
     assert np.max(np.abs(gns - lam)) <= 1e-9
@@ -69,11 +70,13 @@ def test_gns_matrix_of_the_basis():
     pair = PairSpec.depth(2, 3).pair()
     root = np.sqrt(pair.r_indices)
     for d in range(pair.dim):
-        e = pair.basis_element(d, "float")
-        M = gns_matrix(e)
-        assert np.array_equal(pair.left_matrix(e.approx), pair.structure_constants()[d].T)
+        e = pair.basis_element(d)
+        M = gns_matrix(pair, e.exact.to_complex())
+        assert np.array_equal(pair.left_matrix(np.eye(pair.dim)[d]),
+                              pair.structure_constants()[d].T)
         assert abs(M[d, 0] - root[d]) < 1e-12
-        assert np.max(np.abs(gns_matrix(e.star()) - M.conj().T)) < 1e-12
+        assert np.max(np.abs(gns_matrix(pair, e.star().exact.to_complex())
+                             - M.conj().T)) < 1e-12
 
 
 def test_search_builds_no_lambda_matrix(monkeypatch):

@@ -29,7 +29,7 @@ def _random_element(carrier, rng, complex_part=True):
                          Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
         else:
             coeffs[p] = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-    return AlgebraElement.from_coefficients(carrier, coeffs)
+    return oracles.algebra_element(carrier, coeffs)
 
 
 class TestConvolution:

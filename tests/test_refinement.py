@@ -103,6 +103,12 @@ def level_elements(draw):
     return g, n
 
 
+def refined_to_image(g, target):
+    """g split until no image leaf has children in `target`: how `compose`
+    refines its left factor."""
+    return AlmostAutomorphism(g.shape, *spheromorph._split_leaves(g, target, True))
+
+
 # -- against the slow paths ------------------------------------------------------
 
 @SETTINGS
@@ -111,7 +117,7 @@ def test_refinement_matches_stepwise_expansion(case):
     g, target = case
     assert g.refined_to_domain(target).data_equal(
         oracles.refine_by_expansion(g, target))
-    assert g.refined_to_image(target).data_equal(
+    assert refined_to_image(g, target).data_equal(
         oracles.refine_by_expansion(g, target, by_image=True))
 
 
@@ -156,7 +162,7 @@ def test_completeness_checks_agree(case):
 @given(elements_and_targets())
 def test_canonical_form_matches_greedy_restarts(case):
     g, target = case
-    for x in (g, g.refined_to_domain(target), g.refined_to_image(target)):
+    for x in (g, g.refined_to_domain(target), refined_to_image(g, target)):
         assert canonical_form(x).data_equal(oracles.canonical_by_restarts(x))
 
 
@@ -169,7 +175,7 @@ def test_canonical_form_is_idempotent_and_refinement_invariant(case):
     c = canonical_form(g)
     assert canonical_form(c).data_equal(c)
     assert canonical_form(g.refined_to_domain(target)).data_equal(c)
-    assert canonical_form(g.refined_to_image(target)).data_equal(c)
+    assert canonical_form(refined_to_image(g, target)).data_equal(c)
 
 
 @SETTINGS
@@ -216,9 +222,6 @@ def test_refinement_builds_one_element(constructions):
     refined = g.refined_to_domain(ball)  # 7 splits
     assert len(refined.leaf_map) == 8
     assert len(constructions) == 1 and constructions[0] is refined
-    constructions.clear()
-    assert len(g.refined_to_image(ball).leaf_map) == 8
-    assert len(constructions) == 1
     constructions.clear()
     assert refined.refined_to_domain(ball) is refined
     assert constructions == []

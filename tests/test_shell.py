@@ -164,6 +164,22 @@ def test_witness_verify_decay_round_trip(workdir, capsys):
     assert haars[-1]["deviation"] < 1e-3
 
 
+def test_decay_takes_d_from_the_certificate(workdir, capsys, flagship_certificate):
+    # the certificate's pair (S_{d^l}, Q_l) fixes d; there is no --d to contradict it
+    data = flagship_certificate.to_json_dict()
+    data["d"] = 3
+    (workdir / "cert.json").write_text(json.dumps(data))
+    assert main(["decay", "cert.json", "--n-max", "3", "--out", "decay.jsonl"]) == 1
+    rows = [json.loads(line) for line in (workdir / "decay.jsonl").read_text().splitlines()]
+    assert [r["tensor_count"] for r in rows] == [2, 6, 18] * 2
+    result = subprocess.run(
+        [sys.executable, "-m", "heckelab", "decay", "cert.json", "--d", "3"],
+        capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 2
+    assert "unrecognized arguments: --d 3" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_rejects_tampered_certificate(workdir, capsys):
     assert main(["witness", "--d", "2", "--l", "3", "--out", "cert.json"]) == 0
     data = json.loads((workdir / "cert.json").read_text())

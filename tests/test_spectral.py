@@ -13,8 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckelab import witness
 from heckelab.witness import (PENCIL_ANGLE, _commutator, cluster_spectrum,
-                              search_witness, spectral_data,
-                              unitary_from_coefficients)
+                              search_witness, spectral_data)
 
 import oracles
 
@@ -51,10 +50,8 @@ def unitary_with_spectrum(rng, angles):
 @pytest.mark.parametrize("seed", range(8))
 def test_flagship_commutators(flagship_pair, seed):
     cert = search_witness(flagship_pair, seed=seed)
-    u = unitary_from_coefficients(flagship_pair, cert.u_coefficients)
-    v = unitary_from_coefficients(flagship_pair, cert.v_coefficients)
-    w = _commutator(u.element.lambda_matrix_complex(),
-                    v.element.lambda_matrix_complex())
+    w = _commutator(flagship_pair.lambda_matrix(cert.u_coefficients),
+                    flagship_pair.lambda_matrix(cert.v_coefficients))
     spec, reference = spectral_data(w), oracles.schur_spectral_data(w)
     assert spec.offdiagonal_residual < 1e-11
     assert abs(spec.weights.sum() - 1.0) < 1e-12

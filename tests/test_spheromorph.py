@@ -263,8 +263,9 @@ class TestDoubleCosetKey:
         for _ in range(50):
             sigma = flagship_pair.group.sample(rng)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, sigma)
+            coset = flagship_pair.cosets.coset_of(sigma)
             expected = flagship_pair.table.entries[
-                flagship_pair.table.class_of(sigma)].representative
+                flagship_pair.class_of_coset[coset]].representative
             assert double_coset_key(g, 3) == expected
 
 

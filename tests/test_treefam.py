@@ -2,18 +2,17 @@ import pytest
 
 from heckelab.errors import ScaleError
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
-from heckelab.treefam import (TreeShape, ball_aut_group, closed_form_order,
-                              level_size, q_group, restriction_to_level,
+from heckelab.treefam import (TreeShape, ball_aut_group, closed_form_order, q_group,
                               wreath_embed)
 
 import oracles
 
 
 def test_level_sizes():
-    assert level_size(TreeShape(2, 2), 1) == 2
-    assert level_size(TreeShape(2, 2), 3) == 8
-    assert level_size(TreeShape(3, 2), 2) == 6
-    assert level_size(TreeShape(3, 2), 0) == 1
+    assert TreeShape(2, 2).level_size(1) == 2
+    assert TreeShape(2, 2).level_size(3) == 8
+    assert TreeShape(3, 2).level_size(2) == 6
+    assert TreeShape(3, 2).level_size(0) == 1
 
 
 def test_degenerate_shapes_rejected():
@@ -68,7 +67,7 @@ class TestBallAutGroup:
             upper = ball_aut_group(shape, n + 1)
             restricted = PermGroup(
                 shape.level_size(n),
-                [restriction_to_level(shape, n, g) for g in upper.generators])
+                [oracles.restriction_to_level(shape, n, g) for g in upper.generators])
             assert restricted.same_group(ball_aut_group(shape, n))
 
 

@@ -9,31 +9,35 @@ from heckelab.errors import SearchFailureError
 from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 from heckelab.treefam import TreeShape
-from heckelab.witness import (ACCEPT_CEILING, SpectralData, WitnessCertificate,
-                              cluster_spectrum, decay_entry, decay_table,
+from heckelab.witness import (ACCEPT_CEILING, DEFAULT_TOLERANCES, SpectralData,
+                              WitnessCertificate, cluster_spectrum, decay_table,
                               fejer_coefficients, haar_convergence_check,
-                              kronecker_trace_check, moment_table,
-                              root_of_unity_scan, search_witness,
+                              moment_table, root_of_unity_scan, search_witness,
                               selfadjoint_from_parameters,
                               selfadjoint_parameter_layout, spectral_data,
                               unitary_from_selfadjoint, verify_certificate)
 
+import oracles
+
+
+def _saved_and_loaded(cert, path):
+    path.write_text(json.dumps(cert.to_json_dict()) + "\n")
+    return WitnessCertificate.load(path)
+
 
 class TestUnitaries:
     def test_zero_exponent_gives_the_unit(self, flagship_pair):
-        a = flagship_pair.zero("float")
-        u = unitary_from_selfadjoint(flagship_pair, a)
-        assert np.max(np.abs(u.element.lambda_matrix_complex()
+        unit = np.eye(flagship_pair.dim)[0]
+        u, _ = unitary_from_selfadjoint(flagship_pair, np.zeros(flagship_pair.dim))
+        assert np.max(np.abs(flagship_pair.lambda_matrix(u)
                              - np.eye(flagship_pair.size))) < 1e-14
-        unit = flagship_pair.unit("float").approx
-        assert np.max(np.abs(u.element.approx - unit)) < 1e-14
+        assert np.max(np.abs(u - unit)) < 1e-14
 
     def test_scalar_exponent(self, flagship_pair):
         t = 0.73
-        a = flagship_pair.unit("float").scaled(t)
-        u = unitary_from_selfadjoint(flagship_pair, a)
-        expected = flagship_pair.unit("float").scaled(cmath.exp(1j * t))
-        assert np.max(np.abs(u.element.approx - expected.approx)) < 1e-12
+        unit = np.eye(flagship_pair.dim)[0]
+        u, _ = unitary_from_selfadjoint(flagship_pair, t * unit)
+        assert np.max(np.abs(u - cmath.exp(1j * t) * unit)) < 1e-12
 
     def test_random_selfadjoint_exponentials_stay_in_the_algebra(self, flagship_pair):
         layout = selfadjoint_parameter_layout(flagship_pair)
@@ -41,23 +45,21 @@ class TestUnitaries:
             rng = np.random.default_rng(seed)
             a = selfadjoint_from_parameters(flagship_pair,
                                             1.5 * rng.standard_normal(len(layout)))
-            u = unitary_from_selfadjoint(flagship_pair, a)
-            assert u.unitarity_defect <= 1e-10
+            _, defect = unitary_from_selfadjoint(flagship_pair, a)
+            assert defect <= 1e-10
 
     def test_rejects_non_selfadjoint_input(self, flagship_pair):
         coef = np.zeros(flagship_pair.dim, dtype=complex)
         coef[1] = 1.0  # star pairs class 1 with itself only if coefficient real
         coef[1] = 1j
-        a = flagship_pair.element_from_floats(coef)
         with pytest.raises(ValueError):
-            unitary_from_selfadjoint(flagship_pair, a)
+            unitary_from_selfadjoint(flagship_pair, coef)
 
     def test_selfadjoint_parameterization_roundtrip(self, flagship_pair):
         layout = selfadjoint_parameter_layout(flagship_pair)
         rng = np.random.default_rng(7)
-        a = selfadjoint_from_parameters(flagship_pair,
-                                        rng.standard_normal(len(layout)))
-        coef = a.coefficients_complex()
+        coef = selfadjoint_from_parameters(flagship_pair,
+                                           rng.standard_normal(len(layout)))
         assert np.max(np.abs(coef - np.conj(coef[flagship_pair.star_map]))) < 1e-15
 
 
@@ -79,8 +81,8 @@ class TestMoments:
         layout = selfadjoint_parameter_layout(flagship_pair)
         a = selfadjoint_from_parameters(flagship_pair,
                                         2.0 * rng.standard_normal(len(layout)))
-        u = unitary_from_selfadjoint(flagship_pair, a)
-        table, _ = moment_table(u.element.lambda_matrix_complex(), 1000)
+        u, _ = unitary_from_selfadjoint(flagship_pair, a)
+        table, _ = moment_table(flagship_pair.lambda_matrix(u), 1000)
         assert np.max(np.abs(table)) <= 1.0 + 1e-8
 
 
@@ -206,15 +208,14 @@ class TestSpectra:
 class TestCertificateSerialization:
     def test_round_trip_is_bit_exact(self, flagship_certificate, tmp_path):
         path = tmp_path / "cert.json"
-        flagship_certificate.save(path)
-        loaded = WitnessCertificate.load(path)
+        loaded = _saved_and_loaded(flagship_certificate, path)
         assert np.array_equal(loaded.moments, flagship_certificate.moments)
         assert np.array_equal(loaded.u_coefficients,
                               flagship_certificate.u_coefficients)
         assert loaded.tolerances == flagship_certificate.tolerances
         # serialize again: identical bytes
         path2 = tmp_path / "cert2.json"
-        loaded.save(path2)
+        _saved_and_loaded(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_unknown_format(self):
@@ -229,27 +230,21 @@ class TestVerification:
 
     def test_perturbed_coefficient_fails(self, flagship_pair, flagship_certificate,
                                          tmp_path):
-        path = tmp_path / "cert.json"
-        flagship_certificate.save(path)
-        bad = WitnessCertificate.load(path)
+        bad = _saved_and_loaded(flagship_certificate, tmp_path / "cert.json")
         bad.u_coefficients[2] += 1e-3
         report = verify_certificate(bad, flagship_pair)
         assert not report.ok
         assert {"unitarity-u", "moment-table"} & set(report.failures)
 
     def test_permuted_basis_fails(self, flagship_pair, flagship_certificate, tmp_path):
-        path = tmp_path / "cert.json"
-        flagship_certificate.save(path)
-        bad = WitnessCertificate.load(path)
+        bad = _saved_and_loaded(flagship_certificate, tmp_path / "cert.json")
         bad.basis = [bad.basis[1], bad.basis[0]] + list(bad.basis[2:])
         report = verify_certificate(bad, flagship_pair)
         assert report.failures == ["basis-order"]
 
     def test_tampered_moment_fails(self, flagship_pair, flagship_certificate,
                                    tmp_path):
-        path = tmp_path / "cert.json"
-        flagship_certificate.save(path)
-        bad = WitnessCertificate.load(path)
+        bad = _saved_and_loaded(flagship_certificate, tmp_path / "cert.json")
         bad.moments[17] *= 1.001
         report = verify_certificate(bad, flagship_pair)
         assert "moment-table" in report.failures or \
@@ -259,6 +254,45 @@ class TestVerification:
         report = verify_certificate(flagship_certificate)
         assert report.ok
 
+    def test_trivial_certificate_fails(self, flagship_pair, flagship_certificate,
+                                       tmp_path):
+        # u = v = e_H, so w = 1 and every moment is 1; a zero moment margin
+        # stored in the certificate must not make that a witness
+        data = flagship_certificate.to_json_dict()
+        unit = [1.0] + [0.0] * (flagship_pair.dim - 1)
+        zeros = [0.0] * flagship_pair.dim
+        data["u"] = data["v"] = {"re": unit, "im": zeros}
+        data["moments"] = {"re": [1.0] * 1024, "im": [0.0] * 1024}
+        data["max_abs_moment"] = 1.0
+        data["spectral"] = {"angles": [0.0], "weights": [1.0]}
+        data["tolerances"]["moment_margin"] = 0
+        report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
+        assert not report.ok
+        assert {"tolerances", "moment-bound"} <= set(report.failures)
+
+    def test_loosened_unitarity_tolerance_fails(self, flagship_pair,
+                                                flagship_certificate):
+        data = flagship_certificate.to_json_dict()
+        data["tolerances"]["unitarity"] = 1.0
+        report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
+        assert report.failures == ["tolerances"]
+
+    def test_stored_scan_order_does_not_size_the_scan(self, flagship_pair,
+                                                       flagship_certificate):
+        data = flagship_certificate.to_json_dict()
+        data["tolerances"]["root_scan_order"] = 10 ** 12
+        report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
+        assert report.ok
+        assert report.diagnostics == verify_certificate(
+            flagship_certificate, flagship_pair).diagnostics
+
+    def test_stricter_tolerances_pass(self, flagship_pair, flagship_certificate):
+        data = flagship_certificate.to_json_dict()
+        data["tolerances"]["unitarity"] = DEFAULT_TOLERANCES["unitarity"] / 10
+        data["tolerances"]["moment_margin"] = DEFAULT_TOLERANCES["moment_margin"] * 10
+        report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
+        assert report.ok, report.failures
+
 
 class TestDecay:
     def test_level_one_row_equals_base_moments(self, flagship_certificate):
@@ -266,8 +300,8 @@ class TestDecay:
         # a level of size 1 reproduces the base moment table
         assert shape.level_size(0) == 1
         k = 5
-        assert decay_entry(flagship_certificate, 0, k, shape) == pytest.approx(
-            complex(flagship_certificate.moments[k - 1]))
+        row, = haar_convergence_check(flagship_certificate, {0: 0.0, k: 1.0}, [0], shape)
+        assert row["value"] == pytest.approx(complex(flagship_certificate.moments[k - 1]))
 
     def test_zero_moment_gives_zero_column(self, flagship_certificate):
         synthetic = WitnessCertificate(
@@ -279,18 +313,17 @@ class TestDecay:
             moments=np.zeros(8, dtype=complex),
             max_abs_moment=0.0)
         shape = TreeShape(2, 2)
-        for n in range(1, 5):
-            assert decay_entry(synthetic, n, 3, shape) == 0
+        for row in haar_convergence_check(synthetic, {0: 0.0, 3: 1.0}, range(1, 5), shape):
+            assert row["value"] == 0
+        assert decay_table(synthetic, shape, n_max=4).max_by_level == [0.0] * 4
 
     def test_entries_decrease_along_levels(self, flagship_certificate):
         shape = TreeShape(2, 2)
         for k in (1, 7, 100):
-            previous = None
-            for n in range(1, 12):
-                value = abs(decay_entry(flagship_certificate, n, k, shape))
-                if previous is not None:
-                    assert value <= previous + 1e-15
-                previous = value
+            rows = haar_convergence_check(flagship_certificate, {0: 0.0, k: 1.0},
+                                          range(1, 12), shape)
+            for previous, row in zip(rows, rows[1:]):
+                assert abs(row["value"]) <= abs(previous["value"]) + 1e-15
 
     def test_report_reaches_threshold(self, flagship_certificate):
         report = decay_table(flagship_certificate, TreeShape(2, 2), n_max=20)
@@ -315,8 +348,9 @@ class TestCircleAverages:
         shape = TreeShape(2, 2)
         rows = haar_convergence_check(flagship_certificate, {0: 0.0, 1: 1.0},
                                       range(1, 8), shape)
+        base = abs(complex(flagship_certificate.moments[0]))
         for row in rows:
-            expected = abs(decay_entry(flagship_certificate, row["n"], 1, shape))
+            expected = base ** shape.level_size(row["n"])
             assert row["deviation"] == pytest.approx(expected)
 
     def test_fejer_deviations_decrease_below_threshold(self, flagship_certificate):
@@ -334,8 +368,8 @@ class TestCircleAverages:
 class TestTensorCrossCheck:
     def test_kronecker_trace_on_s4_d4(self, s4_d4_pair):
         rng = np.random.default_rng(3)
-        x = s4_d4_pair.random_exact_element(rng).to_float()
-        result = kronecker_trace_check(s4_d4_pair, x)
+        x = oracles.random_exact_element(s4_d4_pair, rng).exact.to_complex()
+        result = oracles.kronecker_trace_check(s4_d4_pair, x)
         assert result["difference"] <= 1e-10
 
     def test_kronecker_trace_on_a_unitary(self, s4_d4_pair):
@@ -343,6 +377,6 @@ class TestTensorCrossCheck:
         rng = np.random.default_rng(5)
         a = selfadjoint_from_parameters(s4_d4_pair,
                                         rng.standard_normal(len(layout)))
-        u = unitary_from_selfadjoint(s4_d4_pair, a)
-        result = kronecker_trace_check(s4_d4_pair, u.element)
+        u, _ = unitary_from_selfadjoint(s4_d4_pair, a)
+        result = oracles.kronecker_trace_check(s4_d4_pair, u)
         assert result["difference"] <= 1e-10
