@@ -16,19 +16,22 @@ print(f"|G| = {G.order()}, |H| = {H.order()}")
 # of their cosets, so the identity always represents H itself at index 0.
 cosets = CosetIndex(G, H)
 print(f"{len(cosets)} right cosets, representatives:")
-for i, rep in enumerate(cosets.representatives):
-    print(f"  {i}: {rep.cycle_string()}")
+for i, row in enumerate(cosets.rows.tolist()):
+    print(f"  {i}: {Permutation(row).cycle_string()}")
 
 # Double cosets H\G/H partition G; sizes are |H| times the number of right
-# cosets swallowed by each class.
-table = DoubleCosetTable(G, H, cosets)
+# cosets swallowed by each class.  The table keeps its classes as arrays:
+# representatives as rows, R-indices, and the class of each inverse.
+table = DoubleCosetTable(G, H)
 print(f"\n{len(table)} double cosets:")
-for entry in table.entries:
-    print(f"  rep {entry.representative.cycle_string():<10} size {entry.size:>3}  "
-          f"R = {entry.r_index}, R(inverse) = {entry.r_index_inv}")
+for rep, size, r, r_inv in zip(table.representatives.tolist(), table.sizes,
+                               table.r_index.tolist(),
+                               table.r_index[table.inverse_class].tolist()):
+    print(f"  rep {Permutation(rep).cycle_string():<10} size {size:>3}  "
+          f"R = {r}, R(inverse) = {r_inv}")
 
 # R(x) counts the right cosets inside HxH and equals [H : H ∩ x^{-1}Hx].
-x = table.entries[1].representative
+x = Permutation(table.representatives[1].tolist())
 print(f"\nr_index of {x.cycle_string()}: {r_index(x, H)}")
 print(f"r_index of the identity: {r_index(Permutation.identity(4), H)}")
 
@@ -39,6 +42,6 @@ Q3 = q_group(2, 3)
 big = DoubleCosetTable(symmetric_group(8), Q3)
 print(f"\n(S_8, Q_3): |Q_3| = {Q3.order()}, index {len(big.cosets)}, "
       f"{len(big)} double cosets")
-print("sizes:", [e.size for e in big.entries])
-print("sum  :", sum(e.size for e in big.entries), "= 8! =", 40320)
+print("sizes:", big.sizes)
+print("sum  :", sum(big.sizes), "= 8! =", 40320)
 print("unimodular (R(x) = R(x^-1) everywhere):", big.is_unimodular())

@@ -305,7 +305,7 @@ def hecke_image(embedded: AlgebraElement, pair: HeckePair) -> HeckeElement:
             raise ValueError("element is not constant on a double coset")
         counts[cls] += 1
     for cls, c in enumerate(counts):
-        if c and c != pair.table.entries[cls].size:
+        if c and c != pair.table.sizes[cls]:
             raise ValueError("support covers a double coset only partially")
     h_order = pair.subgroup.order()
     return pair.element_from_fractions(

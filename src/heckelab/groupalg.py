@@ -252,8 +252,8 @@ def corner_basis(carrier: EnumeratedGroup, H: PermGroup,
     if table is None:
         table = DoubleCosetTable(carrier.group, H)
     p = projector(carrier, H)
-    return [convolve(convolve(p, AlgebraElement.delta(carrier, e.representative)), p)
-            for e in table.entries]
+    return [convolve(convolve(p, AlgebraElement.delta(carrier, Permutation(rep))), p)
+            for rep in table.representatives.tolist()]
 
 
 def corner_trace(f: AlgebraElement, subgroup_order: int):

@@ -27,7 +27,9 @@ verifies this and refuses pairs where it fails rather than carrying a
 modular correction.
 
 Every tree pair, depth (S_{d^l}, Q_l) or level (S_{|V_n|}, P_n), is built
-through one `PairSpec`, which also checks its caps and names it.
+through one `PairSpec`, which also checks its caps and names it.  A pair's
+`r_indices`, `star_map` and `class_of_coset` are its double-coset table's
+own arrays.
 """
 
 from __future__ import annotations
@@ -142,10 +144,9 @@ class HeckePair:
         self.cosets = self.table.cosets
         self.size = len(self.cosets)
         self.dim = len(self.table)
-        assert self.table.entries[0].representative.is_identity()
-        self.r_indices = np.array([e.r_index for e in self.table.entries], dtype=np.int64)
-        self.star_map = np.array(self.table.inverse_class, dtype=np.int32)
-        self.class_of_coset = np.array(self.table._class_of_coset, dtype=np.int32)
+        self.r_indices = self.table.r_index
+        self.star_map = self.table.inverse_class
+        self.class_of_coset = self.table.class_of_coset
         self._struct = None
         self._struct_obj = None
 
@@ -362,8 +363,8 @@ def corner_isomorphism_check(pair: HeckePair, carrier: EnumeratedGroup | None = 
     h_order = pair.subgroup.order()
     p = projector(carrier, pair.subgroup)
     raw = corner_basis(carrier, pair.subgroup, pair.table)
-    images = [raw[j].scaled(Fraction(pair.table.entries[j].size, h_order))
-              for j in range(pair.dim)]
+    images = [raw[j].scaled(Fraction(size, h_order))
+              for j, size in enumerate(pair.table.sizes)]
 
     def embed(element: HeckeElement) -> AlgebraElement:
         total = AlgebraElement.zero(carrier)

@@ -16,13 +16,13 @@ orbit of a coset under right multiplication a frontier at a time, and rows
 are ranked against sorted rows by binary search on byte keys.  The coset
 space H\\G with its generator action, R-indices and minimal double-coset
 elements come from these; double cosets H\\G/H are the orbits of H's
-action arrays on H\\G, never computed on raw group elements.
+action arrays on H\\G, never computed on raw group elements, and their
+table keeps them as arrays (representatives as rows, classes as indices).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -455,7 +455,6 @@ class CosetIndex:
         order = np.argsort(row_keys(found), kind="stable")
         self.rows = found[order]
         self._keys = row_keys(self.rows)
-        self.representatives = tuple(_wrap(r) for r in self.rows.tolist())
         # discovery order -> sorted order
         position = np.empty(size, dtype=np.int32)
         position[order] = np.arange(size, dtype=np.int32)
@@ -473,7 +472,7 @@ class CosetIndex:
         self.tree_generator[position[1:]] = generator
 
     def __len__(self):
-        return len(self.representatives)
+        return len(self.rows)
 
     def cosets_of(self, rows) -> np.ndarray:
         """Indices (int32) of the right cosets H·g, g over the rows of `rows`."""
@@ -513,55 +512,41 @@ class CosetIndex:
 
 # -- double cosets --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleCosetEntry:
-    representative: Permutation
-    size: int
-    right_cosets: tuple
-    r_index: int
-    r_index_inv: int
-
-
 class DoubleCosetTable:
-    """The set H\\G/H: canonical representatives, sizes, coset contents.
+    """The set H\\G/H as arrays over the double-coset classes.
 
-    Entries are sorted by representative (lex order on image arrays); the
+    Classes are sorted by representative (lex order on image arrays); the
     class of H itself therefore sits at index 0 with the identity as its
-    representative.
+    representative.  `representatives` holds them as a (dim, m) row array,
+    `r_index[d]` counts the right cosets in class d, `class_of_coset[i]` is
+    the class of coset i, `inverse_class[d]` the class of the inverses, and
+    `sizes[d]` = |H|·R(d) as Python ints (|G| overflows int64 above 20
+    points).
     """
 
-    def __init__(self, G: PermGroup, H: PermGroup, cosets: CosetIndex | None = None):
-        self.cosets = cosets if cosets is not None else CosetIndex(G, H)
-        if self.cosets.group is not G or self.cosets.subgroup is not H:
-            _check_subgroup(G, H)
+    def __init__(self, G: PermGroup, H: PermGroup):
+        self.cosets = cosets = CosetIndex(G, H)
         self.group = G
         self.subgroup = H
-        cosets = self.cosets
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
         action = [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows]
         roots, classes = np.unique(orbit_roots(action, len(cosets)), return_inverse=True)
-        counts = np.bincount(classes)
-        blocks = np.split(np.argsort(classes, kind="stable"), np.cumsum(counts)[:-1])
+        self.class_of_coset = classes.astype(np.int32)
+        self.r_index = np.bincount(classes)
+        self.representatives = cosets.rows[roots]
         # the inverse of a permutation row is its argsort
-        inverse = classes[cosets.cosets_of(np.argsort(cosets.rows[roots], axis=1))]
-        order_h = H.order()
-        self.entries = tuple(
-            DoubleCosetEntry(representative=cosets.representatives[root],
-                             size=order_h * r, right_cosets=tuple(block.tolist()),
-                             r_index=r, r_index_inv=r_inv)
-            for root, block, r, r_inv in zip(roots.tolist(), blocks, counts.tolist(),
-                                             counts[inverse].tolist()))
-        self._class_of_coset = tuple(classes.tolist())
-        self.inverse_class = tuple(inverse.tolist())
-        assert sum(e.size for e in self.entries) == G.order()
+        self.inverse_class = self.class_of_coset[
+            cosets.cosets_of(np.argsort(self.representatives, axis=1))]
+        self.sizes = [H.order() * r for r in self.r_index.tolist()]
+        assert sum(self.sizes) == G.order()
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.representatives)
 
     def is_unimodular(self) -> bool:
         """Whether every class satisfies R(rep) == R(rep^{-1})."""
-        return all(e.r_index == e.r_index_inv for e in self.entries)
+        return bool(np.array_equal(self.r_index, self.r_index[self.inverse_class]))
 
     # -- serialization ----------------------------------------------------------
 
@@ -574,16 +559,18 @@ class DoubleCosetTable:
             "m": self.group.degree,
             "group_generators": [list(g.images) for g in self.group.generators],
             "subgroup_generators": [list(g.images) for g in self.subgroup.generators],
-            "coset_representatives": [list(r.images) for r in self.cosets.representatives],
+            "coset_representatives": self.cosets.rows.tolist(),
             "entries": [
                 {
-                    "representative": list(e.representative.images),
-                    "size": e.size,
-                    "right_cosets": list(e.right_cosets),
-                    "r_index": e.r_index,
-                    "r_index_inv": e.r_index_inv,
+                    "representative": rep,
+                    "size": size,
+                    "right_cosets": np.flatnonzero(self.class_of_coset == d).tolist(),
+                    "r_index": r,
+                    "r_index_inv": r_inv,
                 }
-                for e in self.entries
+                for d, (rep, size, r, r_inv) in enumerate(zip(
+                    self.representatives.tolist(), self.sizes, self.r_index.tolist(),
+                    self.r_index[self.inverse_class].tolist()))
             ],
         }
 

@@ -5,6 +5,8 @@ Each tree pair named by the options or a certificate is one `PairSpec`,
 checked against the caps before any group is built, and every command
 builds its pair afresh; nothing is written outside the --out and
 certificate files (`--cache` and HECKELAB_CACHE are accepted and ignored).
+Each subcommand names its handler with `set_defaults` and the handler reads
+the argparse namespace directly; one range check runs before it.
 Reports are JSON lines (written to --out when given, otherwise to stdout)
 plus a human-readable summary on stdout; file writes are atomic
 (write-temp-then-rename).  Primary output files carry no timestamps, so
@@ -18,13 +20,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from . import spheromorph
 from .embed import SCENARIOS, scenario_report
 from .errors import ScaleError, SearchFailureError
 from .hecke import HeckePair, PairSpec
-from .treefam import TreeShape, check_level
+from .treefam import TreeShape
 from .witness import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_SEED,
                       WitnessCertificate, decay_table, fejer_coefficients,
                       haar_convergence_check, search_witness, verify_certificate)
@@ -32,35 +33,13 @@ from .witness import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_SEED,
 DECAY_THRESHOLD = 1e-3
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    d: int = 2
-    k: int = 2
-    l: int | None = None
-    n: int | None = None
-    n_max: int = 20
-    k_max: int = DEFAULT_K_MAX
-    seed: int = DEFAULT_SEED
-    budget: int = DEFAULT_BUDGET
-    out: str | None = None
-    cert: str | None = None
-    scenario: str | None = None
-    op: str | None = None
-    files: list = field(default_factory=list)
-
-    def validate(self):
-        if self.d < 2 or self.k < 2:
-            raise ScaleError("tree degrees d and k must be at least 2")
-        if self.k_max < 1:
-            raise ScaleError("k-max must be at least 1")
-        if self.budget < 1:
-            raise ScaleError("budget must be at least 1")
-        if self.n_max < 1:
-            raise ScaleError("n-max must be at least 1")
-        return self
+def _check_ranges(args: argparse.Namespace):
+    """Refuse tree degrees below 2 and a k-max, budget or n-max below 1."""
+    if getattr(args, "d", 2) < 2 or getattr(args, "k", 2) < 2:
+        raise ScaleError("tree degrees d and k must be at least 2")
+    for name in ("k_max", "budget", "n_max"):
+        if getattr(args, name, 1) < 1:
+            raise ScaleError(f"{name.replace('_', '-')} must be at least 1")
 
 
 def _atomic_write(path: str, text: str):
@@ -124,13 +103,13 @@ def _pair_row(pair: HeckePair) -> dict:
     }
 
 
-def cmd_census(config: RunConfig) -> int:
-    reporter = Reporter(config.out)
+def cmd_census(args: argparse.Namespace) -> int:
+    reporter = Reporter(args.out)
     # every pair is checked before the first is built; (d, 3) by default
-    specs = [PairSpec.depth(config.d, config.l)] if config.l is not None else []
-    if config.n is not None:
-        specs.append(PairSpec.level(config.d, config.k, config.n))
-    for spec in specs or [PairSpec.depth(config.d, 3)]:
+    specs = [PairSpec.depth(args.d, args.l)] if args.l is not None else []
+    if args.n is not None:
+        specs.append(PairSpec.level(args.d, args.k, args.n))
+    for spec in specs or [PairSpec.depth(args.d, 3)]:
         pair = load_or_build_pair(spec)
         row = _pair_row(pair)
         reporter.emit(row)
@@ -142,9 +121,9 @@ def cmd_census(config: RunConfig) -> int:
     return 0
 
 
-def cmd_gelfand(config: RunConfig) -> int:
-    reporter = Reporter(config.out)
-    pair = load_or_build_pair(PairSpec.depth(config.d, config.l))
+def cmd_gelfand(args: argparse.Namespace) -> int:
+    reporter = Reporter(args.out)
+    pair = load_or_build_pair(PairSpec.depth(args.d, args.l))
     report = pair.is_commutative()
     record = {
         "format": "heckelab/gelfand-verdict/v1",
@@ -162,12 +141,12 @@ def cmd_gelfand(config: RunConfig) -> int:
     return 0
 
 
-def cmd_witness(config: RunConfig) -> int:
-    pair = load_or_build_pair(PairSpec.depth(config.d, config.l))
-    out = config.out or "witness-certificate.json"
+def cmd_witness(args: argparse.Namespace) -> int:
+    pair = load_or_build_pair(PairSpec.depth(args.d, args.l))
+    out = args.out or "witness-certificate.json"
     try:
-        cert = search_witness(pair, seed=config.seed, budget=config.budget,
-                              k_max=config.k_max)
+        cert = search_witness(pair, seed=args.seed, budget=args.budget,
+                              k_max=args.k_max)
     except (SearchFailureError, ValueError) as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         return 1
@@ -178,19 +157,19 @@ def cmd_witness(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    cert = WitnessCertificate.load(config.cert)
+def cmd_verify(args: argparse.Namespace) -> int:
+    cert = WitnessCertificate.load(args.cert)
     pair = load_or_build_pair(PairSpec.depth(cert.d, cert.l))
     report = verify_certificate(cert, pair)
     print(report.summary())
     return 0 if report.ok else 1
 
 
-def cmd_decay(config: RunConfig) -> int:
-    cert = WitnessCertificate.load(config.cert)
-    shape = TreeShape(cert.d, config.k)
-    reporter = Reporter(config.out)
-    report = decay_table(cert, shape, n_max=config.n_max, k_max=config.k_max,
+def cmd_decay(args: argparse.Namespace) -> int:
+    cert = WitnessCertificate.load(args.cert)
+    shape = TreeShape(cert.d, args.k)
+    reporter = Reporter(args.out)
+    report = decay_table(cert, shape, n_max=args.n_max, k_max=args.k_max,
                          threshold=DECAY_THRESHOLD)
     for row in report.rows():
         reporter.emit({"format": "heckelab/decay-row/v1", **row})
@@ -213,7 +192,7 @@ def cmd_decay(config: RunConfig) -> int:
             f"{shape.level_size(report.first_level_below)})")
     else:
         reporter.summary(
-            f"decay did not reach {DECAY_THRESHOLD} within n <= {config.n_max}")
+            f"decay did not reach {DECAY_THRESHOLD} within n <= {args.n_max}")
     last = haar_rows[-1]
     reporter.summary(
         f"circle-average deviation at n = {last['n']}: {last['deviation']:.3e} "
@@ -222,8 +201,8 @@ def cmd_decay(config: RunConfig) -> int:
     return 0 if report.first_level_below is not None else 1
 
 
-def cmd_embed_check(config: RunConfig) -> int:
-    names = [config.scenario] if config.scenario else sorted(SCENARIOS)
+def cmd_embed_check(args: argparse.Namespace) -> int:
+    names = [args.scenario] if args.scenario else sorted(SCENARIOS)
     all_ok = True
     for name in names:
         if name not in SCENARIOS:
@@ -239,41 +218,34 @@ def cmd_embed_check(config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_spher(config: RunConfig) -> int:
+def cmd_spher(args: argparse.Namespace) -> int:
     def read(path):
         with open(path) as fh:
             return spheromorph.from_json_dict(json.load(fh))
 
-    if config.n is not None:
-        check_level(TreeShape(config.d, config.k), config.n)
-
-    if config.op == "compose":
-        if len(config.files) != 2:
+    if args.op == "compose":
+        if len(args.files) != 2:
             print("spher compose needs exactly two element files", file=sys.stderr)
             return 2
         result = spheromorph.canonical_form(
-            spheromorph.compose(read(config.files[0]), read(config.files[1])))
+            spheromorph.compose(read(args.files[0]), read(args.files[1])))
         payload = json.dumps(spheromorph.to_json_dict(result))
-    elif config.op == "canonical":
-        result = spheromorph.canonical_form(read(config.files[0]))
+    elif args.op == "canonical":
+        result = spheromorph.canonical_form(read(args.files[0]))
         payload = json.dumps(spheromorph.to_json_dict(result))
-    elif config.op == "key":
-        if config.n is None:
+    else:
+        if args.n is None:
             print("spher key needs --n", file=sys.stderr)
             return 2
-        element = read(config.files[0])
-        key = spheromorph.double_coset_key(element, config.n)
+        key = spheromorph.double_coset_key(read(args.files[0]), args.n)
         payload = json.dumps({
             "format": "heckelab/coset-key/v1",
-            "n": config.n,
+            "n": args.n,
             "images": list(key.images),
         })
-    else:
-        print(f"unknown spher operation {config.op!r}", file=sys.stderr)
-        return 2
-    if config.out:
-        _atomic_write(config.out, payload + "\n")
-        print(f"written to {config.out}")
+    if args.out:
+        _atomic_write(args.out, payload + "\n")
+        print(f"written to {args.out}")
     else:
         print(payload)
     return 0
@@ -287,50 +259,47 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hecke algebras of tree pairs: tables, verdicts, witnesses")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tree=True, out=True):
-        if tree:
+    def command(name, run, help, *, d=False, out=True):
+        # no abbreviations: --k would otherwise mean --k-max where there is no --k
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        if d:
             p.add_argument("--d", type=int, default=2, help="branching degree")
-            p.add_argument("--k", type=int, default=2, help="root degree")
         if out:
             p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--cache", help="accepted and ignored; pairs are not cached")
+        return p
 
-    p = sub.add_parser("census", help="pair table: orders, classes, commutativity")
-    common(p)
+    p = command("census", cmd_census, "pair table: orders, classes, commutativity", d=True)
+    p.add_argument("--k", type=int, default=2, help="root degree")
     p.add_argument("--l", "--depth", type=int, dest="l",
                    help="depth of the regular-tree pair")
     p.add_argument("--n", "--level", type=int, dest="n",
                    help="level of the (k, n) pair")
 
-    p = sub.add_parser("gelfand", help="commutativity verdict for (S_{d^l}, Q_l)")
-    common(p)
+    p = command("gelfand", cmd_gelfand, "commutativity verdict for (S_{d^l}, Q_l)", d=True)
     p.add_argument("--l", "--depth", type=int, dest="l", required=True)
 
-    p = sub.add_parser("witness", help="search witness unitaries, emit a certificate")
-    common(p)
+    p = command("witness", cmd_witness, "search witness unitaries, emit a certificate", d=True)
     p.add_argument("--l", "--depth", type=int, dest="l", default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
 
-    p = sub.add_parser("verify", help="re-verify a witness certificate")
-    common(p, tree=False, out=False)
+    p = command("verify", cmd_verify, "re-verify a witness certificate", out=False)
     p.add_argument("cert", help="certificate file")
 
-    p = sub.add_parser("decay", help="tensor-power moment decay and circle averages")
-    common(p, tree=False)
+    p = command("decay", cmd_decay, "tensor-power moment decay and circle averages")
     p.add_argument("--k", type=int, default=2, help="root degree")
     p.add_argument("cert", help="certificate file")
     p.add_argument("--n-max", "--level-max", type=int, default=20, dest="n_max")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
 
-    p = sub.add_parser("embed-check", help="wreath-embedding axiom suite")
-    common(p, tree=False)
+    p = command("embed-check", cmd_embed_check, "wreath-embedding axiom suite")
     p.add_argument("--scenario", choices=sorted(SCENARIOS),
                    help="run one pinned scenario (default: all)")
 
-    p = sub.add_parser("spher", help="almost-automorphism calculus")
-    common(p, tree=False)
+    p = command("spher", cmd_spher, "almost-automorphism calculus")
     p.add_argument("op", choices=["compose", "canonical", "key"])
     p.add_argument("files", nargs="+", help="element JSON files")
     p.add_argument("--n", type=int, help="level for the double-coset key")
@@ -338,31 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields).validate()
-
-
-COMMANDS = {
-    "census": cmd_census,
-    "gelfand": cmd_gelfand,
-    "witness": cmd_witness,
-    "verify": cmd_verify,
-    "decay": cmd_decay,
-    "embed-check": cmd_embed_check,
-    "spher": cmd_spher,
-}
-
-
-def run(config: RunConfig) -> int:
-    return COMMANDS[config.command](config)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        _check_ranges(args)
+        return args.run(args)
     except ScaleError as exc:
         print(f"scale cap violated: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import LevelError, ScaleError
+from .errors import LevelError
 from .permgroup import PermGroup, Permutation
-from .treefam import TreeShape, ball_aut_group
+from .treefam import TreeShape, ball_aut_group, check_level
 
 # -- portraits (finitary subtree twists) -------------------------------------------
 
@@ -349,6 +349,7 @@ def double_coset_key(g: AlmostAutomorphism, n: int) -> Permutation:
     key depends only on the level-n permutation modulo the ball group on
     both sides.
     """
+    check_level(g.shape, n)
     sigma = level_permutation(g, n)
     return _level_group(g.shape, n).min_in_double_coset(sigma)
 

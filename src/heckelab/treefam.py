@@ -63,9 +63,12 @@ def closed_form_order(shape: TreeShape, n: int) -> int:
 
 
 def check_level(shape: TreeShape, n: int, level="level n", size_name="|V_n|") -> int:
-    """|V_n|, refusing n < 1 and level sets above LEVEL_POINT_CAP."""
+    """|V_n|, refusing n < 1 and level sets above LEVEL_POINT_CAP.  |V_n| is at
+    least 2^n, k and (for n > 1) d, so any of them above the cap is refused first."""
     if n < 1:
         raise ScaleError(f"{level} must be at least 1")
+    if max(n, shape.k, shape.d if n > 1 else 0) > LEVEL_POINT_CAP:
+        raise ScaleError(f"{size_name} exceeds the point cap {LEVEL_POINT_CAP}")
     size = shape.level_size(n)
     if size > LEVEL_POINT_CAP:
         raise ScaleError(f"{size_name} = {size} exceeds the point cap {LEVEL_POINT_CAP}")

@@ -26,11 +26,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SearchFailureError
+from .errors import ScaleError, SearchFailureError
 from .hecke import HeckePair, PairSpec
 from .treefam import TreeShape
 
@@ -56,6 +57,8 @@ PENCIL_ANGLE = 0.5772156649015329
 #: g mix by about eps/g, and distinct angles that one cluster leaves to a flat
 #: sine part (near θ ≡ φ ± π/2) lie about g apart
 PENCIL_CLUSTER_GAP = 1.5e-8
+#: where |cos(θ - φ)| exceeds this, the sine part resolves the pencil better
+FLAT_COSINE = math.sqrt(0.5)
 #: eigenvalue angles this close merge into one spectral atom
 ATOM_ANGLE_GAP = 1e-8
 #: atoms of at most this weight at δ_H are invisible to the root-of-unity scan
@@ -177,10 +180,13 @@ def spectral_data(matrix: np.ndarray) -> SpectralData:
 
     The rotated w' = e^{-iφ}w splits into two commuting Hermitian parts,
     (w' + w'*)/2 with eigenvalues cos(θ - φ) and (w' - w'*)/2i with
-    eigenvalues sin(θ - φ).  One `eigh` of the first gives the basis; two
-    angles share a cosine only when θ₁ + θ₂ ≡ 2φ, and inside each cluster
-    of equal cosines a second `eigh` of the sine part, restricted to the
-    cluster, separates them.  Degenerate eigenvalues of w keep an
+    eigenvalues sin(θ - φ).  One `eigh` of the first gives the basis.  Where
+    |cos(θ - φ)| > 1/√2 the cosine is flat and resolves eigenvectors poorly,
+    while the sine is steep and one-to-one, so the clusters on each side
+    form one block that a second `eigh` of the sine part, restricted to it,
+    resolves again.  In the band between, two angles share a cosine only
+    when θ₁ + θ₂ ≡ 2φ, and inside each cluster of equal cosines the same
+    restricted `eigh` separates them.  Degenerate eigenvalues of w keep an
     orthonormal basis of their eigenspace.  With T = Z*wZ the angles are
     arg T_jj, and `offdiagonal_residual` is ‖T - diag T‖.
 
@@ -191,12 +197,17 @@ def spectral_data(matrix: np.ndarray) -> SpectralData:
     adjoint = rotated.conj().T
     cosines, Z = np.linalg.eigh((rotated + adjoint) / 2)
     sine_part = (rotated - adjoint) / 2j
-    splits = np.flatnonzero(np.diff(cosines) > PENCIL_CLUSTER_GAP) + 1
-    for cluster in np.split(np.arange(len(cosines)), splits):
-        if len(cluster) > 1:
-            basis = Z[:, cluster]
+    # clusters of equal cosines, placed whole by their first cosine: one block
+    # per flat side, each cluster of the band its own block
+    cluster = np.concatenate([[0], np.cumsum(np.diff(cosines) > PENCIL_CLUSTER_GAP)])
+    first = cosines[np.searchsorted(cluster, cluster)]
+    block = np.where(first > FLAT_COSINE, -1, np.where(first < -FLAT_COSINE, -2, cluster))
+    for label in np.unique(block):
+        members = np.flatnonzero(block == label)
+        if len(members) > 1:
+            basis = Z[:, members]
             _, rotation = np.linalg.eigh(basis.conj().T @ sine_part @ basis)
-            Z[:, cluster] = basis @ rotation
+            Z[:, members] = basis @ rotation
     T = Z.conj().T @ matrix @ Z
     diagonal = np.diag(T)
     offdiag = float(np.linalg.norm(T - np.diag(diagonal)))
@@ -307,7 +318,8 @@ class WitnessCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WitnessCertificate":
-        """Parse a certificate; any missing or malformed field raises ValueError."""
+        """Parse a certificate; any missing or malformed field raises ValueError,
+        and a (d, l) outside the caps of a depth pair raises ScaleError."""
         if not isinstance(data, dict):
             raise ValueError("certificate is not a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
@@ -327,9 +339,14 @@ class WitnessCertificate:
         tolerances = _field(data, "tolerances", dict)
         for key in DEFAULT_TOLERANCES:
             _number(tolerances, key, "tolerances")
+        d, l = _field(data, "d", int), _field(data, "l", int)
+        points = PairSpec.depth(d, l).points
+        if any(sorted(rep) != list(range(points)) for rep in basis):
+            raise ValueError(f"certificate basis rows are not permutations of "
+                             f"the d^l = {points} points")
         return cls(
-            d=_field(data, "d", int),
-            l=_field(data, "l", int),
+            d=d,
+            l=l,
             basis=[tuple(rep) for rep in basis],
             u_coefficients=_complexes(_field(data, "u", dict), "u"),
             v_coefficients=_complexes(_field(data, "v", dict), "v"),
@@ -462,7 +479,7 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         spec = spectral_data(w)
         return WitnessCertificate(
             d=pair.spec.d, l=pair.spec.n,
-            basis=[e.representative.images for e in pair.table.entries],
+            basis=pair.table.representatives.tolist(),
             u_coefficients=u,
             v_coefficients=v,
             angles=spec.angles,
@@ -514,7 +531,12 @@ class DecayReport:
 
 def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
                 k_max: int | None = None, threshold: float = 1e-3) -> DecayReport:
-    """Per-level maxima of |τ(w^k)|^{|V_n|} for k up to k_max."""
+    """Per-level maxima of |τ(w^k)|^{|V_n|} for k up to k_max; a level whose
+    |V_n| exceeds the float range is refused, by logarithms before |V_n|."""
+    largest = sys.float_info.max
+    if math.log(shape.k) + (n_max - 1) * math.log(shape.d) > math.log(largest) + 1 or \
+            shape.level_size(n_max) > largest:
+        raise ScaleError(f"|V_n| at n = {n_max} exceeds the float range")
     k_max = cert.k_max if k_max is None else min(k_max, cert.k_max)
     abs_moments = np.abs(cert.moments[:k_max])
     levels = list(range(1, n_max + 1))
@@ -608,8 +630,7 @@ def verify_certificate(cert: WitnessCertificate,
             stored["moment_margin"] < tol["moment_margin"] or \
             stored["root_scan_order"] < tol["root_scan_order"]:
         failures.append("tolerances")
-    reps = [e.representative.images for e in pair.table.entries]
-    if [tuple(r) for r in cert.basis] != [tuple(r) for r in reps]:
+    if [list(r) for r in cert.basis] != pair.table.representatives.tolist():
         failures.append("basis-order")
         return VerificationReport(False, failures, diagnostics)
     if len(cert.u_coefficients) != pair.dim or len(cert.v_coefficients) != pair.dim:

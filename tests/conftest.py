@@ -1,8 +1,7 @@
 import pytest
 
 from heckelab.hecke import HeckePair, PairSpec
-from heckelab.permgroup import DoubleCosetTable, symmetric_group
-from heckelab.treefam import q_group
+from heckelab.permgroup import symmetric_group
 from heckelab.witness import search_witness
 
 

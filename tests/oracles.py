@@ -293,7 +293,7 @@ def min_in_double_coset(H, x):
 def dense_cell_table(pair):
     """cell[i, j] = class of the coset H·r_i·r_j⁻¹, one canonical-coset
     computation per cell: the O(n²) table the coset-action kernel replaced."""
-    reps = [r.images for r in pair.cosets.representatives]
+    reps = [tuple(r) for r in pair.cosets.rows.tolist()]
     invs = [inv(r) for r in reps]
     levels = chain_levels(pair.subgroup)
     where = {r: i for i, r in enumerate(reps)}
@@ -312,7 +312,8 @@ def lambda_structure_constants(pair, cell):
     dim, size = pair.dim, pair.size
     indicator = np.zeros((size, dim), dtype=np.int64)
     indicator[np.arange(size), pair.class_of_coset] = 1
-    first_coset = [entry.right_cosets[0] for entry in pair.table.entries]
+    classes = [np.flatnonzero(pair.class_of_coset == f) for f in range(dim)]
+    first_coset = [cosets[0] for cosets in classes]
     struct = np.empty((dim, dim, dim), dtype=np.int64)
     for d in range(dim):
         prod = (cell == d).astype(np.int64) @ indicator
@@ -320,8 +321,7 @@ def lambda_structure_constants(pair, cell):
             col = prod[:, e]
             vals = col[first_coset]
             for f in range(dim):
-                cosets = pair.table.entries[f].right_cosets
-                if any(col[c] != vals[f] for c in cosets):
+                if any(col[c] != vals[f] for c in classes[f]):
                     raise AssertionError("product of basis elements is not bi-invariant")
             struct[d, e] = vals
     return struct

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from heckelab.errors import InvarianceError
@@ -7,10 +5,9 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             embed_invariant, embed_top, hecke_image,
                             scenario_report, scenario_s2_cubed,
                             scenario_s2_squared, scenario_s4_d4)
-from heckelab.groupalg import (AlgebraElement, convolve, corner_trace,
-                               invariant_subalgebra, projector)
+from heckelab.groupalg import convolve, corner_trace, projector
 from heckelab.hecke import PairSpec, convolve as hecke_convolve
-from heckelab.permgroup import PermGroup, Permutation, symmetric_group, trivial_group
+from heckelab.permgroup import symmetric_group, trivial_group
 from heckelab.treefam import q_group
 
 

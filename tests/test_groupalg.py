@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from heckelab.errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError

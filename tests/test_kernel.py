@@ -86,7 +86,7 @@ def test_lambda_matrices_refused_above_cap(monkeypatch):
 def test_translations_are_right_translations(flagship_pair):
     cosets = flagship_pair.cosets
     H = flagship_pair.subgroup
-    reps = cosets.representatives
+    reps = [Permutation(r) for r in cosets.rows.tolist()]
     seen = []
     for j, R in cosets.translations():
         seen.append(j)
@@ -105,7 +105,7 @@ def test_action_arrays(flagship_pair):
     assert cosets.action.shape == (len(gens), len(cosets))
     for s, g in enumerate(gens):
         for i in range(0, len(cosets), 7):
-            assert cosets.action[s, i] == cosets.coset_of(cosets.representatives[i] * g)
+            assert cosets.action[s, i] == cosets.coset_of(Permutation(cosets.rows[i].tolist()) * g)
     for j in range(1, len(cosets)):
         parent, s = cosets.tree_parent[j], cosets.tree_generator[j]
         assert cosets.action[s, parent] == j
@@ -177,21 +177,23 @@ def assert_cosets_match_oracle(G, H):
     table = DoubleCosetTable(G, H)
     cosets = table.cosets
     reps, action, parent, generator = oracles.coset_enumeration(G, H)
-    assert [r.images for r in cosets.representatives] == reps
+    assert [tuple(r) for r in cosets.rows.tolist()] == reps
     for got, want in ((cosets.action, action), (cosets.tree_parent, parent),
                       (cosets.tree_generator, generator)):
         assert got.dtype == np.int32 and np.array_equal(got, want)
     blocks, class_of, inverse = oracles.double_coset_classes(H, reps)
-    assert [e.right_cosets for e in table.entries] == blocks
-    assert [e.representative.images for e in table.entries] == [reps[b[0]] for b in blocks]
-    assert table._class_of_coset == class_of
-    assert table.inverse_class == inverse
-    for e in table.entries:
-        r = oracles.r_index(e.representative.images, H)
-        assert e.r_index == r_index(e.representative, H) == r
-        assert e.size == H.order() * r
-    assert [e.r_index_inv for e in table.entries] == \
-        [table.entries[c].r_index for c in inverse]
+    assert [tuple(np.flatnonzero(table.class_of_coset == d).tolist())
+            for d in range(len(table))] == blocks
+    assert [tuple(r) for r in table.representatives.tolist()] == [reps[b[0]] for b in blocks]
+    assert tuple(table.class_of_coset.tolist()) == class_of
+    assert tuple(table.inverse_class.tolist()) == inverse
+    for rep, r_got, size in zip(table.representatives.tolist(), table.r_index.tolist(),
+                                table.sizes):
+        r = oracles.r_index(tuple(rep), H)
+        assert r_got == r_index(Permutation(rep), H) == r
+        assert size == H.order() * r
+    assert table.r_index[table.inverse_class].tolist() == \
+        [table.r_index[c] for c in inverse]
 
 
 def tree_pairs(max_cosets):

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import heckelab
+from heckelab.hecke import PairSpec
 from heckelab.permgroup import DoubleCosetTable, PermGroup, symmetric_group
 from heckelab.shell import main
 from heckelab.spheromorph import AlmostAutomorphism, to_json_dict
@@ -167,7 +169,9 @@ def test_witness_verify_decay_round_trip(workdir, capsys):
 def test_decay_takes_d_from_the_certificate(workdir, capsys, flagship_certificate):
     # the certificate's pair (S_{d^l}, Q_l) fixes d; there is no --d to contradict it
     data = flagship_certificate.to_json_dict()
-    data["d"] = 3
+    data.update(d=3, l=2, basis=PairSpec.depth(3, 2).pair().table.representatives.tolist(),
+                u={"re": [1.0, 0, 0, 0, 0], "im": [0.0] * 5})
+    data["v"] = data["u"]
     (workdir / "cert.json").write_text(json.dumps(data))
     assert main(["decay", "cert.json", "--n-max", "3", "--out", "decay.jsonl"]) == 1
     rows = [json.loads(line) for line in (workdir / "decay.jsonl").read_text().splitlines()]
@@ -178,6 +182,87 @@ def test_decay_takes_d_from_the_certificate(workdir, capsys, flagship_certificat
     assert result.returncode == 2
     assert "unrecognized arguments: --d 3" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["decay", "verify"])
+def test_certificate_pair_must_fit_its_basis(workdir, capsys, flagship_certificate, command):
+    # d edited to 3 while the basis stays that of (S_8, Q_3): (S_27, Q_3) is over
+    # the coset cap, and (S_9, Q_2) has no 8-point basis rows
+    data = flagship_certificate.to_json_dict()
+    for d, l, reason in ((3, 3, "right-coset space"), (3, 2, "d^l = 9 points")):
+        data.update(d=d, l=l)
+        (workdir / "cert.json").write_text(json.dumps(data))
+        assert main([command, "cert.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert reason in captured.err
+
+
+def _fast_refusal(*argv):
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "heckelab", *argv],
+                            capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 2
+    assert result.stdout == "" and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    return result.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("l", ["100000", "1000000000"])
+def test_huge_level_refused_before_the_power(workdir, l):
+    err, seconds = _fast_refusal("census", "--d", "2", "--l", l)
+    assert err == "scale cap violated: d^l exceeds the point cap 64\n"
+    assert seconds < 5
+
+
+def test_certificate_with_huge_depth_refused(workdir, flagship_certificate):
+    data = flagship_certificate.to_json_dict()
+    data["l"] = 10 ** 9
+    (workdir / "cert.json").write_text(json.dumps(data))
+    err, seconds = _fast_refusal("verify", "cert.json")
+    assert err == "scale cap violated: d^l exceeds the point cap 64\n"
+    assert seconds < 5
+
+
+def test_spher_key_checks_the_level_on_the_elements_tree(workdir):
+    # |V_6| = 10^6 on the tree with d = k = 10, though 2^6 fits the binary tree
+    g = AlmostAutomorphism.identity(TreeShape(10, 10))
+    (workdir / "g.json").write_text(json.dumps(to_json_dict(g)))
+    err, seconds = _fast_refusal("spher", "key", "g.json", "--n", "6")
+    assert err == "scale cap violated: |V_n| = 1000000 exceeds the point cap 64\n"
+    assert seconds < 5
+
+
+@pytest.mark.parametrize("n_max", ["1100", "1000000000"])
+def test_decay_refuses_levels_beyond_float_range(workdir, flagship_certificate, n_max):
+    (workdir / "cert.json").write_text(json.dumps(flagship_certificate.to_json_dict()))
+    err, seconds = _fast_refusal("decay", "cert.json", "--n-max", n_max)
+    assert err == f"scale cap violated: |V_n| at n = {n_max} exceeds the float range\n"
+    assert seconds < 5
+
+
+@pytest.mark.parametrize("command", ["gelfand", "witness"])
+def test_depth_pair_commands_take_no_root_degree(workdir, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--l", "2", "--k", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+
+DEGREES = "tree degrees d and k must be at least 2"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["census", "--d", "1"], DEGREES),
+    (["witness", "--d", "1", "--budget", "0"], DEGREES),
+    (["witness", "--budget", "0", "--k-max", "0"], "k-max must be at least 1"),
+    (["witness", "--budget", "0"], "budget must be at least 1"),
+    (["decay", "missing.json", "--k", "1", "--n-max", "0"], DEGREES),
+    (["decay", "missing.json", "--n-max", "0"], "n-max must be at least 1"),
+])
+def test_range_errors_keep_their_order(workdir, capsys, argv, reason):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"scale cap violated: {reason}\n")
 
 
 def test_verify_rejects_tampered_certificate(workdir, capsys):

@@ -9,7 +9,7 @@ eigenvalues, and where two angles collide in the cosine pencil.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heckelab import witness
 from heckelab.witness import (PENCIL_ANGLE, _commutator, cluster_spectrum,
@@ -79,6 +79,9 @@ def repeated_spectra(draw):
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(repeated_spectra())
+# three angles in the flat band of the cosine, just above φ, one of them twice
+@example((1, [0.7283185307179586, 0.6235987755982988, 0.5188790204786391,
+              0.5188790204786391]))
 def test_unitaries_with_repeated_eigenvalues(case):
     seed, spectrum = case
     matrix, exact = unitary_with_spectrum(np.random.default_rng(seed), spectrum)
@@ -88,15 +91,20 @@ def test_unitaries_with_repeated_eigenvalues(case):
     assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
 
 
+def collision(alpha):
+    """θ = φ ± α twice and three times, which share the cosine cos(α)."""
+    spectrum = [PENCIL_ANGLE + alpha] * 2 + [PENCIL_ANGLE - alpha] * 3 + [2.0, -1.0]
+    return unitary_with_spectrum(np.random.default_rng(5), spectrum)
+
+
 def test_pencil_collision_is_resolved(monkeypatch):
     # θ and 2φ - θ share the cosine cos(θ - φ); only the sine part splits them
-    alpha = 0.3
-    spectrum = [PENCIL_ANGLE + alpha] * 2 + [PENCIL_ANGLE - alpha] * 3 + [2.0, -1.0]
-    matrix, exact = unitary_with_spectrum(np.random.default_rng(5), spectrum)
+    matrix, exact = collision(0.3)
     spec = spectral_data(matrix)
     assert spec.offdiagonal_residual < 1e-12
     assert_same_atoms(spec, oracles.schur_spectral_data(matrix))
     assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
-    # every cosine its own cluster: the collision is left mixed
+    # every cosine its own cluster: a collision in the steep band of the
+    # cosine (|cos α| < 1/√2) is left mixed
     monkeypatch.setattr(witness, "PENCIL_CLUSTER_GAP", -1.0)
-    assert spectral_data(matrix).offdiagonal_residual > 1e-2
+    assert spectral_data(collision(1.2)[0]).offdiagonal_residual > 1e-2

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from heckelab.errors import LevelError
+from heckelab import spheromorph
+from heckelab.errors import LevelError, ScaleError
 from heckelab.permgroup import Permutation
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
                                   double_coset_key, from_json_dict, inverse,
@@ -223,6 +224,16 @@ class TestDoubleCosetKey:
             twisted = AlmostAutomorphism.from_level_permutation(SHAPE, 2, sigma, twists)
             assert double_coset_key(twisted, 2) == key
 
+    def test_level_is_checked_on_the_elements_own_tree(self, monkeypatch):
+        # |V_6| = 10^6 for d = k = 10: refused before the level permutation
+        def no_level_permutation(*args):
+            raise AssertionError("the level permutation was built")
+
+        monkeypatch.setattr(spheromorph, "level_permutation", no_level_permutation)
+        g = AlmostAutomorphism.identity(TreeShape(10, 10))
+        with pytest.raises(ScaleError, match="1000000 exceeds the point cap"):
+            double_coset_key(g, 6)
+
     def test_cross_block_transposition_has_nontrivial_key(self):
         # swapping two level-2 vertices under different level-1 parents is
         # not a ball automorphism, so its key leaves the identity class
@@ -243,18 +254,18 @@ class TestDoubleCosetKey:
             sigma = Permutation(images)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 2, sigma)
             by_key.setdefault(double_coset_key(g, 2).images, set()).add(images)
-        assert len(by_key) == len(table.entries)
-        for entry in table.entries:
-            block = by_key[entry.representative.images]
-            assert len(block) == entry.size
+        reps = [tuple(rep) for rep in table.representatives.tolist()]
+        assert len(by_key) == len(table)
+        for rep, size in zip(reps, table.sizes):
+            block = by_key[rep]
+            assert len(block) == size
         # keys are exactly the canonical representatives
-        assert set(by_key) == {e.representative.images for e in table.entries}
+        assert set(by_key) == set(reps)
 
     def test_keys_realize_every_class_at_level_three(self, flagship_pair):
-        for entry in flagship_pair.table.entries:
-            g = AlmostAutomorphism.from_level_permutation(
-                SHAPE, 3, entry.representative)
-            assert double_coset_key(g, 3) == entry.representative
+        for rep in map(Permutation, flagship_pair.table.representatives.tolist()):
+            g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, rep)
+            assert double_coset_key(g, 3) == rep
 
     def test_keys_classify_random_level_three_elements(self, flagship_pair):
         # the key equals the table representative of the class of the induced
@@ -264,8 +275,8 @@ class TestDoubleCosetKey:
             sigma = flagship_pair.group.sample(rng)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, sigma)
             coset = flagship_pair.cosets.coset_of(sigma)
-            expected = flagship_pair.table.entries[
-                flagship_pair.class_of_coset[coset]].representative
+            expected = Permutation(flagship_pair.table.representatives[
+                flagship_pair.class_of_coset[coset]].tolist())
             assert double_coset_key(g, 3) == expected
 
 

@@ -2,8 +2,8 @@ import pytest
 
 from heckelab.errors import ScaleError
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
-from heckelab.treefam import (TreeShape, ball_aut_group, closed_form_order, q_group,
-                              wreath_embed)
+from heckelab.treefam import (TreeShape, ball_aut_group, check_level, closed_form_order,
+                              q_group, wreath_embed)
 
 import oracles
 
@@ -20,6 +20,18 @@ def test_degenerate_shapes_rejected():
         TreeShape(1, 2)
     with pytest.raises(ValueError):
         TreeShape(2, 1)
+
+
+def test_check_level_refuses_before_the_power():
+    # a deep branching degree is fine at n = 1, where |V_1| = k
+    assert check_level(TreeShape(10 ** 6, 3), 1) == 3
+    for shape, n, message in ((TreeShape(2, 2), 7, "|V_n| = 128 exceeds"),
+                              (TreeShape(64, 64), 64, f"|V_n| = {64 ** 64} exceeds"),
+                              (TreeShape(2, 2), 10 ** 9, "|V_n| exceeds"),
+                              (TreeShape(10 ** 6, 2), 2, "|V_n| exceeds"),
+                              (TreeShape(2, 65), 1, "|V_n| exceeds")):
+        with pytest.raises(ScaleError, match=message.replace("|", r"\|")):
+            check_level(shape, n)
 
 
 def test_vertices_are_lexicographically_sorted():

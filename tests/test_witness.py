@@ -1,6 +1,5 @@
 import cmath
 import json
-import math
 
 import numpy as np
 import pytest
