@@ -8,10 +8,11 @@ so each basis element e_D (the indicator of the double coset D, value 1 on
 the whole coset) becomes a zero-one matrix of size |G|/|H|, and the whole
 algebra is the span of matrices constant on the cells {(i, j) : r_i r_j^{-1}
 in D}.  Products are computed through structure constants, never through
-element-level convolution over G.  The constants are counted one row of
-the cell table at a time: row i comes from the right translation of the
-cosets by r_i^{-1}, which the action of G's generators on H\\G gives as one
-gather per coset.
+element-level convolution over G.  The constants are counted from one
+row of the cell table per double coset: the row of its representative r,
+whose right translation of the cosets by r^{-1} is one canonicalisation of
+the coset rows.  The full λ-cell table, built only on demand, takes its
+rows from the action of G's generators on H\\G, one gather per coset.
 
 `HeckeElement` is exact: Gaussian-rational coefficients, multiplied through
 the integer structure constants.  Float elements are plain coefficient
@@ -150,30 +151,23 @@ class HeckePair:
         self._struct = None
         self._struct_obj = None
 
-    def _cell_rows(self):
-        """Yield (i, row i of `cell_class`) for every coset i.
-
-        cell[i, y] = class(r_i r_y⁻¹) = star(class(r_y r_i⁻¹)), and the coset
-        R_i[y] lies in the double coset of r_y r_i⁻¹.
-        """
-        star_class = self.star_map.astype(np.int64)[self.class_of_coset]
-        for i, translation in self.cosets.translations():
-            yield i, star_class[translation]
-
     # -- basis and λ ------------------------------------------------------------
 
     @cached_property
     def cell_class(self):
         """Matrix of class(r_i r_j⁻¹): λ(e_d) is the indicator of its value d.
 
-        Refused above `LAMBDA_CAP` cosets (the int32 table is size² · 4 bytes).
+        Row i is star(class(R_i)), since R_i[y] of `CosetIndex.translations`
+        lies in the double coset of r_y r_i⁻¹.  Refused above `LAMBDA_CAP`
+        cosets (the int32 table is size² · 4 bytes).
         """
         if self.size > LAMBDA_CAP:
             raise ScaleError(
                 f"λ-matrices for {self.size} cosets above cap {LAMBDA_CAP}")
+        star_class = self.star_map[self.class_of_coset]
         cell = np.empty((self.size, self.size), dtype=np.int32)
-        for i, row in self._cell_rows():
-            cell[i] = row
+        for i, translation in self.cosets.translations():
+            cell[i] = star_class[translation]
         return cell
 
     def basis_matrix(self, j: int):
@@ -187,25 +181,27 @@ class HeckePair:
     def structure_constants(self):
         """Integer tensor N[d, e, f] with e_d e_e = sum_f N[d,e,f] e_f.
 
-        Row i of the λ-matrices gives counts_i[d, e] = #{y : class(r_i r_y⁻¹)
-        = d, class(r_y) = e}, which is N[d, e, class(r_i)].  Every row is
-        counted, and all rows of one class must agree exactly (bi-invariance).
+        The row of a coset r in class f gives #{y : class(r r_y⁻¹) = d,
+        class(r_y) = e} = N[d, e, f]; the coset of r_y r⁻¹ is R[y], so
+        class(r r_y⁻¹) = star(class(R[y])).  One row per class is counted,
+        that of its representative.  This needs the classes to be the double
+        cosets: `orbit_roots` moves labels only along H's action arrays, so
+        no class is more than one H-orbit, and the check below that
+        `class_of_coset` is constant along every action array (exact, in
+        O(|H\\G|·|gens H|)) shows that no class splits an H-orbit.
         """
         if self._struct is None:
             dim = self.dim
             cls = self.class_of_coset.astype(np.int64)
-            by_class = np.zeros((dim, dim, dim), dtype=np.int64)
-            done = np.zeros(dim, dtype=bool)
-            for i, row in self._cell_rows():
-                counts = np.bincount(row * dim + cls, minlength=dim * dim)
-                f = cls[i]
-                if not done[f]:
-                    by_class[f] = counts.reshape(dim, dim)
-                    done[f] = True
-                elif not np.array_equal(by_class[f].ravel(), counts):
-                    raise AssertionError(
-                        "product of basis elements is not bi-invariant")
-            struct = np.ascontiguousarray(by_class.transpose(1, 2, 0))
+            if any((cls[move] != cls).any() for move in self.table.subgroup_action):
+                raise AssertionError("product of basis elements is not bi-invariant")
+            star_class = self.star_map.astype(np.int64)[cls]
+            struct = np.empty((dim, dim, dim), dtype=np.int64)
+            for f, r in enumerate(self.table.representatives):
+                # the inverse of a permutation row is its argsort
+                R = self.cosets.cosets_of(np.argsort(r).astype(r.dtype)[self.cosets.rows])
+                counts = np.bincount(star_class[R] * dim + cls, minlength=dim * dim)
+                struct[:, :, f] = counts.reshape(dim, dim)
             self._struct = struct
             self._struct_obj = struct.astype(object)
         return self._struct

@@ -521,7 +521,8 @@ class DoubleCosetTable:
     `r_index[d]` counts the right cosets in class d, `class_of_coset[i]` is
     the class of coset i, `inverse_class[d]` the class of the inverses, and
     `sizes[d]` = |H|·R(d) as Python ints (|G| overflows int64 above 20
-    points).
+    points).  `subgroup_action[s, i]` is the coset of r_i·h_s for H's
+    generators h_s.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -531,6 +532,7 @@ class DoubleCosetTable:
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
         action = [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows]
+        self.subgroup_action = np.array(action, dtype=np.int32).reshape(-1, len(cosets))
         roots, classes = np.unique(orbit_roots(action, len(cosets)), return_inverse=True)
         self.class_of_coset = classes.astype(np.int32)
         self.r_index = np.bincount(classes)

@@ -223,10 +223,11 @@ def cmd_spher(args: argparse.Namespace) -> int:
         with open(path) as fh:
             return spheromorph.from_json_dict(json.load(fh))
 
+    count, files = (2, "two element files") if args.op == "compose" else (1, "one element file")
+    if len(args.files) != count:
+        print(f"spher {args.op} needs exactly {files}", file=sys.stderr)
+        return 2
     if args.op == "compose":
-        if len(args.files) != 2:
-            print("spher compose needs exactly two element files", file=sys.stderr)
-            return 2
         result = spheromorph.canonical_form(
             spheromorph.compose(read(args.files[0]), read(args.files[1])))
         payload = json.dumps(spheromorph.to_json_dict(result))

@@ -532,22 +532,26 @@ class DecayReport:
 def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
                 k_max: int | None = None, threshold: float = 1e-3) -> DecayReport:
     """Per-level maxima of |τ(w^k)|^{|V_n|} for k up to k_max; a level whose
-    |V_n| exceeds the float range is refused, by logarithms before |V_n|."""
+    |V_n| exceeds the float range is refused, by logarithms before |V_n|, and
+    so is a certificate with any stored moment not of modulus at most 1."""
     largest = sys.float_info.max
     if math.log(shape.k) + (n_max - 1) * math.log(shape.d) > math.log(largest) + 1 or \
             shape.level_size(n_max) > largest:
         raise ScaleError(f"|V_n| at n = {n_max} exceeds the float range")
+    bad = np.flatnonzero(~(np.abs(cert.moments) <= 1))
+    if len(bad):
+        raise ValueError(f"certificate moment τ(w^{bad[0] + 1}) is not of modulus at most 1")
     k_max = cert.k_max if k_max is None else min(k_max, cert.k_max)
-    abs_moments = np.abs(cert.moments[:k_max])
     levels = list(range(1, n_max + 1))
     sizes = [shape.level_size(n) for n in levels]
     max_tensor = []
     max_plain = []
     first = None
-    log_abs = np.log(np.maximum(abs_moments, 1e-300))
+    # a positive scale keeps the maximum; a Python float overflows to -inf silently
+    top = float(np.max(np.log(np.maximum(np.abs(cert.moments[:k_max]), 1e-300))))
     for n, size in zip(levels, sizes):
-        m_tensor = float(np.exp(np.max(log_abs * size)))
-        m_plain = float(np.exp(np.max(log_abs * n)))
+        m_tensor = float(np.exp(top * size))
+        m_plain = float(np.exp(top * n))
         max_tensor.append(m_tensor)
         max_plain.append(m_plain)
         if first is None and m_tensor < threshold:

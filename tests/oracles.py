@@ -327,6 +327,26 @@ def lambda_structure_constants(pair, cell):
     return struct
 
 
+def all_rows_structure_constants(pair):
+    """N[d, e, f] counted from every row of the λ-cell table, one tree
+    translation per coset, checking that all rows of a class agree: the
+    O(|H\\G|²) count the one-row-per-class constants replaced."""
+    dim = pair.dim
+    cls = pair.class_of_coset.astype(np.int64)
+    star_class = pair.star_map.astype(np.int64)[cls]
+    by_class = np.zeros((dim, dim, dim), dtype=np.int64)
+    done = np.zeros(dim, dtype=bool)
+    for i, translation in pair.cosets.translations():
+        counts = np.bincount(star_class[translation] * dim + cls, minlength=dim * dim)
+        f = cls[i]
+        if not done[f]:
+            by_class[f] = counts.reshape(dim, dim)
+            done[f] = True
+        elif not np.array_equal(by_class[f].ravel(), counts):
+            raise AssertionError("product of basis elements is not bi-invariant")
+    return np.ascontiguousarray(by_class.transpose(1, 2, 0))
+
+
 def dense_gelfand_report(pair, cell):
     """(commutative, witness, entry) from size² basis matrices: the first
     noncommuting basis pair and the first nonzero entry, in row-major order,

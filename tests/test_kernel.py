@@ -1,8 +1,10 @@
 """The array kernels against the slow paths they replaced.
 
-`HeckePair` derives its λ-cell table and structure constants from the right
-action of G's generators on H\\G; `oracles.dense_cell_table` and
-`oracles.lambda_structure_constants` are the per-cell slow paths.  The coset
+`HeckePair` derives its λ-cell table from the right action of G's generators
+on H\\G, and its structure constants from one row of that table per double
+coset; `oracles.dense_cell_table` and `oracles.lambda_structure_constants`
+are the per-cell slow paths, and `oracles.all_rows_structure_constants`
+counts every row of the table.  The coset
 space, its action and tree, the double-coset classes, R-indices and minimal
 double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
@@ -20,8 +22,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab import hecke
 from heckelab.errors import ScaleError
 from heckelab.hecke import HeckePair, PairSpec, corner_isomorphism_check
-from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index,
-                                symmetric_group)
+from heckelab.permgroup import (CosetIndex, DoubleCosetTable, PermGroup, Permutation,
+                                r_index, symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
 import oracles
@@ -34,6 +36,7 @@ def assert_kernel_matches_oracle(pair):
     struct = pair.structure_constants()
     assert struct.dtype == np.int64
     assert np.array_equal(struct, oracles.lambda_structure_constants(pair, cell))
+    assert np.array_equal(struct, oracles.all_rows_structure_constants(pair))
     report = pair.is_commutative()
     assert (report.commutative, report.witness, report.entry) == \
         oracles.dense_gelfand_report(pair, cell)
@@ -152,6 +155,16 @@ def test_random_small_pairs(gh):
     assert ok, detail
 
 
+def test_structure_constants_walk_no_tree(monkeypatch):
+    def no_translations(self):
+        raise AssertionError("the BFS tree was walked")
+
+    monkeypatch.setattr(CosetIndex, "translations", no_translations)
+    pair = PairSpec.depth(2, 3).pair()
+    assert pair.structure_constants().shape == (16, 16, 16)
+    assert not pair.is_commutative().commutative
+
+
 @st.composite
 def symmetric_over_cyclic(draw):
     """(S_m, ⟨g⟩) for m in {4, 5}: mostly noncommutative, unlike the pairs
@@ -222,6 +235,13 @@ def test_tree_pairs_match_the_scalar_cosets(d, k, n):
 @given(small_pairs())
 def test_random_small_pairs_match_the_scalar_cosets(gh):
     assert_cosets_match_oracle(*gh)
+
+
+@pytest.mark.parametrize("d, k, n", tree_pairs(10395))
+def test_tree_pairs_match_the_all_rows_count(d, k, n):
+    pair = PairSpec.level(d, k, n).pair()
+    assert np.array_equal(pair.structure_constants(),
+                          oracles.all_rows_structure_constants(pair))
 
 
 @pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])

@@ -241,6 +241,39 @@ def test_decay_refuses_levels_beyond_float_range(workdir, flagship_certificate, 
     assert seconds < 5
 
 
+def test_decay_near_the_float_range_writes_no_warning(workdir, flagship_certificate):
+    # |V_n| ≈ 2^1023 times a log-moment below -1 overflows to -inf, which is exp'd to 0
+    (workdir / "cert.json").write_text(json.dumps(flagship_certificate.to_json_dict()))
+    result = subprocess.run(
+        [sys.executable, "-m", "heckelab", "decay", "cert.json", "--n-max", "1023"],
+        capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
+def test_decay_refuses_moments_off_the_unit_disc(workdir, capsys, flagship_certificate):
+    data = flagship_certificate.to_json_dict()
+    data["moments"]["re"][0] = 2.0
+    (workdir / "cert.json").write_text(json.dumps(data))
+    for extra in ([], ["--k-max", "1", "--n-max", "3"]):
+        assert main(["decay", "cert.json", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "τ(w^1)" in captured.err
+    data["moments"]["re"][0] = 0.0
+    data["moments"]["im"][5] = -1.5
+    (workdir / "cert.json").write_text(json.dumps(data))
+    # the Haar rows read moments beyond --k-max, so every stored moment is checked
+    assert main(["decay", "cert.json", "--k-max", "3"]) == 2
+    assert "τ(w^6)" in capsys.readouterr().err
+    assert main(["verify", "cert.json"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    data["moments"]["re"][2] = math.nan
+    (workdir / "cert.json").write_text(json.dumps(data))
+    assert main(["decay", "cert.json"]) == 2
+    assert "τ(w^3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gelfand", "witness"])
 def test_depth_pair_commands_take_no_root_degree(workdir, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -411,6 +444,19 @@ def test_spher_commands(workdir, capsys):
     assert key["images"] == [0, 1, 2, 3]
 
     assert main(["spher", "key", "g.json"]) == 2  # missing --n
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["compose", "g.json"], "two element files"),
+    (["compose", "g.json", "g.json", "g.json"], "two element files"),
+    (["canonical", "g.json", "g.json", "missing.json"], "one element file"),
+    (["key", "g.json", "missing.json", "--n", "2"], "one element file"),
+])
+def test_spher_refuses_a_wrong_file_count(workdir, capsys, argv, files):
+    g = AlmostAutomorphism.automorphism(TreeShape(2, 2), {(): (1, 0)})
+    (workdir / "g.json").write_text(json.dumps(to_json_dict(g)))
+    assert main(["spher", *argv]) == 2
+    assert capsys.readouterr() == ("", f"spher {argv[0]} needs exactly {files}\n")
 
 
 def _package_env():
