@@ -11,8 +11,10 @@ in D}.  Products are computed through structure constants, never through
 element-level convolution over G.  The constants are counted from one
 row of the cell table per double coset: the row of its representative r,
 whose right translation of the cosets by r^{-1} is one canonicalisation of
-the coset rows.  The full λ-cell table, built only on demand, takes its
-rows from the action of G's generators on H\\G, one gather per coset.
+the coset rows.  The full λ-cell table, built only on demand, is filled by
+a breadth-first frontier walk over the action arrays of G's generators on
+H\\G: row 0 is read off the classes, every other row is one gather of a
+row filled before it.
 
 `HeckeElement` is exact: Gaussian-rational coefficients, multiplied through
 the integer structure constants.  Float elements are plain coefficient
@@ -157,17 +159,32 @@ class HeckePair:
     def cell_class(self):
         """Matrix of class(r_i r_j⁻¹): λ(e_d) is the indicator of its value d.
 
-        Row i is star(class(R_i)), since R_i[y] of `CosetIndex.translations`
-        lies in the double coset of r_y r_i⁻¹.  Refused above `LAMBDA_CAP`
-        cosets (the int32 table is size² · 4 bytes).
+        Row 0 is class(r_j⁻¹) = star(class(r_j)).  Right multiplication by a
+        generator g_s moves both cosets of a cell and keeps its class, so
+        cell[a_s(i), a_s(j)] = cell[i, j] for the action array a_s, and a row
+        first reached as a_s(i) is row i gathered by the inverse of a_s.  The
+        rows are filled a breadth-first frontier at a time.  Refused above
+        `LAMBDA_CAP` cosets (the int32 table is size² · 4 bytes).
         """
         if self.size > LAMBDA_CAP:
             raise ScaleError(
                 f"λ-matrices for {self.size} cosets above cap {LAMBDA_CAP}")
-        star_class = self.star_map[self.class_of_coset]
         cell = np.empty((self.size, self.size), dtype=np.int32)
-        for i, translation in self.cosets.translations():
-            cell[i] = star_class[translation]
+        cell[0] = self.star_map[self.class_of_coset]
+        action = self.cosets.action
+        # the inverse of a permutation array is its argsort
+        inverse = np.argsort(action, axis=1)
+        seen = np.arange(self.size) == 0
+        frontier = np.flatnonzero(seen)
+        while len(frontier):
+            known = seen.copy()
+            for move, back in zip(action, inverse):
+                targets, first = np.unique(move[frontier], return_index=True)
+                fresh = ~seen[targets]
+                targets, parents = targets[fresh], frontier[first[fresh]]
+                seen[targets] = True
+                cell[targets] = cell[np.ix_(parents, back)]
+            frontier = np.flatnonzero(seen & ~known)
         return cell
 
     def basis_matrix(self, j: int):

@@ -14,8 +14,9 @@ vector coset enumeration of Seress, *Permutation Group Algorithms* (CUP
 an argmin over the orbit and a gather with the transversal), one walks the
 orbit of a coset under right multiplication a frontier at a time, and rows
 are ranked against sorted rows by binary search on byte keys.  The coset
-space H\\G with its generator action, R-indices and minimal double-coset
-elements come from these; double cosets H\\G/H are the orbits of H's
+space H\\G is just its sorted rows and the action arrays of G's generators
+on them; it, the R-indices and the minimal double-coset elements come from
+these routines, and double cosets H\\G/H are the orbits of H's
 action arrays on H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
 """
@@ -432,14 +433,12 @@ def check_coset_count(size: int) -> int:
 
 
 class CosetIndex:
-    """The right-coset space H\\G with canonical (lex-minimal) representatives.
+    """The right-coset space H\\G: its canonical (lex-minimal) representatives
+    and the right action of G's generators on them, and nothing else.
 
     Representatives are sorted lexicographically, which puts the identity
     (the representative of the coset H itself) at index 0; `rows` holds them
-    as an (N, m) array.  The enumeration keeps the right action of G's
-    generators on the cosets, ``action[s, i]`` being the index of
-    H·r_i·g_s, and the breadth-first tree it grew along: coset j > 0 was
-    first reached as ``action[tree_generator[j], tree_parent[j]]``.
+    as an (N, m) array, and ``action[s, i]`` is the index of H·r_i·g_s.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -461,15 +460,6 @@ class CosetIndex:
         moves, _ = rank_keys(self._keys, targets)
         self.action = np.empty((len(gens), size), dtype=np.int32)
         self.action[:, position] = moves.T
-        # the first edge into a coset, in discovery order, is its tree edge
-        edge = np.full(size, -1)
-        reached, first = np.unique(order[moves], return_index=True)
-        edge[reached] = first
-        parent, generator = np.divmod(edge[1:], len(gens))
-        self.tree_parent = np.full(size, -1, dtype=np.int32)
-        self.tree_generator = np.full(size, -1, dtype=np.int32)
-        self.tree_parent[position[1:]] = position[parent]
-        self.tree_generator[position[1:]] = generator
 
     def __len__(self):
         return len(self.rows)
@@ -480,34 +470,6 @@ class CosetIndex:
         if not found.all():
             raise ContainmentError("permutation is not an element of the group")
         return idx
-
-    def coset_of(self, p: Permutation) -> int:
-        """Index of the right coset H·p."""
-        return int(self.cosets_of([p.images])[0])
-
-    def translations(self):
-        """Yield (j, R_j) for every coset j, where R_j[i] is the coset H·r_i·w_j⁻¹.
-
-        Here w_j is the word in G's generators along the tree path to j, so
-        H·w_j = H·r_j, and H·r_i·w_j⁻¹ lies in the double coset of
-        r_i·r_j⁻¹.  Each R_j is one gather of its parent's, R_j =
-        R_parent[inverse action of the tree generator]; the tree is walked
-        depth first, so only the translations along one path are alive.
-        """
-        size = len(self)
-        inverse = np.empty_like(self.action)
-        for s, row in enumerate(self.action):
-            inverse[s, row] = np.arange(size, dtype=np.int32)
-        children = [[] for _ in range(size)]
-        for j, parent in enumerate(self.tree_parent.tolist()):
-            if parent >= 0:
-                children[parent].append(j)
-        stack = [(0, np.arange(size, dtype=np.int32))]
-        while stack:
-            j, R = stack.pop()
-            yield j, R
-            for c in children[j]:
-                stack.append((c, R[inverse[self.tree_generator[c]]]))
 
 
 # -- double cosets --------------------------------------------------------------

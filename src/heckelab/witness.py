@@ -331,9 +331,11 @@ class WitnessCertificate:
         spectral = _field(data, "spectral", dict)
         angles = _numbers(spectral, "angles", "spectral")
         weights = _numbers(spectral, "weights", "spectral")
-        if len(angles) != len(weights):
-            raise ValueError("certificate spectral angles and weights differ in length")
-        moments = _complexes(_field(data, "moments", dict), "moments")
+        if len(angles) != len(weights) or not len(angles):
+            raise ValueError("certificate field 'spectral' has empty or unequal "
+                             "angles and weights")
+        moments = _complexes(_field(data, "moments", dict), "moments",
+                             lambda i: f"moment τ(w^{i + 1})")
         if len(moments) == 0:
             raise ValueError("certificate field 'moments' is empty")
         tolerances = _field(data, "tolerances", dict)
@@ -376,19 +378,30 @@ def _field(data: dict, key: str, kind, where: str = ""):
     return value
 
 
-def _number(data: dict, key: str, where: str = "") -> float:
-    return float(_field(data, key, (int, float), where))
-
-
-def _numbers(data: dict, key: str, where: str) -> np.ndarray:
-    values = _field(data, key, list, where)
-    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in values):
-        raise ValueError(f"certificate field '{where}.{key}' is not a list of numbers")
+def _finite(values: list, name) -> np.ndarray:
+    """`values` as floats; NaN, ±Infinity and integers beyond the float range
+    raise ValueError, naming the first as `name(index)`."""
+    bad = [i for i, x in enumerate(values) if not abs(x) <= sys.float_info.max]
+    if bad:
+        raise ValueError(f"certificate {name(bad[0])} is not a finite number")
     return np.asarray(values, dtype=float)
 
 
-def _complexes(data: dict, where: str) -> np.ndarray:
-    re, im = _numbers(data, "re", where), _numbers(data, "im", where)
+def _number(data: dict, key: str, where: str = "") -> float:
+    value = _field(data, key, (int, float), where)
+    name = f"{where}.{key}" if where else key
+    return float(_finite([value], lambda _: f"field {name!r}")[0])
+
+
+def _numbers(data: dict, key: str, where: str, name=None) -> np.ndarray:
+    values = _field(data, key, list, where)
+    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in values):
+        raise ValueError(f"certificate field '{where}.{key}' is not a list of numbers")
+    return _finite(values, name or (lambda i: f"field '{where}.{key}' entry {i}"))
+
+
+def _complexes(data: dict, where: str, name=None) -> np.ndarray:
+    re, im = _numbers(data, "re", where, name), _numbers(data, "im", where, name)
     if len(re) != len(im):
         raise ValueError(f"certificate field {where!r} has re and im of different lengths")
     return re + 1j * im
@@ -613,6 +626,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+@np.errstate(all="ignore")
 def verify_certificate(cert: WitnessCertificate,
                        pair: HeckePair | None = None) -> VerificationReport:
     """Re-derive everything in the certificate from its (d, l) parameters.
@@ -622,7 +636,9 @@ def verify_certificate(cert: WitnessCertificate,
     powers on ℓ²(H\\G), not the GNS matrices of the search), the moment
     bound, the spectral reconstruction, and runs the root-of-unity scan.
     Thresholds are `DEFAULT_TOLERANCES`; stored tolerances looser than those
-    fail as `tolerances`.
+    fail as `tolerances`.  A check passes only when its value is at most its
+    threshold, so a NaN fails it; floating-point warnings are off, since
+    a wild certificate overflows on the way to its FAIL.
     """
     failures = []
     diagnostics = {}
@@ -630,9 +646,9 @@ def verify_certificate(cert: WitnessCertificate,
         pair = PairSpec.depth(cert.d, cert.l).pair()
     tol = DEFAULT_TOLERANCES
     stored = cert.tolerances
-    if stored["unitarity"] > tol["unitarity"] or \
-            stored["moment_margin"] < tol["moment_margin"] or \
-            stored["root_scan_order"] < tol["root_scan_order"]:
+    if not (stored["unitarity"] <= tol["unitarity"]
+            and stored["moment_margin"] >= tol["moment_margin"]
+            and stored["root_scan_order"] >= tol["root_scan_order"]):
         failures.append("tolerances")
     if [list(r) for r in cert.basis] != pair.table.representatives.tolist():
         failures.append("basis-order")
@@ -645,7 +661,7 @@ def verify_certificate(cert: WitnessCertificate,
     v = pair.lambda_matrix(cert.v_coefficients)
     for name, matrix in (("u", u), ("v", v)):
         defect = diagnostics[f"unitarity_defect_{name}"] = _unitarity_defect(matrix)
-        if defect > tol["unitarity"]:
+        if not defect <= tol["unitarity"]:
             failures.append(f"unitarity-{name}")
 
     w = _commutator(u, v)
@@ -653,30 +669,33 @@ def verify_certificate(cert: WitnessCertificate,
     diagnostics["conjugate_symmetry_defect"] = conj_defect
     moment_gap = float(np.max(np.abs(table - cert.moments)))
     diagnostics["moment_recomputation_gap"] = moment_gap
-    if moment_gap > 1e-8:
+    if not moment_gap <= 1e-8:
         failures.append("moment-table")
 
     stored_max = float(np.max(np.abs(cert.moments)))
     diagnostics["max_abs_moment"] = stored_max
-    if abs(stored_max - cert.max_abs_moment) > 1e-12:
+    if not abs(stored_max - cert.max_abs_moment) <= 1e-12:
         failures.append("max-moment-consistency")
-    if stored_max > 1.0 - tol["moment_margin"]:
+    if not stored_max <= 1.0 - tol["moment_margin"]:
         failures.append("moment-bound")
 
     weights = cert.weights
     diagnostics["weight_sum_defect"] = float(abs(weights.sum() - 1.0))
-    if diagnostics["weight_sum_defect"] > 1e-8:
+    if not diagnostics["weight_sum_defect"] <= 1e-8:
         failures.append("weight-sum")
-    if float(weights.min()) < -1e-10:
+    if not float(weights.min()) >= -1e-10:
         failures.append("weight-positivity")
-    eigenvalues = np.linalg.eigvals(w)
-    diagnostics["eigenvalue_modulus_defect"] = float(np.max(np.abs(np.abs(eigenvalues) - 1.0)))
-    if diagnostics["eigenvalue_modulus_defect"] > 1e-8:
+    # eigvals refuses a non-finite w, which is no unitary either
+    eigen_defect = math.inf
+    if np.isfinite(w).all():
+        eigen_defect = float(np.max(np.abs(np.abs(np.linalg.eigvals(w)) - 1.0)))
+    diagnostics["eigenvalue_modulus_defect"] = eigen_defect
+    if not eigen_defect <= 1e-8:
         failures.append("eigenvalue-modulus")
     spec = SpectralData(cert.angles, cert.weights)
     recon_gap = float(np.max(np.abs(spec.reconstruct(cert.k_max) - cert.moments)))
     diagnostics["spectral_reconstruction_gap"] = recon_gap
-    if recon_gap > 1e-8:
+    if not recon_gap <= 1e-8:
         failures.append("spectral-reconstruction")
 
     scan = root_of_unity_scan(spec, tol["root_scan_order"])

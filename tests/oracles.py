@@ -229,8 +229,8 @@ def min_coset_images(levels, g):
 
 
 def coset_enumeration(G, H):
-    """(representatives, action, tree_parent, tree_generator) of H\\G from a
-    Python breadth-first walk, one canonical coset per coset and generator."""
+    """(representatives, action) of H\\G from a Python breadth-first walk,
+    one canonical coset per coset and generator."""
     levels = chain_levels(H)
     gens = [g.images for g in G.generators]
     points, edges = orbit(min_coset_images(levels, range(G.degree)), gens,
@@ -242,16 +242,7 @@ def coset_enumeration(G, H):
     moves = np.array(edges, dtype=np.int32).reshape(size, len(gens))
     action = np.empty((len(gens), size), dtype=np.int32)
     action[:, position] = position[moves].T
-    parent, generator = [-1] * size, [-1] * size
-    for k, row in enumerate(edges):
-        for s, j in enumerate(row):
-            if j and parent[j] < 0:
-                parent[j], generator[j] = k, s
-    tree_parent = np.full(size, -1, dtype=np.int32)
-    tree_generator = np.full(size, -1, dtype=np.int32)
-    tree_parent[position[1:]] = position[parent[1:]]
-    tree_generator[position[1:]] = generator[1:]
-    return reps, action, tree_parent, tree_generator
+    return reps, action
 
 
 def double_coset_classes(H, reps):
@@ -327,6 +318,37 @@ def lambda_structure_constants(pair, cell):
     return struct
 
 
+def tree_translations(cosets):
+    """Yield (j, R_j) for every coset j, where R_j[i] is the coset H·r_i·w_j⁻¹.
+
+    Here w_j is the word in G's generators along the path to j of a
+    breadth-first tree grown on `cosets.action`, so H·w_j = H·r_j, and
+    H·r_i·w_j⁻¹ lies in the double coset of r_i·r_j⁻¹.  Each R_j is one
+    gather of its parent's, R_j = R_parent[inverse action of the tree
+    generator]; the tree is walked depth first, so only the translations
+    along one path are alive.
+    """
+    size = len(cosets)
+    moves = cosets.action.tolist()
+    inverse = np.argsort(cosets.action, axis=1)
+    children = [[] for _ in range(size)]
+    seen = [True] + [False] * (size - 1)
+    queue = [0]
+    for i in queue:
+        for s, move in enumerate(moves):
+            j = move[i]
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+                children[i].append((j, s))
+    stack = [(0, np.arange(size, dtype=np.int32))]
+    while stack:
+        j, R = stack.pop()
+        yield j, R
+        for c, s in children[j]:
+            stack.append((c, R[inverse[s]]))
+
+
 def all_rows_structure_constants(pair):
     """N[d, e, f] counted from every row of the λ-cell table, one tree
     translation per coset, checking that all rows of a class agree: the
@@ -336,7 +358,7 @@ def all_rows_structure_constants(pair):
     star_class = pair.star_map.astype(np.int64)[cls]
     by_class = np.zeros((dim, dim, dim), dtype=np.int64)
     done = np.zeros(dim, dtype=bool)
-    for i, translation in pair.cosets.translations():
+    for i, translation in tree_translations(pair.cosets):
         counts = np.bincount(star_class[translation] * dim + cls, minlength=dim * dim)
         f = cls[i]
         if not done[f]:

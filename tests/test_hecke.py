@@ -107,7 +107,7 @@ class TestStar:
     def test_star_permutes_basis_by_inverse_class(self, flagship_pair):
         for j, rep in enumerate(flagship_pair.table.representatives.tolist()):
             image = flagship_pair.basis_element(j).star()
-            inv_coset = flagship_pair.cosets.coset_of(Permutation(rep).inverse())
+            inv_coset = flagship_pair.cosets.cosets_of([Permutation(rep).inverse().images])[0]
             inv_class = int(flagship_pair.class_of_coset[inv_coset])
             assert image == flagship_pair.basis_element(inv_class)
 

@@ -4,8 +4,8 @@
 on H\\G, and its structure constants from one row of that table per double
 coset; `oracles.dense_cell_table` and `oracles.lambda_structure_constants`
 are the per-cell slow paths, and `oracles.all_rows_structure_constants`
-counts every row of the table.  The coset
-space, its action and tree, the double-coset classes, R-indices and minimal
+counts every row of the table along a tree of its own.  The coset
+space, its action, the double-coset classes, R-indices and minimal
 double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
 `oracles.r_index` and `oracles.min_in_double_coset` walk them one coset at
@@ -20,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from heckelab import hecke
+from heckelab.embed import SCENARIOS
 from heckelab.errors import ScaleError
 from heckelab.hecke import HeckePair, PairSpec, corner_isomorphism_check
-from heckelab.permgroup import (CosetIndex, DoubleCosetTable, PermGroup, Permutation,
-                                r_index, symmetric_group)
+from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index,
+                                symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
 import oracles
@@ -57,6 +58,16 @@ def test_level_pairs(make, size):
     assert_kernel_matches_oracle(pair)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_wreath_pairs(name):
+    # G = V⋊G_top has 3 to 5 generators, so the frontier walk takes several
+    # action arrays per step
+    scenario = SCENARIOS[name]()
+    pair = HeckePair(scenario.big, scenario.V0_gamma)
+    assert len(pair.group.generators) >= 3
+    assert_kernel_matches_oracle(pair)
+
+
 def test_structure_constants_are_lazy_and_cell_table_on_demand():
     pair = PairSpec.depth(2, 2).pair()
     assert "cell_class" not in vars(pair)
@@ -87,18 +98,15 @@ def test_lambda_matrices_refused_above_cap(monkeypatch):
 
 
 def test_translations_are_right_translations(flagship_pair):
+    # cell[i, j] is the class of H·r_i·r_j⁻¹, sampled on every column
     cosets = flagship_pair.cosets
     H = flagship_pair.subgroup
+    cell = flagship_pair.cell_class
     reps = [Permutation(r) for r in cosets.rows.tolist()]
-    seen = []
-    for j, R in cosets.translations():
-        seen.append(j)
-        # H·r_i·w_j⁻¹ and H·r_i·r_j⁻¹ lie in one double coset
+    for j in range(len(cosets)):
         for i in (0, 1, j, len(cosets) - 1):
-            assert flagship_pair.class_of_coset[R[i]] == flagship_pair.class_of_coset[
-                cosets.coset_of(reps[i] * reps[j].inverse())]
-        assert sorted(R.tolist()) == list(range(len(cosets)))
-    assert sorted(seen) == list(range(len(cosets)))
+            coset = cosets.cosets_of([(reps[i] * reps[j].inverse()).images])[0]
+            assert cell[i, j] == flagship_pair.class_of_coset[coset]
     assert H.order() * len(cosets) == flagship_pair.group.order()
 
 
@@ -108,10 +116,8 @@ def test_action_arrays(flagship_pair):
     assert cosets.action.shape == (len(gens), len(cosets))
     for s, g in enumerate(gens):
         for i in range(0, len(cosets), 7):
-            assert cosets.action[s, i] == cosets.coset_of(Permutation(cosets.rows[i].tolist()) * g)
-    for j in range(1, len(cosets)):
-        parent, s = cosets.tree_parent[j], cosets.tree_generator[j]
-        assert cosets.action[s, parent] == j
+            image = Permutation(cosets.rows[i].tolist()) * g
+            assert cosets.action[s, i] == cosets.cosets_of([image.images])[0]
 
 
 def test_bi_invariance_failure_still_raises(s4_d4_pair):
@@ -156,10 +162,10 @@ def test_random_small_pairs(gh):
 
 
 def test_structure_constants_walk_no_tree(monkeypatch):
-    def no_translations(self):
-        raise AssertionError("the BFS tree was walked")
+    def no_cell_table(self):
+        raise AssertionError("the λ-cell table was built")
 
-    monkeypatch.setattr(CosetIndex, "translations", no_translations)
+    monkeypatch.setattr(HeckePair, "cell_class", property(no_cell_table))
     pair = PairSpec.depth(2, 3).pair()
     assert pair.structure_constants().shape == (16, 16, 16)
     assert not pair.is_commutative().commutative
@@ -189,11 +195,9 @@ def test_gelfand_entry_matches_dense_commutator(gh):
 def assert_cosets_match_oracle(G, H):
     table = DoubleCosetTable(G, H)
     cosets = table.cosets
-    reps, action, parent, generator = oracles.coset_enumeration(G, H)
+    reps, action = oracles.coset_enumeration(G, H)
     assert [tuple(r) for r in cosets.rows.tolist()] == reps
-    for got, want in ((cosets.action, action), (cosets.tree_parent, parent),
-                      (cosets.tree_generator, generator)):
-        assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert cosets.action.dtype == np.int32 and np.array_equal(cosets.action, action)
     blocks, class_of, inverse = oracles.double_coset_classes(H, reps)
     assert [tuple(np.flatnonzero(table.class_of_coset == d).tolist())
             for d in range(len(table))] == blocks

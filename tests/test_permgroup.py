@@ -106,7 +106,7 @@ class TestCosetIndex:
         assert len(oracle) == 3
         buckets = [set() for _ in range(len(ci))]
         for p in G.elements():
-            buckets[ci.coset_of(p)].add(p.images)
+            buckets[ci.cosets_of([p.images])[0]].add(p.images)
         assert {frozenset(b) for b in buckets} == set(oracle)
 
     def test_not_a_subgroup(self):
@@ -227,8 +227,7 @@ class TestSerialization:
         table = DoubleCosetTable(symmetric_group(4), dihedral_square())
         loaded = DoubleCosetTable.from_json_dict(
             json.loads(json.dumps(table.to_json_dict())))
-        for name in ("action", "tree_parent", "tree_generator"):
-            assert (getattr(loaded.cosets, name) == getattr(table.cosets, name)).all()
+        assert (loaded.cosets.action == table.cosets.action).all()
 
     @pytest.mark.parametrize("corrupt", [
         lambda d: d["entries"][1]["right_cosets"].__setitem__(0, 99),

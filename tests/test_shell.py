@@ -384,6 +384,42 @@ def test_malformed_certificate_exits_2_with_one_line(workdir, capsys, field,
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, named", [
+    (("moments", "re", 0), math.nan, "τ(w^1)"),
+    (("moments", "im", 3), -math.inf, "τ(w^4)"),
+    (("max_abs_moment",), math.nan, "'max_abs_moment'"),
+    (("spectral", "weights", 0), math.nan, "'spectral.weights'"),
+    (("spectral", "angles", 0), math.nan, "'spectral.angles'"),
+    (("spectral",), {"angles": [], "weights": []}, "'spectral'"),
+    (("tolerances", "unitarity"), math.nan, "'tolerances.unitarity'"),
+    (("u", "re", 0), math.inf, "'u.re'"),
+    (("v", "im", 0), 10 ** 400, "'v.im'"),
+    *[(("u", "re", 0), float(f"1e{e}"), None) for e in (50, 100, 150, 160, 200)],
+], ids=["moment-nan", "moment-minus-inf", "max-nan", "weight-nan", "angle-nan",
+        "spectral-empty", "tolerance-nan", "u-inf", "v-beyond-float",
+        "u-1e50", "u-1e100", "u-1e150", "u-1e160", "u-1e200"])
+def test_non_finite_certificates_fail_closed(workdir, capsys, flagship_certificate,
+                                             path, value, named):
+    data = flagship_certificate.to_json_dict()
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    (workdir / "cert.json").write_text(json.dumps(data))
+    if named is None:
+        # finite but wild coefficients overflow on the way to a silent FAIL
+        assert main(["verify", "cert.json"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and captured.err == ""
+        return
+    for command in ("verify", "decay"):
+        assert main([command, "cert.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and named in captured.err
+
+
 def _spher_doc():
     shape = TreeShape(2, 2)
     return to_json_dict(AlmostAutomorphism.automorphism(shape, {(): (1, 0)}))

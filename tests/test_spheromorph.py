@@ -274,7 +274,7 @@ class TestDoubleCosetKey:
         for _ in range(50):
             sigma = flagship_pair.group.sample(rng)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, sigma)
-            coset = flagship_pair.cosets.coset_of(sigma)
+            coset = flagship_pair.cosets.cosets_of([sigma.images])[0]
             expected = Permutation(flagship_pair.table.representatives[
                 flagship_pair.class_of_coset[coset]].tolist())
             assert double_coset_key(g, 3) == expected

@@ -1,0 +1,109 @@
+"""Run a fixed battery of CLI commands and demos and keep every output.
+
+    python tools/output_battery.py OUT_DIR
+
+Each case runs `python -m heckelab ...` or a demo script from this
+checkout's `src`, with OUT_DIR as its working directory, and leaves
+NAME.stdout, NAME.stderr and NAME.exit there, next to any file it wrote
+with --out.  Two checkouts that behave alike leave directories that
+`diff -r` finds equal.
+
+Every case has a pinned exit code.  The battery exits 1, after running every
+case, if any case printed a traceback, exited with another code, or wrote
+to stderr while pinned to exit 0 or 1.  Run it with PYTHONWARNINGS=error to
+count a warning as a failure too.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+TIMEOUT_S = 600
+
+LEVEL_PAIRS = (("--d", "3", "--l", "2"), ("--d", "2", "--k", "4", "--n", "2"),
+               ("--d", "6", "--k", "2", "--n", "2"), ("--d", "2", "--k", "5", "--n", "2"))
+
+
+def cases():
+    """(name, argv, pinned exit code) in run order; argv[0] "heckelab" means
+    `python -m heckelab`, a path under demos/ means that script."""
+    yield "census-default", ["heckelab", "census"], 0
+    for i, pair in enumerate(LEVEL_PAIRS):
+        yield f"census-level-{i}", ["heckelab", "census", *pair,
+                                    "--out", f"census-level-{i}.jsonl"], 0
+    yield "census-4-3-2", ["heckelab", "census", "--d", "4", "--k", "3", "--n", "2"], 0
+    for l in (2, 3):
+        yield f"gelfand-l{l}", ["heckelab", "gelfand", "--l", str(l),
+                                "--out", f"gelfand-l{l}.json"], 0
+    for seed in range(8):
+        yield f"witness-{seed}", ["heckelab", "witness", "--seed", str(seed),
+                                  "--out", f"witness-{seed}.json"], 0
+    yield "verify", ["heckelab", "verify", "witness-0.json"], 0
+    yield "verify-tampered", ["heckelab", "verify", "tampered.json"], 1
+    yield "decay", ["heckelab", "decay", "witness-0.json"], 0
+    yield "decay-out", ["heckelab", "decay", "witness-0.json", "--out", "decay.jsonl"], 0
+    yield "decay-k3", ["heckelab", "decay", "witness-0.json", "--k", "3"], 0
+    yield "decay-short", ["heckelab", "decay", "witness-0.json",
+                          "--n-max", "5", "--k-max", "10"], 1
+    yield "embed-check", ["heckelab", "embed-check"], 0
+    g, h = str(DATA / "spher_g.json"), str(DATA / "spher_h.json")
+    yield "spher-compose", ["heckelab", "spher", "compose", g, h], 0
+    yield "spher-canonical", ["heckelab", "spher", "canonical", h], 0
+    yield "spher-key", ["heckelab", "spher", "key", g, "--n", "3"], 0
+    for demo in sorted((ROOT / "demos").glob("0*.py")):
+        yield f"demo-{demo.stem}", [str(demo)], 0
+
+
+def tamper(out: Path):
+    """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3."""
+    data = json.loads((out / "witness-0.json").read_text())
+    data["u"]["re"][1] += 1e-3
+    (out / "tampered.json").write_text(json.dumps(data))
+
+
+def run(out: Path, name: str, argv: list, pinned: int, env: dict) -> list:
+    """Run one case, write its three files, and return its problems."""
+    command = [sys.executable, "-m", *argv] if argv[0] == "heckelab" else [sys.executable, *argv]
+    result = subprocess.run(command, cwd=out, env=env, capture_output=True, text=True,
+                            timeout=TIMEOUT_S)
+    (out / f"{name}.stdout").write_text(result.stdout)
+    (out / f"{name}.stderr").write_text(result.stderr)
+    (out / f"{name}.exit").write_text(f"{result.returncode}\n")
+    problems = []
+    if "Traceback (most recent call last)" in result.stderr:
+        problems.append("traceback")
+    if result.returncode != pinned:
+        problems.append(f"exit {result.returncode}, pinned {pinned}")
+    if pinned in (0, 1) and result.stderr:
+        problems.append("stderr not empty")
+    return problems
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python tools/output_battery.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(args[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    failed = 0
+    for name, command, pinned in cases():
+        if name == "verify-tampered":
+            tamper(out)
+        problems = run(out, name, command, pinned, env)
+        print(f"{name}: {'; '.join(problems) or 'ok'}")
+        failed += bool(problems)
+    print(f"{failed} of the cases failed" if failed else "all cases ok")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
