@@ -7,9 +7,9 @@ from .treefam import TreeShape, ball_aut_group, closed_form_order, q_group, wrea
 from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
                        corner_trace, invariant_subalgebra, projector)
 from .hecke import (GelfandReport, HeckeElement, HeckePair, PairSpec,
-                    corner_isomorphism_check)
+                    corner_isomorphism_check, hecke_image)
 from .embed import (SCENARIOS, WreathScenario, check_commutation, embed_invariant,
-                    embed_top, hecke_image, scenario_report)
+                    embed_top, scenario_report)
 from .witness import (SpectralData, WitnessCertificate, decay_table,
                       fejer_coefficients, haar_convergence_check, moment_table,
                       search_witness, unitary_from_selfadjoint, verify_certificate)

@@ -7,14 +7,16 @@ permutation group on b·m0 points (blocks are contiguous runs), where the
 semidirect product V ⋊ G is literally the subgroup generated by the block
 copies and the rigid block permutations.
 
-The two maps verified here, in exact rational arithmetic:
-
-  * x ↦ x·p_Γ on the Γ-invariant part of the corner p_{V0} C[V] p_{V0},
-  * y ↦ p_{V0}·y on the corner p_Γ C[G] p_Γ (needs all of G to leave V_0
-    invariant),
-
-both landing in p_{V0⋊Γ} C[V⋊G] p_{V0⋊Γ}, multiplicative, star- and
-trace-preserving, with commuting images.
+The two maps verified here, in exact rational arithmetic, are x ↦ x·p_Γ on
+the Γ-invariant part of the Hecke algebra H(V, V_0) and y ↦ p_{V0}·y on
+H(G, Γ) (which needs all of G to leave V_0 invariant).  Both land in
+H(V⋊G, V_0⋊Γ), multiplicative, star- and trace-preserving, with commuting
+images.  They are computed in the double-coset bases of the three pairs, not
+in the group algebra C[V⋊G], which the tests keep as the oracle
+(`hecke.hecke_image` translates).  With e_D = 1_D/|H| on each pair,
+e_D·p_Γ = 1_{DΓ}/|V_0⋊Γ| and p_{V0}·e_E = 1_{V_0 E}/|V_0⋊Γ|, so both maps
+send e_D to R(D)/R(F)·e_F, F the double coset of V_0⋊Γ holding D's lifted
+representative; a Γ-orbit sum of e_D goes to e_F.
 """
 
 from __future__ import annotations
@@ -25,17 +27,33 @@ from functools import cached_property
 
 import numpy as np
 
-from ._exactvec import ExactVector
 from .errors import ContainmentError, InvarianceError
-from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
-                       corner_trace, invariant_subalgebra, projector)
 from .hecke import HeckeElement, HeckePair
-from .permgroup import DoubleCosetTable, PermGroup, symmetric_group, trivial_group
+from .permgroup import PermGroup, orbit_roots, symmetric_group, trivial_group
 from .treefam import block_element, block_permutation, q_group
 
 
 def _normalizes(gens, group: PermGroup) -> bool:
     return all(t * h * t.inverse() in group for t in gens for h in group.generators)
+
+
+def double_coset_map(source: HeckePair, rows, target: HeckePair):
+    """The linear map e_D ↦ R(D)/R(F)·e_F from H(source) into H(target).
+
+    Row i of `rows` is the representative of source class i as an element
+    of the target group, and F is the target class that holds it.
+    """
+    classes = target.class_of_coset[target.cosets.cosets_of(rows)].tolist()
+    images = [target.basis_element(f).scaled(Fraction(int(r), int(target.r_indices[f])))
+              for r, f in zip(source.r_indices.tolist(), classes)]
+
+    def apply(x: HeckeElement) -> HeckeElement:
+        image = target.unit().scaled(0)
+        for d in x.exact.support():
+            image = image + images[d].scaled(x.coeff(d))
+        return image
+
+    return apply
 
 
 class WreathScenario:
@@ -83,78 +101,52 @@ class WreathScenario:
         if not _normalizes(self.gamma_gens, self.V0):
             raise InvarianceError("gamma does not leave V_0 invariant")
 
-    # -- carriers, built on first use ------------------------------------------
+    # -- the three Hecke pairs, built on first use ------------------------------
 
     @cached_property
-    def carrier_V(self) -> EnumeratedGroup:
-        return EnumeratedGroup(self.V)
+    def pair_V(self) -> HeckePair:  # the source of x ↦ x·p_Γ
+        return HeckePair(self.V, self.V0)
 
     @cached_property
-    def carrier_big(self) -> EnumeratedGroup:
-        return EnumeratedGroup(self.big)
+    def pair_top(self) -> HeckePair:  # the source of y ↦ p_{V0}·y, on the blocks
+        return HeckePair(self.top, self.gamma)
 
     @cached_property
-    def carrier_top(self) -> EnumeratedGroup:
-        """The top group G on its own block domain (for the corner of (G, Γ))."""
-        return EnumeratedGroup(self.top)
+    def pair_big(self) -> HeckePair:  # where both embeddings land
+        return HeckePair(self.big, self.V0_gamma)
 
     @cached_property
-    def _table_V(self) -> DoubleCosetTable:
-        return DoubleCosetTable(self.V, self.V0)
-
-    @cached_property
-    def _table_top(self) -> DoubleCosetTable:
-        return DoubleCosetTable(self.top, self.gamma)
-
-    # -- corners ------------------------------------------------------------------
-
-    def corner_basis_V(self) -> list:
-        """Basis p_{V0} δ_x p_{V0} of the corner of (V, V_0)."""
-        return corner_basis(self.carrier_V, self.V0, self._table_V)
-
-    def invariant_corner_basis(self) -> list:
-        """Γ-orbit sums of the corner basis: a basis of the invariant part."""
-        return invariant_subalgebra(self.corner_basis_V(), self.gamma_embedded)
-
-    def corner_basis_top(self) -> list:
-        """Basis p_Γ δ_σ p_Γ of the corner of (G, Γ), on the block domain."""
-        return corner_basis(self.carrier_top, self.gamma, self._table_top)
-
-    def projector_gamma(self) -> AlgebraElement:
-        return projector(self.carrier_big, self.gamma_embedded)
-
-    def projector_V0(self) -> AlgebraElement:
-        return projector(self.carrier_big, self.V0)
-
-    def projector_V0_gamma(self) -> AlgebraElement:
-        return projector(self.carrier_big, self.V0_gamma)
-
-    def lift_from_V(self, x: AlgebraElement) -> AlgebraElement:
-        """Reindex an element of C[V] as an element of C[V ⋊ G]."""
-        return self._lift(x, x.carrier.images)
-
-    def lift_from_top(self, y: AlgebraElement) -> AlgebraElement:
-        """Reindex an element of C[G] through the rigid block permutations."""
+    def _maps(self) -> tuple:
+        """The double-coset maps of x ↦ x·p_Γ and y ↦ p_{V0}·y; the top
+        representatives are lifted through the rigid block permutations."""
         m0 = self.base_group.degree
-        sigma = y.carrier.images.astype(np.intp)
-        rows = (sigma[:, :, None] * m0 + np.arange(m0)).reshape(len(sigma), -1)
-        return self._lift(y, rows)
+        sigma = self.pair_top.table.representatives.astype(np.intp)
+        lifted = (sigma[:, :, None] * m0 + np.arange(m0)).reshape(len(sigma), -1)
+        return (double_coset_map(self.pair_V, self.pair_V.table.representatives, self.pair_big),
+                double_coset_map(self.pair_top, lifted, self.pair_big))
 
-    def _lift(self, x: AlgebraElement, rows) -> AlgebraElement:
-        """Scatter x's numerators to the big-carrier indices of `rows`, the
-        images of x's carrier elements in V ⋊ G."""
-        big = self.carrier_big
-        idx = big.rank(rows)
+    @cached_property
+    def _gamma_roots(self) -> np.ndarray:
+        return self._class_orbits(self.gamma_gens)
 
-        def scatter(values):
-            if values is None:
-                return None
-            out = np.zeros(len(big), dtype=object)
-            out[idx] = values
-            return out
+    def _class_orbits(self, gens) -> np.ndarray:
+        """The least class in the orbit of each double coset D of (V, V_0)
+        under conjugation by `gens`; t⁻¹·D·t is a double coset, the class of
+        t⁻¹·r_D·t, when t normalizes V_0."""
+        if not _normalizes(gens, self.V0):
+            raise InvarianceError("conjugation does not leave V_0 invariant")
+        pair, reps = self.pair_V, self.pair_V.table.representatives
+        # (t⁻¹·r·t)[i] = t[r[t⁻¹[i]]]; the inverse of a row is its argsort
+        maps = [pair.class_of_coset[pair.cosets.cosets_of(t[reps[:, np.argsort(t)]])]
+                for t in (np.asarray(g.images) for g in gens)]
+        return orbit_roots(maps, pair.dim)
 
-        return AlgebraElement(big, ExactVector(x.vec.den, scatter(x.vec.re),
-                                               scatter(x.vec.im)))
+    def invariant_basis(self, gens=None) -> list:
+        """Orbit sums of the e_D under conjugation by `gens` (default Γ), in
+        order of their least class: a basis of the invariant part of H(V, V_0)."""
+        roots = self._gamma_roots if gens is None else self._class_orbits(gens)
+        return [self.pair_V.element_from_fractions((roots == root).astype(int).tolist())
+                for root in np.unique(roots).tolist()]
 
     def __repr__(self):
         return (f"WreathScenario({self.name or 'unnamed'}: |V|={self.V.order()}, "
@@ -162,44 +154,32 @@ class WreathScenario:
                 f"|G|={self.top.order()}, |Γ|={self.gamma.order()})")
 
 
-def is_gamma_invariant(scenario: WreathScenario, x: AlgebraElement) -> bool:
-    return all(x.conjugated_by(t) == x for t in scenario.gamma_gens)
-
-
-def embed_invariant(scenario: WreathScenario, x: AlgebraElement) -> AlgebraElement:
-    """x ↦ x·p_Γ, from the Γ-invariant corner of (V, V_0) into the big corner."""
-    if x.carrier is not scenario.carrier_V:
-        raise ValueError("element does not live on the scenario's V carrier")
-    if not is_gamma_invariant(scenario, x):
+def embed_invariant(scenario: WreathScenario, x: HeckeElement) -> HeckeElement:
+    """x ↦ x·p_Γ, from the Γ-invariant part of H(V, V_0) into H(V⋊G, V_0⋊Γ)."""
+    if x.pair is not scenario.pair_V:
+        raise ValueError("element does not belong to the scenario's pair (V, V_0)")
+    if x.exact.permuted(scenario._gamma_roots) != x.exact:
         raise InvarianceError("element is not Γ-invariant")
-    return convolve(scenario.lift_from_V(x), scenario.projector_gamma())
+    return scenario._maps[0](x)
 
 
-def embed_top(scenario: WreathScenario, y: AlgebraElement) -> AlgebraElement:
-    """y ↦ p_{V0}·y, from the corner of (G, Γ) into the big corner.
-
-    Requires all of G (not only Γ) to leave V_0 invariant.
-    """
-    if y.carrier is not scenario.carrier_top:
-        raise ValueError("element does not live on the scenario's top carrier")
+def embed_top(scenario: WreathScenario, y: HeckeElement) -> HeckeElement:
+    """y ↦ p_{V0}·y, from H(G, Γ) into H(V⋊G, V_0⋊Γ); all of G, not only Γ,
+    must leave V_0 invariant."""
+    if y.pair is not scenario.pair_top:
+        raise ValueError("element does not belong to the scenario's pair (G, Γ)")
     if not _normalizes(scenario.top_gens, scenario.V0):
         raise InvarianceError("the top group does not leave V_0 invariant")
-    return convolve(scenario.projector_V0(), scenario.lift_from_top(y))
+    return scenario._maps[1](y)
 
 
 def check_commutation(scenario: WreathScenario) -> bool:
-    """Do the embedded G-invariant corner and the embedded top corner commute?
-
-    Invariance under all of G is required, so the invariant part is taken
-    with respect to G rather than Γ.
-    """
-    g_invariant = invariant_subalgebra(
-        scenario.corner_basis_V(),
-        PermGroup(scenario.degree, scenario.top_gens))
-    images_v = [embed_invariant(scenario, x) for x in g_invariant]
-    images_t = [embed_top(scenario, y) for y in scenario.corner_basis_top()]
-    return all(convolve(a, b) == convolve(b, a)
-               for a in images_v for b in images_t)
+    """Do the embedded H(G, Γ) and the embedded G-invariant (not only
+    Γ-invariant) part of H(V, V_0) commute?"""
+    images_v = [embed_invariant(scenario, x)
+                for x in scenario.invariant_basis(scenario.top_gens)]
+    images_t = [embed_top(scenario, y) for y in scenario.pair_top.basis()]
+    return all(a * b == b * a for a in images_v for b in images_t)
 
 
 @dataclass
@@ -223,93 +203,33 @@ class ScenarioReport:
         return out
 
 
-def _axiom_suite(basis, embed, star_of, trace_of, unit, image_unit,
-                 big_trace, multiply):
+def _axiom_suite(basis, embed, unit, image_unit):
     """Shared axiom battery for either embedding direction."""
-    images = [embed(x) for x in basis]
-    pairs = list(zip(basis, images))
-
-    def norm_preserved(x, im):
-        # injectivity through the faithful trace: ||im(x)||² = ||x||² > 0
-        lhs = big_trace(convolve(im.star(), im))
-        return lhs == trace_of(multiply(star_of(x), x)) and lhs != (Fraction(0), Fraction(0))
-
+    pairs = [(x, embed(x)) for x in basis]
     return {
         "unital": embed(unit) == image_unit,
-        "star": all(embed(star_of(x)) == im.star() for x, im in pairs),
-        "trace": all(big_trace(im) == trace_of(x) for x, im in pairs),
-        "multiplicative": all(embed(multiply(x, y)) == convolve(ix, iy)
-                              for x, ix in pairs for y, iy in pairs),
-        "injective": all(norm_preserved(x, im) for x, im in pairs),
+        "star": all(embed(x.star()) == im.star() for x, im in pairs),
+        "trace": all(im.trace() == x.trace() for x, im in pairs),
+        "multiplicative": all(embed(x * y) == ix * iy for x, ix in pairs for y, iy in pairs),
+        # injectivity through the faithful trace: ||im(x)||² = ||x||² > 0
+        "injective": all((im.star() * im).trace() == (x.star() * x).trace() != (0, 0)
+                         for x, im in pairs),
     }
 
 
 def scenario_report(scenario: WreathScenario) -> ScenarioReport:
     """Run the full embedding axiom suite, exactly."""
-    v0_order = scenario.V0.order()
-    gamma_order = scenario.gamma.order()
-    big_sub_order = scenario.V0_gamma.order()
-
-    inv_basis = scenario.invariant_corner_basis()
-    p_v0 = projector(scenario.carrier_V, scenario.V0)
-    inv_axioms = _axiom_suite(
-        inv_basis,
-        lambda x: embed_invariant(scenario, x),
-        star_of=lambda x: x.star(),
-        trace_of=lambda x: corner_trace(x, v0_order),
-        unit=p_v0,
-        image_unit=scenario.projector_V0_gamma(),
-        big_trace=lambda y: corner_trace(y, big_sub_order),
-        multiply=convolve,
-    )
-
-    top_basis = scenario.corner_basis_top()
-    top_axioms = _axiom_suite(
-        top_basis,
-        lambda y: embed_top(scenario, y),
-        star_of=lambda y: y.star(),
-        trace_of=lambda y: corner_trace(y, gamma_order),
-        unit=projector(scenario.carrier_top, scenario.gamma),
-        image_unit=scenario.projector_V0_gamma(),
-        big_trace=lambda y: corner_trace(y, big_sub_order),
-        multiply=convolve,
-    )
-
+    big_unit = scenario.pair_big.unit()
     return ScenarioReport(
         scenario=scenario.name,
-        invariant_axioms=inv_axioms,
-        top_axioms=top_axioms,
+        invariant_axioms=_axiom_suite(scenario.invariant_basis(),
+                                      lambda x: embed_invariant(scenario, x),
+                                      scenario.pair_V.unit(), big_unit),
+        top_axioms=_axiom_suite(scenario.pair_top.basis(),
+                                lambda y: embed_top(scenario, y),
+                                scenario.pair_top.unit(), big_unit),
         commutation=check_commutation(scenario),
     )
-
-
-def hecke_image(embedded: AlgebraElement, pair: HeckePair) -> HeckeElement:
-    """Expand a bi-invariant element of the big algebra in an ambient Hecke basis.
-
-    The ambient pair's group must contain the support; the element must be
-    constant on each double coset it meets and cover it entirely (that is
-    exactly bi-invariance plus extension by zero).  Coefficients carry the
-    canonical corner normalization e_D = |H| · (value on D), under which the
-    expansion is an algebra isomorphism onto its image.
-    """
-    values = [Fraction(0)] * pair.dim
-    values_im = [Fraction(0)] * pair.dim
-    counts = [0] * pair.dim
-    support = embedded.vec.support()
-    classes = pair.class_of_coset[pair.cosets.cosets_of(embedded.carrier.images[support])]
-    for i, cls in zip(support, classes.tolist()):
-        re, im = embedded.vec.coeff(i)
-        if counts[cls] == 0:
-            values[cls], values_im[cls] = re, im
-        elif (values[cls], values_im[cls]) != (re, im):
-            raise ValueError("element is not constant on a double coset")
-        counts[cls] += 1
-    for cls, c in enumerate(counts):
-        if c and c != pair.table.sizes[cls]:
-            raise ValueError("support covers a double coset only partially")
-    h_order = pair.subgroup.order()
-    return pair.element_from_fractions(
-        [(re * h_order, im * h_order) for re, im in zip(values, values_im)])
 
 
 # -- pinned scenario catalog -------------------------------------------------------

@@ -21,7 +21,8 @@ the integer structure constants.  Float elements are plain coefficient
 arrays: `HeckePair.left_matrix(c)` multiplies by one in dim × dim, and
 `HeckePair.lambda_matrix(c)` is its action on ℓ²(H\\G), built only when
 asked for, as a cross-check.  The group algebra corner p_H C[G] p_H is kept
-available as an independent oracle via corner_isomorphism_check.
+available as an independent oracle via corner_isomorphism_check, and
+hecke_image reads a group-algebra element back in the basis e_D = 1_D/|H|.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -406,3 +407,33 @@ def corner_isomorphism_check(pair: HeckePair, carrier: EnumeratedGroup | None = 
             if lhs != rhs:
                 return False, {"axiom": "multiplicative", "detail": (i, j)}
     return True, {"dim": pair.dim}
+
+
+def hecke_image(embedded: AlgebraElement, pair: HeckePair) -> HeckeElement:
+    """Expand a bi-invariant element of a group algebra in the basis of `pair`.
+
+    The pair's group must contain the support; the element must be
+    constant on each double coset it meets and cover it entirely (that is
+    exactly bi-invariance plus extension by zero).  Coefficients carry the
+    normalization of corner_isomorphism_check, e_D = 1_D/|H|, that is
+    |H| · (value on D), under which the expansion is an algebra isomorphism
+    onto its image.
+    """
+    values = [Fraction(0)] * pair.dim
+    values_im = [Fraction(0)] * pair.dim
+    counts = [0] * pair.dim
+    support = embedded.vec.support()
+    classes = pair.class_of_coset[pair.cosets.cosets_of(embedded.carrier.images[support])]
+    for i, cls in zip(support, classes.tolist()):
+        re, im = embedded.vec.coeff(i)
+        if counts[cls] == 0:
+            values[cls], values_im[cls] = re, im
+        elif (values[cls], values_im[cls]) != (re, im):
+            raise ValueError("element is not constant on a double coset")
+        counts[cls] += 1
+    for cls, c in enumerate(counts):
+        if c and c != pair.table.sizes[cls]:
+            raise ValueError("support covers a double coset only partially")
+    h_order = pair.subgroup.order()
+    return pair.element_from_fractions(
+        [(re * h_order, im * h_order) for re, im in zip(values, values_im)])

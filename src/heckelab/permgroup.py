@@ -250,10 +250,6 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    def transversal(self, base: int) -> dict:
-        """Orbit-to-representative map of the chain level at `base`."""
-        return {point: _wrap(u) for point, u in self._levels[base].orbit.items()}
-
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
@@ -288,17 +284,6 @@ class PermGroup:
             u = level.orbit[point]
             out.extend(_mul(s, u) for s in deeper)
         return out
-
-    def sample(self, rng) -> Permutation:
-        """Uniform random element; rng is a random.Random-like object."""
-        e = tuple(range(self.degree))
-        for i in reversed(range(self.degree)):
-            level = self._levels[i]
-            if len(level.orbit) == 1:
-                continue
-            point = rng.choice(sorted(level.orbit))
-            e = _mul(e, level.orbit[point])
-        return _wrap(e)
 
     # -- canonical coset representatives --------------------------------------
 

@@ -202,13 +202,9 @@ def cmd_decay(args: argparse.Namespace) -> int:
 
 
 def cmd_embed_check(args: argparse.Namespace) -> int:
-    names = [args.scenario] if args.scenario else sorted(SCENARIOS)
     all_ok = True
-    for name in names:
-        if name not in SCENARIOS:
-            print(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}",
-                  file=sys.stderr)
-            return 2
+    # argparse refuses a name outside SCENARIOS
+    for name in [args.scenario] if args.scenario else sorted(SCENARIOS):
         scenario = SCENARIOS[name]()
         report = scenario_report(scenario)
         print(f"scenario {name}: {scenario!r}")
@@ -296,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", "--level-max", type=int, default=20, dest="n_max")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
 
-    p = command("embed-check", cmd_embed_check, "wreath-embedding axiom suite")
+    p = command("embed-check", cmd_embed_check, "wreath-embedding axiom suite", out=False)
     p.add_argument("--scenario", choices=sorted(SCENARIOS),
                    help="run one pinned scenario (default: all)")
 
@@ -312,7 +308,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_ranges(args)
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, with fd 1 on /dev/null
+        # so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except ScaleError as exc:
         print(f"scale cap violated: {exc}", file=sys.stderr)
         return 2

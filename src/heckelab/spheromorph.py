@@ -375,28 +375,6 @@ def random_portrait(shape: TreeShape, root: tuple, rng, depth: int = 2,
     return _portrait_normalize(portrait)
 
 
-def random_element(shape: TreeShape, rng, expansions: int = 3,
-                   twist_depth: int = 2) -> AlmostAutomorphism:
-    """Seeded random finitary element: random trees, leaf bijection, twists."""
-
-    def random_tree(count):
-        leaves = [()]
-        for _ in range(count):
-            pick = leaves[rng.randrange(len(leaves))]
-            leaves.remove(pick)
-            leaves.extend(pick + (c,) for c in range(shape.arity(pick)))
-        return sorted(leaves)
-
-    count = rng.randrange(expansions + 1)
-    domain = random_tree(count)
-    image = random_tree(count)
-    rng.shuffle(image)
-    leaf_map = dict(zip(domain, image))
-    twists = {a: random_portrait(shape, a, rng, depth=twist_depth)
-              for a in domain if rng.random() < 0.7}
-    return AlmostAutomorphism(shape, leaf_map, twists)
-
-
 def random_tree_automorphism(shape: TreeShape, rng, depth: int = 3) -> AlmostAutomorphism:
     """Random finitary automorphism of the whole tree (an element of K)."""
     return AlmostAutomorphism.automorphism(

@@ -146,12 +146,14 @@ def moment_table(matrix: np.ndarray, k_max: int):
     backward = forward.copy()
     adj = matrix.conj().T
     moments = np.empty(k_max, dtype=np.complex128)
-    defect = 0.0
+    inverse_moments = np.empty(k_max, dtype=np.complex128)
     for k in range(k_max):
         forward = matrix @ forward
         backward = adj @ backward
         moments[k] = forward[0]
-        defect = max(defect, abs(backward[0] - np.conj(forward[0])))
+        inverse_moments[k] = backward[0]
+    # one np.max, which keeps a NaN where a running max() would drop it
+    defect = np.max(np.abs(inverse_moments - np.conj(moments)), initial=0.0)
     return moments, float(defect)
 
 
@@ -170,9 +172,6 @@ class SpectralData:
     def reconstruct(self, k_max: int) -> np.ndarray:
         k = np.arange(1, k_max + 1)
         return np.exp(1j * np.outer(k, self.angles)) @ self.weights
-
-    def moment(self, k: int) -> complex:
-        return complex(np.exp(1j * k * self.angles) @ self.weights)
 
 
 def spectral_data(matrix: np.ndarray) -> SpectralData:

@@ -151,6 +151,40 @@ def algebra_element(carrier, coeffs):
     return AlgebraElement(carrier, ExactVector.from_fractions(values))
 
 
+def sample(G, rng):
+    """Uniform random element of the PermGroup G, one transversal element per
+    level of its stabilizer chain; rng is a random.Random-like object."""
+    from heckelab.permgroup import Permutation
+    e = tuple(range(G.degree))
+    for level in reversed(G._levels):
+        if len(level.orbit) > 1:
+            e = mul(e, level.orbit[rng.choice(sorted(level.orbit))])
+    return Permutation(e)
+
+
+def random_element(shape, rng, expansions=3, twist_depth=2):
+    """Seeded random finitary almost automorphism: random trees, leaf
+    bijection, twists."""
+    from heckelab.spheromorph import AlmostAutomorphism, random_portrait
+
+    def random_tree(count):
+        leaves = [()]
+        for _ in range(count):
+            pick = leaves[rng.randrange(len(leaves))]
+            leaves.remove(pick)
+            leaves.extend(pick + (c,) for c in range(shape.arity(pick)))
+        return sorted(leaves)
+
+    count = rng.randrange(expansions + 1)
+    domain = random_tree(count)
+    image = random_tree(count)
+    rng.shuffle(image)
+    leaf_map = dict(zip(domain, image))
+    twists = {a: random_portrait(shape, a, rng, depth=twist_depth)
+              for a in domain if rng.random() < 0.7}
+    return AlmostAutomorphism(shape, leaf_map, twists)
+
+
 def random_exact_element(pair, rng, span=3):
     """Hecke element with Gaussian-integer coefficients drawn uniformly from
     [-span, span]."""
@@ -209,12 +243,8 @@ def orbit(start, gens, step):
 def chain_levels(H):
     """(base, {orbit point: transversal images}) for each level of H's
     stabilizer chain with a nontrivial orbit, in base order."""
-    levels = []
-    for base in range(H.degree):
-        transversal = H.transversal(base)
-        if len(transversal) > 1:
-            levels.append((base, {p: u.images for p, u in transversal.items()}))
-    return levels
+    return [(base, dict(level.orbit)) for base, level in enumerate(H._levels)
+            if len(level.orbit) > 1]
 
 
 def min_coset_images(levels, g):
@@ -517,3 +547,36 @@ def canonical_by_restarts(g):
             break
         else:
             return type(g)(shape, leaf_map, twists)
+
+
+# -- the wreath embeddings by convolution in the group algebra C[V ⋊ G] -----------
+
+def wreath_invariant_basis(scenario, big, gens):
+    """Orbit sums, under conjugation by `gens`, of the corner basis
+    p_{V0} δ_x p_{V0} of (V, V_0), on the carrier `big` of V ⋊ G."""
+    from heckelab.groupalg import corner_basis, invariant_subalgebra
+    from heckelab.permgroup import PermGroup
+    basis = corner_basis(big, scenario.V0, scenario.pair_V.table)
+    return invariant_subalgebra(basis, PermGroup(scenario.degree, gens))
+
+
+def wreath_embed_invariant(scenario, big, x):
+    """x·p_Γ for a Γ-invariant x of C[V] on the carrier `big` of V ⋊ G."""
+    from heckelab.errors import InvarianceError
+    from heckelab.groupalg import convolve, projector
+    if any(x.conjugated_by(t) != x for t in scenario.gamma_gens):
+        raise InvarianceError("element is not Γ-invariant")
+    return convolve(x, projector(big, scenario.gamma_embedded))
+
+
+def wreath_embed_top(scenario, big, y):
+    """p_{V0}·y for y in C[G] on G's own carrier, lifted to the carrier `big`
+    of V ⋊ G through the rigid block permutations."""
+    from heckelab.errors import InvarianceError
+    from heckelab.groupalg import convolve, projector
+    from heckelab.treefam import block_permutation
+    p = projector(big, scenario.V0)
+    if any(p.conjugated_by(t) != p for t in scenario.top_gens):
+        raise InvarianceError("the top group does not leave V_0 invariant")
+    m0 = scenario.base_group.degree
+    return convolve(p, lift_by_coefficients(big, y, lambda s: block_permutation(s, m0)))

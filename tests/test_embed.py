@@ -1,14 +1,19 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from heckelab.errors import InvarianceError
 from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
-                            embed_invariant, embed_top, hecke_image,
+                            double_coset_map, embed_invariant, embed_top,
                             scenario_report, scenario_s2_cubed,
                             scenario_s2_squared, scenario_s4_d4)
-from heckelab.groupalg import convolve, corner_trace, projector
-from heckelab.hecke import PairSpec, convolve as hecke_convolve
+from heckelab.groupalg import EnumeratedGroup, convolve, corner_basis, projector
+from heckelab.hecke import PairSpec, hecke_image
 from heckelab.permgroup import symmetric_group, trivial_group
 from heckelab.treefam import q_group
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +35,10 @@ class TestScenarioConstruction:
 
     def test_projector_factorization(self, s4sq):
         # the joint averaging projection splits as a commuting product
-        p_v0 = s4sq.projector_V0()
-        p_gamma = s4sq.projector_gamma()
-        joint = s4sq.projector_V0_gamma()
+        big = EnumeratedGroup(s4sq.big)
+        p_v0 = projector(big, s4sq.V0)
+        p_gamma = projector(big, s4sq.gamma_embedded)
+        joint = projector(big, s4sq.V0_gamma)
         assert convolve(p_v0, p_gamma) == joint
         assert convolve(p_gamma, p_v0) == joint
 
@@ -52,24 +58,22 @@ class TestScenarioConstruction:
         assert scenario.V0.order() == 8
         # the Prop hypothesis holds (gamma trivial) but the Corollary's
         # stronger hypothesis fails: the full top group moves V_0
-        basis = scenario.corner_basis_top()
         with pytest.raises(InvarianceError):
-            embed_top(scenario, basis[0])
+            embed_top(scenario, scenario.pair_top.unit())
 
 
 class TestInvariantEmbedding:
     def test_projector_maps_to_joint_projector(self, s4sq):
-        image = embed_invariant(s4sq, projector(s4sq.carrier_V, s4sq.V0))
-        assert image == s4sq.projector_V0_gamma()
+        image = embed_invariant(s4sq, s4sq.pair_V.unit())
+        assert image == s4sq.pair_big.unit()
 
     def test_invariant_basis_dimension(self, s2sq, s4sq):
-        assert len(s2sq.invariant_corner_basis()) == 3
-        assert len(s4sq.invariant_corner_basis()) == 3
+        assert len(s2sq.invariant_basis()) == 3
+        assert len(s4sq.invariant_basis()) == 3
 
     def test_rejects_non_invariant_elements(self, s4sq):
-        basis = s4sq.corner_basis_V()
         # a single off-diagonal tensor factor is moved by the swap
-        lopsided = basis[1]
+        lopsided = s4sq.pair_V.basis_element(1)
         with pytest.raises(InvarianceError):
             embed_invariant(s4sq, lopsided)
 
@@ -88,21 +92,20 @@ class TestInvariantEmbedding:
 
 class TestTopEmbedding:
     def test_projector_maps_to_joint_projector(self, s4sq):
-        image = embed_top(s4sq, projector(s4sq.carrier_top, s4sq.gamma))
-        assert image == s4sq.projector_V0_gamma()
+        image = embed_top(s4sq, s4sq.pair_top.unit())
+        assert image == s4sq.pair_big.unit()
 
     def test_two_element_basis_with_trivial_gamma(self):
         # same blocks, but gamma trivial: the top corner is all of C[S_2]
         scenario = WreathScenario(symmetric_group(4), q_group(2, 2), 2,
                                   symmetric_group(2), trivial_group(2),
                                   name="s4-squared-free-top")
-        basis = scenario.corner_basis_top()
+        basis = scenario.pair_top.basis()
         assert len(basis) == 2
         images = [embed_top(scenario, y) for y in basis]
         assert images[0] != images[1]
         for y, image in zip(basis, images):
-            assert corner_trace(image, scenario.V0_gamma.order()) == \
-                corner_trace(y, scenario.gamma.order())
+            assert image.trace() == y.trace()
         report = scenario_report(scenario)
         assert report.ok, report.rows()
 
@@ -130,31 +133,114 @@ class TestTowerIdentification:
         assert s4sq.V0_gamma.same_group(q_group(2, 3))
 
     def test_composite_lands_in_the_flagship_algebra(self, s4sq, flagship_pair):
-        invariant = s4sq.invariant_corner_basis()
+        # V_0 ⋊ Γ = Q_3, so a double coset of it in V ⋊ G is one in S_8
+        to_flagship = _to_tree_pair(s4sq, flagship_pair)
+        invariant = s4sq.invariant_basis()
         images = [embed_invariant(s4sq, x) for x in invariant]
-        lifted = [hecke_image(y, flagship_pair) for y in images]
+        lifted = [to_flagship(y) for y in images]
         # unit goes to unit
         assert lifted[0] == flagship_pair.unit()
         # multiplicative and trace-preserving through the identification
         for i, x in enumerate(invariant):
             for j, y in enumerate(invariant):
-                via_big = hecke_image(embed_invariant(s4sq, convolve(x, y)),
-                                      flagship_pair)
-                assert via_big == hecke_convolve(lifted[i], lifted[j])
-            assert corner_trace(images[i], s4sq.V0_gamma.order()) == lifted[i].trace()
+                via_big = to_flagship(embed_invariant(s4sq, x * y))
+                assert via_big == lifted[i] * lifted[j]
+            assert images[i].trace() == lifted[i].trace()
 
     def test_composite_depth_one(self):
         # l = 1: the base corner is one-dimensional, the composite is unital
         scenario = WreathScenario(symmetric_group(2), q_group(2, 1), 2,
                                   symmetric_group(2), symmetric_group(2))
         pair = PairSpec.depth(2, 2).pair()
-        invariant = scenario.invariant_corner_basis()
+        invariant = scenario.invariant_basis()
         assert len(invariant) == 1
-        image = hecke_image(embed_invariant(scenario, invariant[0]), pair)
+        image = _to_tree_pair(scenario, pair)(embed_invariant(scenario, invariant[0]))
         assert image == pair.unit()
+
+
+def _to_tree_pair(scenario, pair):
+    """H(V⋊G, V_0⋊Γ) into H(S_m, V_0⋊Γ), for a tree pair whose subgroup is V_0⋊Γ."""
+    assert scenario.V0_gamma.same_group(pair.subgroup)
+    return double_coset_map(scenario.pair_big, scenario.pair_big.table.representatives,
+                            pair)
 
 
 def test_scenario_catalog_names():
     assert set(SCENARIOS) == {"s2-squared", "s4-squared", "s2-cubed"}
     for factory in SCENARIOS.values():
         assert factory().big.order() > 1
+
+
+# -- the group algebra C[V ⋊ G] as the oracle -----------------------------------------
+
+def _free_top():
+    return WreathScenario(symmetric_group(4), q_group(2, 2), 2,
+                          symmetric_group(2), trivial_group(2), name="free-top")
+
+
+def _no_top():
+    return WreathScenario(symmetric_group(2), trivial_group(2), 2,
+                          trivial_group(2), trivial_group(2), name="no-top")
+
+
+def _depth_one():
+    return WreathScenario(symmetric_group(2), q_group(2, 1), 2,
+                          symmetric_group(2), symmetric_group(2), name="depth-one")
+
+
+def _unbalanced():
+    s2 = symmetric_group(2)
+    return WreathScenario(symmetric_group(4), [q_group(2, 2), trivial_group(4)],
+                          2, s2, trivial_group(2), name="unbalanced")
+
+
+ORACLE_SCENARIOS = {**SCENARIOS, "free-top": _free_top, "no-top": _no_top,
+                    "depth-one": _depth_one}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
+def test_hecke_maps_match_the_group_algebra(name):
+    scenario = ORACLE_SCENARIOS[name]()
+    big = EnumeratedGroup(scenario.big)
+    for gens in (scenario.gamma_gens, scenario.top_gens):
+        # the same orbits: the group-algebra sums are of 1_D/|D| = e_D/R(D)
+        sums = oracles.wreath_invariant_basis(scenario, big, gens)
+        assert [hecke_image(x, scenario.pair_V).exact.support() for x in sums] == \
+            [x.exact.support() for x in scenario.invariant_basis(gens)]
+    for x in oracles.wreath_invariant_basis(scenario, big, scenario.gamma_gens):
+        assert embed_invariant(scenario, hecke_image(x, scenario.pair_V)) == \
+            hecke_image(oracles.wreath_embed_invariant(scenario, big, x), scenario.pair_big)
+    top = EnumeratedGroup(scenario.top)
+    for y in corner_basis(top, scenario.gamma, scenario.pair_top.table):
+        assert embed_top(scenario, hecke_image(y, scenario.pair_top)) == \
+            hecke_image(oracles.wreath_embed_top(scenario, big, y), scenario.pair_big)
+
+
+def test_unbalanced_scenario_fails_in_both_pictures():
+    scenario = _unbalanced()
+    big = EnumeratedGroup(scenario.big)
+    y = corner_basis(EnumeratedGroup(scenario.top), scenario.gamma, scenario.pair_top.table)[0]
+    with pytest.raises(InvarianceError):
+        oracles.wreath_embed_top(scenario, big, y)
+    with pytest.raises(InvarianceError):
+        embed_top(scenario, hecke_image(y, scenario.pair_top))
+    with pytest.raises(InvarianceError):
+        oracles.wreath_invariant_basis(scenario, big, scenario.top_gens)
+    with pytest.raises(InvarianceError):
+        scenario.invariant_basis(scenario.top_gens)
+    for run in (scenario_report, check_commutation):
+        with pytest.raises(InvarianceError):
+            run(scenario)
+
+
+def test_embed_imports_nothing_from_groupalg():
+    # the embedding suite works in Hecke coordinates; C[V ⋊ G] is only the oracle
+    source = Path(__file__).resolve().parent.parent / "src" / "heckelab" / "embed.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("groupalg" in name for name in imported), imported

@@ -6,7 +6,7 @@ import pytest
 from heckelab.errors import PairMismatchError
 from heckelab.groupalg import EnumeratedGroup
 from heckelab.hecke import (HeckePair, PairSpec, convolve, corner_isomorphism_check,
-                            trace_inner_product)
+                            hecke_image, trace_inner_product)
 from heckelab.permgroup import Permutation, dihedral_square, symmetric_group, trivial_group
 
 import oracles
@@ -204,7 +204,6 @@ class TestCornerIsomorphism:
     def test_structure_constants_match_oracle(self, s3_s2_pair):
         # multiply indicators inside the group algebra and re-expand
         carrier = EnumeratedGroup(s3_s2_pair.group)
-        from heckelab.embed import hecke_image
         from heckelab.groupalg import convolve as gconv
         h_order = s3_s2_pair.subgroup.order()
         struct = s3_s2_pair.structure_constants()

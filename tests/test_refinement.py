@@ -16,8 +16,7 @@ from heckelab import spheromorph
 from heckelab.permgroup import Permutation
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
                                   double_coset_key, level_permutation,
-                                  random_element, random_portrait,
-                                  random_tree_automorphism)
+                                  random_portrait, random_tree_automorphism)
 from heckelab.treefam import TreeShape
 
 import oracles
@@ -50,7 +49,7 @@ def prefixes(leaves):
 def elements(draw):
     shape = draw(st.sampled_from(SHAPES))
     rng = draw(st.randoms(use_true_random=False))
-    return random_element(shape, rng, expansions=rng.randrange(6))
+    return oracles.random_element(shape, rng, expansions=rng.randrange(6))
 
 
 @st.composite
@@ -124,7 +123,7 @@ def test_refinement_matches_stepwise_expansion(case):
 @SETTINGS
 @given(elements(), st.randoms(use_true_random=False))
 def test_compose_acts_as_apply_g_then_h(g, rng):
-    h = random_element(g.shape, rng, expansions=rng.randrange(6))
+    h = oracles.random_element(g.shape, rng, expansions=rng.randrange(6))
     gh = compose(g, h)
     # deep enough to lie below the leaves of g, of h after g, and of g·h
     depth = 2 + 2 * max(map(len, (*g.leaf_map, *g.leaf_map.values(), *h.leaf_map)))

@@ -412,6 +412,9 @@ def test_non_finite_certificates_fail_closed(workdir, capsys, flagship_certifica
         assert main(["verify", "cert.json"]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out and captured.err == ""
+        if value == 1e200:
+            # the powers of λ(w) overflow to NaN, and the defect keeps it
+            assert "conjugate_symmetry_defect: nan" in captured.out
         return
     for command in ("verify", "decay"):
         assert main([command, "cert.json"]) == 2
@@ -518,3 +521,20 @@ def test_cli_imports_no_scipy(workdir):
                             capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [["verify", "cert.json"],
+                                     ["decay", "cert.json", "--n-max", "1000"]],
+                         ids=["verify", "decay-over-the-buffer"])
+def test_closed_stdout_exits_quietly(workdir, flagship_certificate, command):
+    # a reader that is gone before the first write, like `| head -0`
+    (workdir / "cert.json").write_text(json.dumps(flagship_certificate.to_json_dict()))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "heckelab", *command],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env=_package_env())
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")

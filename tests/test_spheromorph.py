@@ -9,9 +9,11 @@ from heckelab.permgroup import Permutation
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
                                   double_coset_key, from_json_dict, inverse,
                                   is_in_level_subgroup, level_permutation,
-                                  minimal_level, random_element,
-                                  random_tree_automorphism, to_json_dict)
+                                  minimal_level, random_tree_automorphism,
+                                  to_json_dict)
 from heckelab.treefam import TreeShape, ball_aut_group
+
+import oracles
 
 SHAPE = TreeShape(2, 2)
 
@@ -95,9 +97,9 @@ class TestGroupAxioms:
         rng = random.Random(20240805)
         e = AlmostAutomorphism.identity(SHAPE)
         for _ in range(250):
-            g = random_element(SHAPE, rng)
-            h = random_element(SHAPE, rng)
-            f = random_element(SHAPE, rng)
+            g = oracles.random_element(SHAPE, rng)
+            h = oracles.random_element(SHAPE, rng)
+            f = oracles.random_element(SHAPE, rng)
             assert compose(g, e) == g
             assert compose(e, g) == g
             assert compose(g, inverse(g)).is_identity()
@@ -108,8 +110,8 @@ class TestGroupAxioms:
         shape = TreeShape(3, 2)
         rng = random.Random(99)
         for _ in range(60):
-            g = random_element(shape, rng)
-            h = random_element(shape, rng)
+            g = oracles.random_element(shape, rng)
+            h = oracles.random_element(shape, rng)
             assert compose(g, inverse(g)).is_identity()
             assert inverse(inverse(g)) == g
             assert inverse(compose(g, h)) == compose(inverse(h), inverse(g))
@@ -119,7 +121,7 @@ class TestCanonicalForm:
     def test_idempotent(self):
         rng = random.Random(5)
         for _ in range(100):
-            c = canonical_form(random_element(SHAPE, rng))
+            c = canonical_form(oracles.random_element(SHAPE, rng))
             assert canonical_form(c).data_equal(c)
 
     def test_refined_identity_collapses(self):
@@ -139,7 +141,7 @@ class TestCanonicalForm:
         for j in range(4):
             ball.update(SHAPE.vertices(j))
         for _ in range(80):
-            g = random_element(SHAPE, rng)
+            g = oracles.random_element(SHAPE, rng)
             refined = g.refined_to_domain(ball)
             assert canonical_form(refined).data_equal(canonical_form(g))
 
@@ -272,7 +274,7 @@ class TestDoubleCosetKey:
         # permutation, for arbitrary elements of the level-3 subgroup
         rng = random.Random(29)
         for _ in range(50):
-            sigma = flagship_pair.group.sample(rng)
+            sigma = oracles.sample(flagship_pair.group, rng)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, sigma)
             coset = flagship_pair.cosets.cosets_of([sigma.images])[0]
             expected = Permutation(flagship_pair.table.representatives[
@@ -284,7 +286,7 @@ class TestSerialization:
     def test_round_trip(self):
         rng = random.Random(23)
         for _ in range(40):
-            g = canonical_form(random_element(SHAPE, rng))
+            g = canonical_form(oracles.random_element(SHAPE, rng))
             data = json.loads(json.dumps(to_json_dict(g)))
             assert from_json_dict(data) == g
 

@@ -28,6 +28,7 @@ TIMEOUT_S = 600
 
 LEVEL_PAIRS = (("--d", "3", "--l", "2"), ("--d", "2", "--k", "4", "--n", "2"),
                ("--d", "6", "--k", "2", "--n", "2"), ("--d", "2", "--k", "5", "--n", "2"))
+EMBED_SCENARIOS = ("s2-cubed", "s2-squared", "s4-squared")
 
 
 def cases():
@@ -52,6 +53,8 @@ def cases():
     yield "decay-short", ["heckelab", "decay", "witness-0.json",
                           "--n-max", "5", "--k-max", "10"], 1
     yield "embed-check", ["heckelab", "embed-check"], 0
+    for scenario in EMBED_SCENARIOS:
+        yield f"embed-check-{scenario}", ["heckelab", "embed-check", "--scenario", scenario], 0
     g, h = str(DATA / "spher_g.json"), str(DATA / "spher_h.json")
     yield "spher-compose", ["heckelab", "spher", "compose", g, h], 0
     yield "spher-canonical", ["heckelab", "spher", "canonical", h], 0
