@@ -6,7 +6,7 @@ set, giving the tower P_1 < P_2 < ... realized as permutation groups.
 """
 
 from heckelab.treefam import (TreeShape, ball_aut_group, closed_form_order,
-                              q_group, wreath_embed)
+                              q_group, wreath_group)
 
 shape = TreeShape(d=2, k=2)
 print("level sizes:", [shape.level_size(n) for n in range(6)])
@@ -25,12 +25,13 @@ print("\nQ_2 elements:", sorted(p.cycle_string() for p in q2.elements()))
 # The identification Q_l^{|V_n|} ⋊ P_n = P_{n+l}: block copies of the depth
 # group and rigid block permutations together generate exactly the deeper
 # ball group.  Blocks are contiguous runs of addresses sharing a prefix.
-embedding = wreath_embed(d=2, l=2, n=1, k=2)
-print(f"\nwreath embedding blocks: {embedding.blocks()}")
-spanned = embedding.spanned_group()
+level = shape.vertices(3)
+blocks = [[j for j, v in enumerate(level) if v[:1] == prefix] for prefix in shape.vertices(1)]
+print(f"\nwreath embedding blocks: {blocks}")
+spanned = wreath_group(shape, l=2, n=1)
 target = ball_aut_group(shape, 3)
 print(f"spanned order {spanned.order()}, ball group order {target.order()}")
-print("exact identification:", embedding.equals_ball_group())
+print("exact identification:", spanned.same_group(target))
 
 # A ternary tree with a binary root, for contrast.
 mixed = TreeShape(d=3, k=2)

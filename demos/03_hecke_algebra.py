@@ -8,10 +8,9 @@ corner p_H C[G] p_H is the independent oracle for all of it.
 
 import numpy as np
 
-from heckelab.hecke import (PairSpec, convolve, corner_isomorphism_check,
-                            trace_inner_product)
+from heckelab.groupalg import corner_isomorphism_check
+from heckelab.hecke import HeckePair, PairSpec, convolve, trace_inner_product
 from heckelab.permgroup import dihedral_square, symmetric_group
-from heckelab.hecke import HeckePair
 
 # Start small: (S_4, D_4) is two-dimensional.
 pair = HeckePair(symmetric_group(4), dihedral_square(), name="(S_4, D_4)")

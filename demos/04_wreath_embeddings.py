@@ -14,8 +14,8 @@ group algebra C[S_4 ≀ S_2] and reads the result in the flagship basis.
 
 from heckelab.embed import scenario_report, scenario_s4_d4
 from heckelab.groupalg import (EnumeratedGroup, convolve, corner_basis, corner_trace,
-                               invariant_subalgebra, projector)
-from heckelab.hecke import PairSpec, convolve as hecke_convolve, hecke_image
+                               hecke_image, invariant_subalgebra, projector)
+from heckelab.hecke import PairSpec, convolve as hecke_convolve
 from heckelab.permgroup import DoubleCosetTable
 from heckelab.treefam import q_group
 

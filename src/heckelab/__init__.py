@@ -3,11 +3,8 @@ automorphism towers, and commutator-moment decay certificates."""
 
 from .permgroup import (CosetIndex, DoubleCosetTable, PermGroup, Permutation,
                         r_index, symmetric_group)
-from .treefam import TreeShape, ball_aut_group, closed_form_order, q_group, wreath_embed
-from .groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
-                       corner_trace, invariant_subalgebra, projector)
-from .hecke import (GelfandReport, HeckeElement, HeckePair, PairSpec,
-                    corner_isomorphism_check, hecke_image)
+from .treefam import TreeShape, ball_aut_group, closed_form_order, q_group, wreath_group
+from .hecke import GelfandReport, HeckeElement, HeckePair, PairSpec
 from .embed import (SCENARIOS, WreathScenario, check_commutation, embed_invariant,
                     embed_top, scenario_report)
 from .witness import (SpectralData, WitnessCertificate, decay_table,

@@ -7,10 +7,14 @@ denominator); floating point never enters this module.
 
 The averaging projections p_H = (1/|H|) * sum of H and the corners
 p_H C[G] p_H computed here serve as the independent oracle for the
-double-coset picture of the same algebras.
+double-coset picture of the same algebras.  The bridge between the two
+(`corner_isomorphism_check`, `hecke_image`) takes a Hecke pair by duck
+typing, so the library itself never imports this module.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -291,3 +295,81 @@ def invariant_subalgebra(elements: list, action: PermGroup) -> list:
             total = total + elements[i]
         sums.append(total)
     return sums
+
+
+# -- bridge to the double-coset basis -----------------------------------------------
+
+def corner_isomorphism_check(pair):
+    """Exact comparison of a Hecke pair with the corner p_H C[G] p_H.
+
+    The linear map sends e_D to (|D|/|H|) · p_H δ_{rep_D} p_H; this check
+    verifies it is unital, multiplicative, star-preserving, trace-preserving
+    (Hecke trace against |H|·f(e)), and injective, entirely in rational
+    arithmetic.  Returns (ok, detail); on failure detail names the first
+    broken axiom and the basis indices involved.  Groups above `ORACLE_CAP`
+    are refused with ScaleError.
+    """
+    carrier = EnumeratedGroup(pair.group)
+    h_order = pair.subgroup.order()
+    p = projector(carrier, pair.subgroup)
+    raw = corner_basis(carrier, pair.subgroup, pair.table)
+    images = [raw[j].scaled(Fraction(size, h_order))
+              for j, size in enumerate(pair.table.sizes)]
+
+    def embed(element) -> AlgebraElement:
+        total = AlgebraElement.zero(carrier)
+        for j in element.exact.support():
+            total = total + images[j].scaled(element.exact.coeff(j))
+        return total
+
+    if images[0] != p:
+        return False, {"axiom": "unit", "detail": "image of e_H is not p_H"}
+    for i in range(pair.dim):
+        if images[i].is_zero():
+            return False, {"axiom": "injective", "detail": f"image of e_{i} vanishes"}
+        for j in range(i + 1, pair.dim):
+            if images[i] == images[j]:
+                return False, {"axiom": "injective", "detail": (i, j)}
+    basis = pair.basis()
+    for i in range(pair.dim):
+        if embed(basis[i].star()) != images[i].star():
+            return False, {"axiom": "star", "detail": i}
+        tr_hecke = basis[i].trace()
+        if corner_trace(images[i], h_order) != tr_hecke:
+            return False, {"axiom": "trace", "detail": i}
+        for j in range(pair.dim):
+            lhs = embed(basis[i] * basis[j])
+            rhs = convolve(images[i], images[j])
+            if lhs != rhs:
+                return False, {"axiom": "multiplicative", "detail": (i, j)}
+    return True, {"dim": pair.dim}
+
+
+def hecke_image(embedded: AlgebraElement, pair):
+    """Expand a bi-invariant element of a group algebra in the basis of `pair`.
+
+    The pair's group must contain the support; the element must be
+    constant on each double coset it meets and cover it entirely (that is
+    exactly bi-invariance plus extension by zero).  Coefficients carry the
+    normalization of corner_isomorphism_check, e_D = 1_D/|H|, that is
+    |H| · (value on D), under which the expansion is an algebra isomorphism
+    onto its image.  Returns the pair's exact Hecke element.
+    """
+    values = [Fraction(0)] * pair.dim
+    values_im = [Fraction(0)] * pair.dim
+    counts = [0] * pair.dim
+    support = embedded.vec.support()
+    classes = pair.class_of_coset[pair.cosets.cosets_of(embedded.carrier.images[support])]
+    for i, cls in zip(support, classes.tolist()):
+        re, im = embedded.vec.coeff(i)
+        if counts[cls] == 0:
+            values[cls], values_im[cls] = re, im
+        elif (values[cls], values_im[cls]) != (re, im):
+            raise ValueError("element is not constant on a double coset")
+        counts[cls] += 1
+    for cls, c in enumerate(counts):
+        if c and c != pair.table.sizes[cls]:
+            raise ValueError("support covers a double coset only partially")
+    h_order = pair.subgroup.order()
+    return pair.element_from_fractions(
+        [(re * h_order, im * h_order) for re, im in zip(values, values_im)])

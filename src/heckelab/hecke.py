@@ -20,9 +20,8 @@ row filled before it.
 the integer structure constants.  Float elements are plain coefficient
 arrays: `HeckePair.left_matrix(c)` multiplies by one in dim × dim, and
 `HeckePair.lambda_matrix(c)` is its action on ℓ²(H\\G), built only when
-asked for, as a cross-check.  The group algebra corner p_H C[G] p_H is kept
-available as an independent oracle via corner_isomorphism_check, and
-hecke_image reads a group-algebra element back in the basis e_D = 1_D/|H|.
+asked for, as a cross-check.  The group-algebra corner p_H C[G] p_H is the
+independent oracle; it lives in `groupalg`, which this module never imports.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -40,15 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from ._exactvec import ExactVector
 from .errors import PairMismatchError, ScaleError
-from .groupalg import (AlgebraElement, EnumeratedGroup, ORACLE_CAP, convolve as
-                       group_convolve, corner_basis, corner_trace, projector)
 from .permgroup import DoubleCosetTable, PermGroup, check_coset_count, symmetric_group
 from .treefam import TreeShape, ball_aut_group, check_level, closed_form_order
 
@@ -152,7 +148,6 @@ class HeckePair:
         self.star_map = self.table.inverse_class
         self.class_of_coset = self.table.class_of_coset
         self._struct = None
-        self._struct_obj = None
 
     # -- basis and λ ------------------------------------------------------------
 
@@ -221,7 +216,6 @@ class HeckePair:
                 counts = np.bincount(star_class[R] * dim + cls, minlength=dim * dim)
                 struct[:, :, f] = counts.reshape(dim, dim)
             self._struct = struct
-            self._struct_obj = struct.astype(object)
         return self._struct
 
     def left_matrix(self, coefficients) -> np.ndarray:
@@ -328,112 +322,32 @@ class HeckeElement:
 
 
 def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
-    """Product in H(G, H); λ(f·g) = λ(f) λ(g) exactly."""
+    """Product in H(G, H); λ(f·g) = λ(f) λ(g) exactly.
+
+    For each d in f's support, Σ_e g_e N[d, e, :] is g's coefficients on its
+    support dotted with the int64 rows N[d, e]; numpy multiplies them as
+    Python ints, so no sum overflows.
+    """
     f._same_pair(g)
     pair = f.pair
-    pair.structure_constants()
-    struct = pair._struct_obj
+    struct = pair.structure_constants()
+    f_re, f_im = f.exact.re, _imaginary(f.exact)
+    support = g.exact.support()
+    g_re, g_im = g.exact.re[support], _imaginary(g.exact)[support]
     re = np.zeros(pair.dim, dtype=object)
     im = np.zeros(pair.dim, dtype=object)
-    has_im = False
-    fim = f.exact.im
-    gim = g.exact.im
     for d in f.exact.support():
-        a = int(f.exact.re[d])
-        b = int(fim[d]) if fim is not None else 0
-        for e in g.exact.support():
-            c = int(g.exact.re[e])
-            dd = int(gim[e]) if gim is not None else 0
-            block = struct[d, e]
-            re = re + block * (a * c - b * dd)
-            if b or dd:
-                im = im + block * (a * dd + b * c)
-                has_im = True
-    return HeckeElement(pair, ExactVector(f.exact.den * g.exact.den, re,
-                                          im if has_im else None))
+        rows = struct[d, support]
+        sum_re, sum_im = g_re.dot(rows), g_im.dot(rows)
+        re = re + f_re[d] * sum_re - f_im[d] * sum_im
+        im = im + f_re[d] * sum_im + f_im[d] * sum_re
+    return HeckeElement(pair, ExactVector(f.exact.den * g.exact.den, re, im))
+
+
+def _imaginary(vec: ExactVector):
+    return vec.im if vec.im is not None else np.zeros_like(vec.re)
 
 
 def trace_inner_product(f: HeckeElement, g: HeckeElement):
     """τ(star(f)·g), the GNS inner product of the canonical trace."""
     return convolve(f.star(), g).trace()
-
-
-# -- oracle bridge -------------------------------------------------------------------
-
-def corner_isomorphism_check(pair: HeckePair, carrier: EnumeratedGroup | None = None):
-    """Exact comparison with the group-algebra corner p_H C[G] p_H.
-
-    The linear map sends e_D to (|D|/|H|) · p_H δ_{rep_D} p_H; this check
-    verifies it is unital, multiplicative, star-preserving, trace-preserving
-    (Hecke trace against |H|·f(e)), and injective, entirely in rational
-    arithmetic.  Returns (ok, detail); on failure detail names the first
-    broken axiom and the basis indices involved.
-    """
-    if pair.group.order() > ORACLE_CAP:
-        raise ScaleError(
-            f"group order {pair.group.order()} exceeds oracle cap {ORACLE_CAP}")
-    if carrier is None:
-        carrier = EnumeratedGroup(pair.group)
-    h_order = pair.subgroup.order()
-    p = projector(carrier, pair.subgroup)
-    raw = corner_basis(carrier, pair.subgroup, pair.table)
-    images = [raw[j].scaled(Fraction(size, h_order))
-              for j, size in enumerate(pair.table.sizes)]
-
-    def embed(element: HeckeElement) -> AlgebraElement:
-        total = AlgebraElement.zero(carrier)
-        for j in element.exact.support():
-            total = total + images[j].scaled(element.exact.coeff(j))
-        return total
-
-    if images[0] != p:
-        return False, {"axiom": "unit", "detail": "image of e_H is not p_H"}
-    for i in range(pair.dim):
-        if images[i].is_zero():
-            return False, {"axiom": "injective", "detail": f"image of e_{i} vanishes"}
-        for j in range(i + 1, pair.dim):
-            if images[i] == images[j]:
-                return False, {"axiom": "injective", "detail": (i, j)}
-    basis = pair.basis()
-    for i in range(pair.dim):
-        if embed(basis[i].star()) != images[i].star():
-            return False, {"axiom": "star", "detail": i}
-        tr_hecke = basis[i].trace()
-        if corner_trace(images[i], h_order) != tr_hecke:
-            return False, {"axiom": "trace", "detail": i}
-        for j in range(pair.dim):
-            lhs = embed(convolve(basis[i], basis[j]))
-            rhs = group_convolve(images[i], images[j])
-            if lhs != rhs:
-                return False, {"axiom": "multiplicative", "detail": (i, j)}
-    return True, {"dim": pair.dim}
-
-
-def hecke_image(embedded: AlgebraElement, pair: HeckePair) -> HeckeElement:
-    """Expand a bi-invariant element of a group algebra in the basis of `pair`.
-
-    The pair's group must contain the support; the element must be
-    constant on each double coset it meets and cover it entirely (that is
-    exactly bi-invariance plus extension by zero).  Coefficients carry the
-    normalization of corner_isomorphism_check, e_D = 1_D/|H|, that is
-    |H| · (value on D), under which the expansion is an algebra isomorphism
-    onto its image.
-    """
-    values = [Fraction(0)] * pair.dim
-    values_im = [Fraction(0)] * pair.dim
-    counts = [0] * pair.dim
-    support = embedded.vec.support()
-    classes = pair.class_of_coset[pair.cosets.cosets_of(embedded.carrier.images[support])]
-    for i, cls in zip(support, classes.tolist()):
-        re, im = embedded.vec.coeff(i)
-        if counts[cls] == 0:
-            values[cls], values_im[cls] = re, im
-        elif (values[cls], values_im[cls]) != (re, im):
-            raise ValueError("element is not constant on a double coset")
-        counts[cls] += 1
-    for cls, c in enumerate(counts):
-        if c and c != pair.table.sizes[cls]:
-            raise ValueError("support covers a double coset only partially")
-    h_order = pair.subgroup.order()
-    return pair.element_from_fractions(
-        [(re * h_order, im * h_order) for re, im in zip(values, values_im)])

@@ -128,71 +128,19 @@ def q_group(d: int, l: int) -> PermGroup:
     return ball_aut_group(TreeShape(d, d), l)
 
 
-@dataclass(frozen=True)
-class WreathEmbedding:
-    """Block data identifying S_{d^l} ^ {|V_n|} ⋊ S_{|V_n|} inside S_{|V_{n+l}|}.
+def wreath_group(shape: TreeShape, l: int, n: int) -> PermGroup:
+    """Q_l^{|V_n|} ⋊ P_n inside S_{|V_{n+l}|}: a copy of Q_l (on d^l points) in
+    every block, and P_n moving the |V_n| blocks rigidly.
 
     Level-(n+l) addresses are grouped by their level-n prefix; each block is
     a contiguous run of d^l addresses in lexicographic order, matching the
-    level-l ordering of the regular tree with k = d.
+    level-l ordering of the regular tree with k = d.  The result equals
+    `ball_aut_group(shape, n + l)`.
     """
-
-    shape: TreeShape
-    l: int
-    n: int
-
-    def __post_init__(self):
-        check_level(self.shape, self.n + self.l)
-
-    @property
-    def block_count(self) -> int:
-        return self.shape.level_size(self.n)
-
-    @property
-    def block_size(self) -> int:
-        return self.shape.d ** self.l
-
-    @property
-    def total_points(self) -> int:
-        return self.shape.level_size(self.n + self.l)
-
-    def blocks(self) -> list:
-        D = self.block_size
-        return [list(range(i * D, (i + 1) * D)) for i in range(self.block_count)]
-
-    def block_embed(self, i: int, p: Permutation) -> Permutation:
-        """Image of a permutation of d^l points acting inside block i."""
-        if p.degree != self.block_size:
-            raise ValueError(f"expected a permutation of {self.block_size} points")
-        return block_element(i, p, self.block_count)
-
-    def top_embed(self, sigma: Permutation) -> Permutation:
-        """Image of a block permutation moving the |V_n| blocks rigidly."""
-        if sigma.degree != self.block_count:
-            raise ValueError(f"expected a permutation of {self.block_count} blocks")
-        return block_permutation(sigma, self.block_size)
-
-    def base_copies(self, group: PermGroup) -> list:
-        """Generators of every block copy of `group` (degree d^l)."""
-        return [self.block_embed(i, g)
-                for i in range(self.block_count) for g in group.generators]
-
-    def spanned_group(self) -> PermGroup:
-        """Subgroup generated by the Q_l block copies and the P_n block action."""
-        base = q_group(self.shape.d, self.l)
-        top = ball_aut_group(self.shape, self.n)
-        gens = self.base_copies(base)
-        gens.extend(self.top_embed(s) for s in top.generators)
-        return PermGroup(self.total_points, gens)
-
-    def equals_ball_group(self) -> bool:
-        """Exactly Q_l^{|V_n|} ⋊ P_n == P_{n+l}: orders plus containment both ways."""
-        spanned = self.spanned_group()
-        ball = ball_aut_group(self.shape, self.n + self.l)
-        return (spanned.order() == ball.order()
-                and ball.contains_group(spanned)
-                and spanned.contains_group(ball))
-
-
-def wreath_embed(d: int, l: int, n: int, k: int) -> WreathEmbedding:
-    return WreathEmbedding(TreeShape(d, k), l, n)
+    points = check_level(shape, n + l)
+    blocks = shape.level_size(n)
+    base = q_group(shape.d, l)
+    gens = [block_element(i, g, blocks) for i in range(blocks) for g in base.generators]
+    gens.extend(block_permutation(s, shape.d ** l)
+                for s in ball_aut_group(shape, n).generators)
+    return PermGroup(points, gens)

@@ -187,13 +187,21 @@ def random_element(shape, rng, expansions=3, twist_depth=2):
 
 def random_exact_element(pair, rng, span=3):
     """Hecke element with Gaussian-integer coefficients drawn uniformly from
-    [-span, span]."""
+    [-span, span]; a span past int64 is drawn from random bytes by rejection."""
     from heckelab._exactvec import ExactVector
     from heckelab.hecke import HeckeElement
-    re = np.array([int(rng.integers(-span, span + 1)) for _ in range(pair.dim)],
-                  dtype=object)
-    im = np.array([int(rng.integers(-span, span + 1)) for _ in range(pair.dim)],
-                  dtype=object)
+
+    def draw():
+        if span < 2 ** 62:
+            return int(rng.integers(-span, span + 1))
+        bits = (2 * span).bit_length()
+        while True:
+            value = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+            if value <= 2 * span:
+                return value - span
+
+    re = np.array([draw() for _ in range(pair.dim)], dtype=object)
+    im = np.array([draw() for _ in range(pair.dim)], dtype=object)
     return HeckeElement(pair, ExactVector(1, re, im))
 
 
@@ -377,6 +385,28 @@ def tree_translations(cosets):
         yield j, R
         for c, s in children[j]:
             stack.append((c, R[inverse[s]]))
+
+
+def convolve_by_blocks(f, g):
+    """f·g summed block by block over both supports, on an object copy of
+    the structure constants: the product `hecke.convolve` replaced."""
+    from heckelab._exactvec import ExactVector
+    from heckelab.hecke import HeckeElement
+
+    def parts(vec, i):
+        return int(vec.re[i]), 0 if vec.im is None else int(vec.im[i])
+
+    pair = f.pair
+    struct = pair.structure_constants().astype(object)
+    re = np.zeros(pair.dim, dtype=object)
+    im = np.zeros(pair.dim, dtype=object)
+    for d in f.exact.support():
+        a, b = parts(f.exact, d)
+        for e in g.exact.support():
+            c, dd = parts(g.exact, e)
+            re = re + struct[d, e] * (a * c - b * dd)
+            im = im + struct[d, e] * (a * dd + b * c)
+    return HeckeElement(pair, ExactVector(f.exact.den * g.exact.den, re, im))
 
 
 def all_rows_structure_constants(pair):

@@ -15,12 +15,13 @@ import numpy as np
 
 from heckelab.embed import (check_commutation, scenario_report, scenario_s2_squared,
                             scenario_s4_d4)
-from heckelab.hecke import PairSpec, convolve, corner_isomorphism_check, trace_inner_product
+from heckelab.groupalg import corner_isomorphism_check
+from heckelab.hecke import PairSpec, convolve, trace_inner_product
 from heckelab.permgroup import (DoubleCosetTable, Permutation, dihedral_square,
                                 symmetric_group)
 from heckelab.spheromorph import (AlmostAutomorphism, compose, double_coset_key, inverse,
                                   random_tree_automorphism)
-from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_embed
+from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_group
 from heckelab.witness import (WitnessCertificate, decay_table, fejer_coefficients,
                               haar_convergence_check, search_witness, verify_certificate)
 
@@ -120,14 +121,10 @@ def test_criterion_07_corollary_commutation():
 
 def test_criterion_08_wreath_identification():
     for l, n in ((1, 1), (1, 2), (2, 1)):
-        embedding = wreath_embed(2, l, n, 2)
-        spanned = embedding.spanned_group()
-        ball = ball_aut_group(TreeShape(2, 2), n + l)
-        assert spanned.order() == ball.order()
-        assert ball.contains_group(spanned)
-        assert spanned.contains_group(ball)
+        shape = TreeShape(2, 2)
+        assert wreath_group(shape, l, n).same_group(ball_aut_group(shape, n + l))
     _report(8, "Q_l^{|V_n|} ⋊ P_n = P_{n+l} for (l,n) in {(1,1),(1,2),(2,1)}, "
-               "orders and generators both ways")
+               "equal orders and containment")
 
 
 def test_criterion_09_witness_certificate(tmp_path):

@@ -8,8 +8,8 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             double_coset_map, embed_invariant, embed_top,
                             scenario_report, scenario_s2_cubed,
                             scenario_s2_squared, scenario_s4_d4)
-from heckelab.groupalg import EnumeratedGroup, convolve, corner_basis, projector
-from heckelab.hecke import PairSpec, hecke_image
+from heckelab.groupalg import EnumeratedGroup, convolve, corner_basis, hecke_image, projector
+from heckelab.hecke import PairSpec
 from heckelab.permgroup import symmetric_group, trivial_group
 from heckelab.treefam import q_group
 
@@ -233,11 +233,15 @@ def test_unbalanced_scenario_fails_in_both_pictures():
             run(scenario)
 
 
-def test_embed_imports_nothing_from_groupalg():
-    # the embedding suite works in Hecke coordinates; C[V ⋊ G] is only the oracle
-    source = Path(__file__).resolve().parent.parent / "src" / "heckelab" / "embed.py"
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "heckelab"
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in LIBRARY.glob("*.py")
+                                          if path.name != "groupalg.py"))
+def test_library_imports_nothing_from_groupalg(module):
+    # the library works in Hecke coordinates; the group algebra is only the oracle
     imported = set()
-    for node in ast.walk(ast.parse(source.read_text())):
+    for node in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)

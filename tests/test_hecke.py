@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from heckelab.errors import PairMismatchError
-from heckelab.groupalg import EnumeratedGroup
-from heckelab.hecke import (HeckePair, PairSpec, convolve, corner_isomorphism_check,
-                            hecke_image, trace_inner_product)
+from heckelab.groupalg import EnumeratedGroup, corner_isomorphism_check, hecke_image
+from heckelab.hecke import HeckePair, PairSpec, convolve, trace_inner_product
 from heckelab.permgroup import Permutation, dihedral_square, symmetric_group, trivial_group
 
 import oracles

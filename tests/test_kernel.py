@@ -4,7 +4,9 @@
 on H\\G, and its structure constants from one row of that table per double
 coset; `oracles.dense_cell_table` and `oracles.lambda_structure_constants`
 are the per-cell slow paths, and `oracles.all_rows_structure_constants`
-counts every row of the table along a tree of its own.  The coset
+counts every row of the table along a tree of its own.  Exact products
+read the int64 constants directly; `oracles.convolve_by_blocks` sums them
+block by block on an object copy.  The coset
 space, its action, the double-coset classes, R-indices and minimal
 double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
@@ -22,7 +24,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab import hecke
 from heckelab.embed import SCENARIOS
 from heckelab.errors import ScaleError
-from heckelab.hecke import HeckePair, PairSpec, corner_isomorphism_check
+from heckelab.groupalg import corner_isomorphism_check
+from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index,
                                 symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
@@ -159,6 +162,29 @@ def test_random_small_pairs(gh):
     assert_kernel_matches_oracle(pair)
     ok, detail = corner_isomorphism_check(pair)
     assert ok, detail
+
+
+@pytest.mark.parametrize("span", [3, 2 ** 70], ids=["span-3", "span-2^70"])
+@pytest.mark.parametrize("name", ["flagship", *SCENARIOS])
+def test_convolve_matches_block_loop(flagship_pair, name, span):
+    # coefficients past 2^63 show that no sum is taken in int64
+    pair = flagship_pair if name == "flagship" else SCENARIOS[name]().pair_big
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        f = oracles.random_exact_element(pair, rng, span)
+        g = oracles.random_exact_element(pair, rng, span)
+        assert hecke.convolve(f, g) == oracles.convolve_by_blocks(f, g)
+    for j in (0, pair.dim - 1):
+        basis = pair.basis_element(j)
+        assert hecke.convolve(basis, f) == oracles.convolve_by_blocks(basis, f)
+        assert hecke.convolve(f, basis) == oracles.convolve_by_blocks(f, basis)
+
+
+def test_pair_keeps_no_object_arrays(flagship_pair):
+    # the structure constants are held once, as int64
+    flagship_pair.structure_constants()
+    assert not [name for name, value in vars(flagship_pair).items()
+                if isinstance(value, np.ndarray) and value.dtype == object]
 
 
 def test_structure_constants_walk_no_tree(monkeypatch):

@@ -514,9 +514,11 @@ def test_module_entry_point(workdir):
 
 
 def test_cli_imports_no_scipy(workdir):
-    # importing scipy.linalg alone costs every command about a third of a second
+    # importing scipy.linalg alone costs every command about a third of a
+    # second; the group-algebra oracle is for the tests and demos only
     probe = ("import sys, heckelab.shell; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m == 'heckelab.groupalg'))")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0, result.stderr

@@ -2,8 +2,8 @@ import pytest
 
 from heckelab.errors import ScaleError
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
-from heckelab.treefam import (TreeShape, ball_aut_group, check_level, closed_form_order,
-                              q_group, wreath_embed)
+from heckelab.treefam import (TreeShape, ball_aut_group, block_element, block_permutation,
+                              check_level, closed_form_order, q_group, wreath_group)
 
 import oracles
 
@@ -114,37 +114,42 @@ def _element_order(p: Permutation) -> int:
 class TestWreathEmbedding:
     @pytest.mark.parametrize("l,n", [(1, 1), (1, 2), (2, 1)])
     def test_block_group_equals_ball_group(self, l, n):
-        assert wreath_embed(2, l, n, 2).equals_ball_group()
+        shape = TreeShape(2, 2)
+        assert wreath_group(shape, l, n).same_group(ball_aut_group(shape, n + l))
 
     def test_small_case_order(self):
-        we = wreath_embed(2, 1, 1, 2)
-        assert we.spanned_group().order() == 8
+        assert wreath_group(TreeShape(2, 2), 1, 1).order() == 8
 
     def test_order_product(self):
-        we = wreath_embed(2, 2, 1, 2)
         q2 = q_group(2, 2)
         p1 = ball_aut_group(TreeShape(2, 2), 1)
-        assert we.spanned_group().order() == q2.order() ** 2 * p1.order() == 128
+        assert wreath_group(TreeShape(2, 2), 2, 1).order() == q2.order() ** 2 * p1.order() == 128
 
     def test_top_copy_meets_blocks_trivially(self):
-        we = wreath_embed(2, 2, 1, 2)
-        blocks_only = PermGroup(we.total_points, we.base_copies(symmetric_group(4)))
-        top = symmetric_group(we.block_count)
-        for sigma in top.elements():
-            embedded = we.top_embed(sigma)
+        # two blocks of 4 points: S_4 in each block, S_2 moving them rigidly
+        blocks_only = PermGroup(8, [block_element(i, g, 2)
+                                    for i in range(2) for g in symmetric_group(4).generators])
+        for sigma in symmetric_group(2).elements():
+            embedded = block_permutation(sigma, 4)
             if not sigma.is_identity():
                 assert embedded not in blocks_only
             else:
                 assert embedded in blocks_only
 
     def test_blocks_are_contiguous_prefix_runs(self):
-        we = wreath_embed(2, 2, 1, 2)
+        # a block copy of Q_2 moves exactly the level-3 addresses below one
+        # level-1 vertex, and they are a contiguous run of 4
         shape = TreeShape(2, 2)
         level = shape.vertices(3)
         prefixes = shape.vertices(1)
-        for i, block in enumerate(we.blocks()):
-            assert [level[j][:1] for j in block] == [prefixes[i]] * we.block_size
+        q2 = q_group(2, 2)
+        for i in range(len(prefixes)):
+            moved = sorted({j for g in q2.generators
+                            for j, image in enumerate(block_element(i, g, 2).images)
+                            if image != j})
+            assert moved == list(range(4 * i, 4 * i + 4))
+            assert [level[j][:1] for j in moved] == [prefixes[i]] * 4
 
     def test_scale_cap(self):
         with pytest.raises(ScaleError):
-            wreath_embed(2, 4, 3, 2)
+            wreath_group(TreeShape(2, 2), 4, 3)
