@@ -15,6 +15,8 @@ The bridge to the double-coset picture: an element representable with
 A = B = (radius-n ball) induces a permutation of the ordered level set,
 and its canonical double coset under the ball automorphism group is the
 complete invariant of its two-sided orbit under tree automorphisms.
+Membership in that level-n subgroup is read off the canonical form: every
+domain leaf at depth at most n, with its image leaf at the same depth.
 """
 
 from __future__ import annotations
@@ -85,11 +87,6 @@ def _portrait_restrict(portrait: dict, c: int) -> dict:
     return {r[1:]: perm for r, perm in portrait.items() if r and r[0] == c}
 
 
-def _portrait_normalize(portrait: dict) -> dict:
-    return {r: perm for r, perm in portrait.items()
-            if any(i != x for i, x in enumerate(perm))}
-
-
 # -- complete subtrees ----------------------------------------------------------------
 
 def _tree_vertices(leaves) -> set:
@@ -111,7 +108,9 @@ def _check_complete(shape: TreeShape, leaves) -> None:
     Sorted, a prefix comes right before its extensions.  With maximum depth
     D a leaf at depth j covers |V_D| / |V_j| points of V_D, so prefix-free
     vertices are the leaves of a complete subtree exactly when they cover
-    V_D: when this Kraft sum is |V_D| (the empty set sums to 0).
+    V_D: when this Kraft sum is |V_D|.  Each vertex above a leaf at depth D
+    has a second child, so a complete subtree has at least D + 1 leaves; the
+    sum is formed only past that test, with |V_D| / |V_j| once per depth j.
     """
     leaves = sorted(leaves)  # so first letters ascend: the ends bound them
     deeper = [c for v in leaves for c in v[1:]]
@@ -122,9 +121,14 @@ def _check_complete(shape: TreeShape, leaves) -> None:
     for v, w in zip(leaves, leaves[1:]):
         if w[:len(v)] == v:
             raise ValueError(f"leaf {v} has descendants in the subtree")
-    sizes = [shape.level_size(j) for j in range(max(map(len, leaves), default=0) + 1)]
-    if sum(sizes[-1] // sizes[len(v)] for v in leaves) != sizes[-1]:
-        raise ValueError("subtree leaves do not cover the boundary of the tree")
+    depths = list(map(len, leaves))
+    deepest = max(depths, default=0)
+    if deepest < len(leaves):
+        size = shape.level_size(deepest)
+        cover = {j: size // shape.level_size(j) for j in set(depths)}
+        if sum(map(cover.__getitem__, depths)) == size:
+            return
+    raise ValueError("subtree leaves do not cover the boundary of the tree")
 
 
 def _split_leaves(g, target_vertices: set, by_image: bool) -> tuple:
@@ -161,21 +165,23 @@ class AlmostAutomorphism:
         stray = [a for a in self.twists if a not in leaf_map]
         if stray:
             raise ValueError(f"twist at {stray[0]} is not at a domain leaf")
+        # one pass; an identity is dropped after its vertex check, as it is a permutation
+        identities = (tuple(range(self.shape.k)), tuple(range(self.shape.d)))
         twists = {}
         for a in leaf_map:
-            # identities are dropped only after their arity is checked
-            portrait = {tuple(r): tuple(perm)
-                        for r, perm in self.twists.get(a, {}).items()}
-            for r, perm in portrait.items():
+            twists[a] = portrait = {}
+            for r, perm in self.twists.get(a, {}).items():
+                r, perm = tuple(r), tuple(perm)
                 if not _is_vertex(self.shape, a + r):
-                    raise ValueError(
-                        f"twist at leaf {a}, address {r} is not a vertex of the tree")
-                arity = self.shape.arity(a + r)
-                if sorted(perm) != list(range(arity)):
+                    raise ValueError(f"twist at leaf {a}, address {r} is not a vertex of the tree")
+                identity = identities[bool(a or r)]
+                if perm == identity:
+                    continue
+                if sorted(perm) != list(identity):
                     raise ValueError(
                         f"twist at leaf {a}, address {r} is not a permutation "
-                        f"of {arity} children")
-            twists[a] = _portrait_normalize(portrait)
+                        f"of {len(identity)} children")
+                portrait[r] = perm
         object.__setattr__(self, "leaf_map", leaf_map)
         object.__setattr__(self, "twists", twists)
 
@@ -223,19 +229,10 @@ class AlmostAutomorphism:
         c = canonical_form(self)
         return c.leaf_map == {(): ()} and not c.twists[()]
 
-    # -- refinement ---------------------------------------------------------------------
-
-    def refined_to_domain(self, target_vertices: set) -> "AlmostAutomorphism":
-        """Split until no domain leaf has children in `target_vertices`."""
-        leaf_map, twists = _split_leaves(self, target_vertices, by_image=False)
-        if len(leaf_map) == len(self.leaf_map):
-            return self
-        return AlmostAutomorphism(self.shape, leaf_map, twists)
-
     # -- evaluation ------------------------------------------------------------------------
 
     def apply_to_address(self, address: tuple) -> tuple:
-        """Image of a vertex lying strictly below some domain leaf."""
+        """Image of a vertex at or below a domain leaf."""
         address = tuple(address)
         for j in range(len(address) + 1):
             prefix = address[:j]
@@ -298,7 +295,7 @@ def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
                 portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
                 del leaf_map[child]
             leaf_map[parent] = target
-            twists[parent] = _portrait_normalize(portrait)
+            twists[parent] = portrait  # the constructor drops identities
     if len(leaf_map) == len(g.leaf_map):
         return g
     return AlmostAutomorphism(shape, leaf_map, twists)
@@ -306,35 +303,35 @@ def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
 
 # -- level subgroups and the double-coset bridge ------------------------------------------------
 
-def _level_refinement(g: AlmostAutomorphism, n: int) -> AlmostAutomorphism | None:
-    """g with A = B = the radius-n ball, or None outside the level-n subgroup.
-    Refined, no domain leaf lies above V_n, so if the (equally many) image
-    leaves all lie on V_n, every domain leaf does too."""
-    refined = canonical_form(g).refined_to_domain(set(g.shape.ball(n)))
-    return refined if all(len(b) == n for b in refined.leaf_map.values()) else None
+def _level_form(g: AlmostAutomorphism, n: int) -> AlmostAutomorphism | None:
+    """The canonical form of g, or None outside the level-n subgroup: g is
+    inside exactly when each domain leaf of it has depth at most n and its
+    image the same depth, since refining to the n-ball splits only the
+    leaves above V_n, into leaves on V_n whose images keep the offset."""
+    c = canonical_form(g)
+    return c if all(len(a) == len(b) <= n for a, b in c.leaf_map.items()) else None
 
 
 def is_in_level_subgroup(g: AlmostAutomorphism, n: int) -> bool:
     """Whether g is represented by a forest automorphism off the radius-n ball."""
-    return _level_refinement(g, n) is not None
+    return _level_form(g, n) is not None
 
 
 def minimal_level(g: AlmostAutomorphism, n_max: int = 16) -> int | None:
-    """Least n with g in the level-n subgroup, or None below n_max."""
-    for n in range(n_max + 1):
-        if is_in_level_subgroup(g, n):
-            return n
-    return None
+    """Least n with g in the level-n subgroup, or None below n_max: the depth
+    of the deepest leaf of the canonical form, if g is in any."""
+    c = _level_form(g, n_max)
+    return None if c is None else max(map(len, c.leaf_map))
 
 
 def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     """The induced permutation of the ordered level set V_n."""
-    refined = _level_refinement(g, n)
-    if refined is None:
+    c = _level_form(g, n)
+    if c is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")
     level = g.shape.vertices(n)
     position = {addr: i for i, addr in enumerate(level)}
-    return Permutation([position[refined.leaf_map[a]] for a in level])
+    return Permutation([position[c.apply_to_address(v)] for v in level])
 
 
 @cache
@@ -369,10 +366,11 @@ def random_portrait(shape: TreeShape, root: tuple, rng, depth: int = 2,
             if rng.random() < density:
                 perm = list(range(arity))
                 rng.shuffle(perm)
-                portrait[rel] = tuple(perm)
+                if perm != sorted(perm):
+                    portrait[rel] = tuple(perm)
             next_frontier.extend(rel + (c,) for c in range(arity))
         frontier = next_frontier
-    return _portrait_normalize(portrait)
+    return portrait
 
 
 def random_tree_automorphism(shape: TreeShape, rng, depth: int = 3) -> AlmostAutomorphism:
@@ -393,10 +391,12 @@ def _address_to_text(addr: tuple) -> str:
 
 
 def _address_from_text(text) -> tuple:
-    if isinstance(text, (list, tuple)) and all(type(c) is int for c in text):
+    if isinstance(text, str):
+        # isascii: "²".isdigit() is true, and int() reads "٣" as 3
+        if not text or text.isascii() and text.isdigit():
+            return tuple(map(int, text))
+    elif isinstance(text, (list, tuple)) and all(type(c) is int for c in text):
         return tuple(text)
-    if isinstance(text, str) and all(c in "0123456789" for c in text):
-        return tuple(int(c) for c in text)
     raise ValueError(f"malformed tree address {text!r}")
 
 

@@ -529,6 +529,32 @@ def refine_by_expansion(g, target_vertices, by_image=False):
         g = expand_leaf(g, min(internal, key=lambda v: (len(v), v)))
 
 
+def refined_to_domain(g, target_vertices):
+    """g split until no domain leaf has children in `target_vertices`, built
+    as one element; g itself when no leaf splits."""
+    from heckelab.spheromorph import _split_leaves
+
+    leaf_map, twists = _split_leaves(g, target_vertices, by_image=False)
+    if len(leaf_map) == len(g.leaf_map):
+        return g
+    return type(g)(g.shape, leaf_map, twists)
+
+
+def level_permutation_by_refinement(g, n):
+    """The level-n permutation read off the canonical form refined to the
+    radius-n ball, or None when an image leaf then lies off V_n (g outside
+    the level-n subgroup)."""
+    from heckelab.permgroup import Permutation
+    from heckelab.spheromorph import canonical_form
+
+    refined = refined_to_domain(canonical_form(g), set(g.shape.ball(n)))
+    if any(len(b) != n for b in refined.leaf_map.values()):
+        return None
+    level = g.shape.vertices(n)
+    position = {addr: i for i, addr in enumerate(level)}
+    return Permutation([position[refined.leaf_map[a]] for a in level])
+
+
 def check_complete_by_vertices(shape, leaves):
     """Completeness from the vertex set: every leaf childless, every other
     vertex with all its children.  Letters are not range-checked and the

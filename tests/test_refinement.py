@@ -1,22 +1,27 @@
-"""The one-pass refinement, the Kraft completeness check and the one-sweep
-canonical form against the paths they replaced, the canonical-form and
-double-coset-key properties, and guards on the number of elements a
-refinement builds.
+"""The one-pass refinement, the Kraft completeness check, the one-sweep
+canonical form and the level map read off the canonical form against the
+paths they replaced, the canonical-form and double-coset-key properties,
+and guards on the number of elements a refinement builds.
 
 `oracles.refine_by_expansion` splits one leaf per validated element,
-`oracles.check_complete_by_vertices` walks the vertex set and
-`oracles.canonical_by_restarts` rescans the leaves after every merge; all
-three are the slow paths of `spheromorph`.
+`oracles.check_complete_by_vertices` walks the vertex set,
+`oracles.canonical_by_restarts` rescans the leaves after every merge and
+`oracles.level_permutation_by_refinement` refines the canonical form to the
+n-ball; all four are the slow paths of `spheromorph`.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckelab import spheromorph
+from heckelab.errors import LevelError
 from heckelab.permgroup import Permutation
 from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
-                                  double_coset_key, level_permutation,
-                                  random_portrait, random_tree_automorphism)
+                                  double_coset_key, is_in_level_subgroup,
+                                  level_permutation, random_portrait,
+                                  random_tree_automorphism)
 from heckelab.treefam import TreeShape
 
 import oracles
@@ -114,7 +119,7 @@ def refined_to_image(g, target):
 @given(elements_and_targets())
 def test_refinement_matches_stepwise_expansion(case):
     g, target = case
-    assert g.refined_to_domain(target).data_equal(
+    assert oracles.refined_to_domain(g, target).data_equal(
         oracles.refine_by_expansion(g, target))
     assert refined_to_image(g, target).data_equal(
         oracles.refine_by_expansion(g, target, by_image=True))
@@ -161,8 +166,28 @@ def test_completeness_checks_agree(case):
 @given(elements_and_targets())
 def test_canonical_form_matches_greedy_restarts(case):
     g, target = case
-    for x in (g, g.refined_to_domain(target), refined_to_image(g, target)):
+    for x in (g, oracles.refined_to_domain(g, target), refined_to_image(g, target)):
         assert canonical_form(x).data_equal(oracles.canonical_by_restarts(x))
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2)])
+def test_level_map_matches_refinement(d, k):
+    shape = TreeShape(d, k)
+    rng = random.Random(1000 * d + k)
+    inside = outside = 0
+    for _ in range(600):
+        g = oracles.random_element(shape, rng, expansions=rng.randrange(6))
+        for n in range(5):
+            expected = oracles.level_permutation_by_refinement(g, n)
+            assert is_in_level_subgroup(g, n) == (expected is not None)
+            if expected is None:
+                outside += 1
+                with pytest.raises(LevelError):
+                    level_permutation(g, n)
+            else:
+                inside += 1
+                assert level_permutation(g, n) == expected
+    assert inside >= 500 and outside >= 500
 
 
 # -- properties ------------------------------------------------------------------
@@ -173,7 +198,7 @@ def test_canonical_form_is_idempotent_and_refinement_invariant(case):
     g, target = case
     c = canonical_form(g)
     assert canonical_form(c).data_equal(c)
-    assert canonical_form(g.refined_to_domain(target)).data_equal(c)
+    assert canonical_form(oracles.refined_to_domain(g, target)).data_equal(c)
     assert canonical_form(refined_to_image(g, target)).data_equal(c)
 
 
@@ -218,11 +243,11 @@ def test_refinement_builds_one_element(constructions):
     g = AlmostAutomorphism.automorphism(shape, {(): (1, 0), (0, 1): (1, 0)})
     ball = set(shape.ball(3))
     constructions.clear()
-    refined = g.refined_to_domain(ball)  # 7 splits
+    refined = oracles.refined_to_domain(g, ball)  # 7 splits
     assert len(refined.leaf_map) == 8
     assert len(constructions) == 1 and constructions[0] is refined
     constructions.clear()
-    assert refined.refined_to_domain(ball) is refined
+    assert oracles.refined_to_domain(refined, ball) is refined
     assert constructions == []
 
 
@@ -250,4 +275,4 @@ def test_double_coset_key_canonicalises_once(monkeypatch, constructions):
     constructions.clear()
     double_coset_key(g, 3)
     assert len(calls) == 1
-    assert len(constructions) <= 2  # the canonical form and its refinement
+    assert len(constructions) <= 1  # the canonical form; no refinement

@@ -450,6 +450,17 @@ def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document
     assert field in err and "Traceback" not in err
 
 
+def test_spher_lone_deep_leaf_refused(workdir):
+    # an 80 KB file with one leaf at depth 40,000: a complete subtree that
+    # deep has more than 40,000 leaves, so no level size is formed
+    leaf = "0" * 40_000
+    document = dict(_spher_doc(), A=[], B=[], phi=[[leaf, leaf]], twists={})
+    (workdir / "deep.json").write_text(json.dumps(document))
+    err, seconds = _fast_refusal("spher", "canonical", "deep.json")
+    assert err == "error: subtree leaves do not cover the boundary of the tree\n"
+    assert seconds < 5
+
+
 def test_witness_certificates_reproducible(workdir, capsys):
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c1.json"]) == 0
     assert main(["witness", "--d", "2", "--l", "3", "--out", "c2.json"]) == 0

@@ -54,6 +54,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="cover"):
             AlmostAutomorphism(SHAPE, {}, {})
 
+    def test_lone_deep_leaf_forms_no_level_size(self, monkeypatch):
+        # a complete subtree of depth D has at least D + 1 leaves
+        def refuse(self, n):
+            raise AssertionError(f"|V_{n}| was formed")
+
+        monkeypatch.setattr(TreeShape, "level_size", refuse)
+        with pytest.raises(ValueError, match="do not cover"):
+            AlmostAutomorphism(SHAPE, {(0,) * 40_000: (0,) * 40_000}, {})
+        with pytest.raises(ValueError, match="do not cover"):
+            AlmostAutomorphism(SHAPE, {(0,): (0,), (1, 0): (1,), (1, 1, 0): (1, 1, 0)}, {})
+
     def test_twist_addresses_are_vertices(self):
         with pytest.raises(ValueError, match="not a vertex"):
             AlmostAutomorphism(SHAPE, {(): ()}, {(): {(7,): (1, 0)}})
@@ -142,7 +153,7 @@ class TestCanonicalForm:
             ball.update(SHAPE.vertices(j))
         for _ in range(80):
             g = oracles.random_element(SHAPE, rng)
-            refined = g.refined_to_domain(ball)
+            refined = oracles.refined_to_domain(g, ball)
             assert canonical_form(refined).data_equal(canonical_form(g))
 
     def test_block_onto_part_of_the_root_block_stays(self):
@@ -189,6 +200,21 @@ class TestLevelSubgroups:
         assert not is_in_level_subgroup(g, 1)
         assert minimal_level(g) == 2
         assert level_permutation(g, 2) == sigma
+
+    def test_membership_lists_no_level_set(self, monkeypatch):
+        # the radius-12 ball of the ternary tree has 797,161 vertices; the
+        # answer is read off the element's five leaves
+        shape = TreeShape(3, 3)
+        g = AlmostAutomorphism(shape, {(0, 0): (0,), (0, 1): (1, 0), (0, 2): (1, 1),
+                                       (1,): (1, 2), (2,): (2,)}, {})
+
+        def refuse(self, n):
+            raise AssertionError(f"a level set was listed, n = {n}")
+
+        monkeypatch.setattr(TreeShape, "ball", refuse)
+        monkeypatch.setattr(TreeShape, "vertices", refuse)
+        assert not is_in_level_subgroup(g, 12)
+        assert minimal_level(g) is None
 
     def test_level_permutation_requires_membership(self):
         g = AlmostAutomorphism(SHAPE, {(0, 0): (0,), (0, 1): (1, 0), (1,): (1, 1)}, {})
@@ -300,6 +326,19 @@ class TestSerialization:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             from_json_dict({"format": "other"})
+
+    @pytest.mark.parametrize("text", ["٣", "０", "0²", "²", "0 1", "-1", "x", None,
+                                      [True], [0, False], [0, 1.0]])
+    def test_address_grammar_refuses(self, text):
+        # digits outside ASCII pass str.isdigit (and int() reads "٣" as 3)
+        with pytest.raises(ValueError, match="malformed tree address"):
+            spheromorph._address_from_text(text)
+
+    def test_address_grammar_accepts(self):
+        assert spheromorph._address_from_text("") == ()
+        assert spheromorph._address_from_text([]) == ()
+        assert spheromorph._address_from_text("0912") == (0, 9, 1, 2)
+        assert spheromorph._address_from_text([0, 12]) == (0, 12)
 
     def test_addresses_accept_lists_and_strings(self):
         data = {

@@ -5,8 +5,9 @@
 Each case runs `python -m heckelab ...` or a demo script from this
 checkout's `src`, with OUT_DIR as its working directory, and leaves
 NAME.stdout, NAME.stderr and NAME.exit there, next to any file it wrote
-with --out.  Two checkouts that behave alike leave directories that
-`diff -r` finds equal.
+with --out and the element files that `spher_inputs` writes for the spher
+cases.  Two checkouts that behave alike leave directories that `diff -r`
+finds equal.
 
 Every case has a pinned exit code.  The battery exits 1, after running every
 case, if any case printed a traceback, exited with another code, or wrote
@@ -59,6 +60,10 @@ def cases():
     yield "spher-compose", ["heckelab", "spher", "compose", g, h], 0
     yield "spher-canonical", ["heckelab", "spher", "canonical", h], 0
     yield "spher-key", ["heckelab", "spher", "key", g, "--n", "3"], 0
+    yield "spher-key-ternary", ["heckelab", "spher", "key", "spher-ternary.json", "--n", "2"], 0
+    for name in ("non-ascii", "twist", "not-injective", "deep-leaf"):
+        yield f"spher-{name}", ["heckelab", "spher", "canonical", f"spher-{name}.json"], 2
+    yield "spher-outside", ["heckelab", "spher", "key", "spher-outside.json", "--n", "2"], 2
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         yield f"demo-{demo.stem}", [str(demo)], 0
 
@@ -68,6 +73,39 @@ def tamper(out: Path):
     data = json.loads((out / "witness-0.json").read_text())
     data["u"]["re"][1] += 1e-3
     (out / "tampered.json").write_text(json.dumps(data))
+
+
+def _element(d: int, k: int, phi: list, twists: dict | None = None) -> dict:
+    """A heckelab/spheromorph/v1 document whose A and B list every prefix of
+    the leaves in phi."""
+    def tree(leaves):
+        return sorted({v[:j] for v in leaves for j in range(len(v) + 1)},
+                      key=lambda v: (len(v), v))
+
+    return {"format": "heckelab/spheromorph/v1", "d": d, "k": k,
+            "A": tree([a for a, _ in phi]), "B": tree([b for _, b in phi]),
+            "phi": phi, "twists": twists or {}}
+
+
+def spher_inputs(out: Path):
+    """Element files: a level-2 element of the ternary tree with twists, and
+    one refusal each for a non-ASCII digit, a twist that is not a permutation,
+    a leaf map that is not injective, a lone leaf at depth 40,000 and an
+    element outside the level-2 subgroup."""
+    deep = "0" * 40_000
+    documents = {
+        "ternary": _element(3, 3, [["0", "2"], ["10", "01"], ["11", "12"], ["12", "00"],
+                                   ["20", "10"], ["21", "02"], ["22", "11"]],
+                            {"0": [["", [1, 2, 0]], ["1", [2, 1, 0]]],
+                             "21": [["", [0, 2, 1]]]}),
+        "non-ascii": _element(2, 2, [["0", "1"], ["1", "\u0663"]]),
+        "twist": _element(2, 2, [["", ""]], {"": [["", [0, 0]]]}),
+        "not-injective": _element(2, 2, [["0", "0"], ["1", "0"]]),
+        "deep-leaf": dict(_element(2, 2, []), phi=[[deep, deep]]),
+        "outside": _element(2, 2, [["00", "0"], ["01", "10"], ["1", "11"]]),
+    }
+    for name, document in documents.items():
+        (out / f"spher-{name}.json").write_text(json.dumps(document))
 
 
 def run(out: Path, name: str, argv: list, pinned: int, env: dict) -> list:
@@ -97,6 +135,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    spher_inputs(out)
     failed = 0
     for name, command, pinned in cases():
         if name == "verify-tampered":
