@@ -19,12 +19,16 @@ on them; it, the R-indices and the minimal double-coset elements come from
 these routines, and double cosets H\\G/H are the orbits of H's
 action arrays on H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
+A group memoises the minimal element of each double coset it has walked,
+keyed on the byte key of the canonical row of every right coset in the walk,
+so its memory grows with the cosets walked so far.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -322,7 +326,9 @@ class PermGroup:
         Returns (rows, targets): the canonical rows of the orbit in
         breadth-first discovery order, rows[0] being that of (self)·start,
         and targets[k, s], the byte key of the canonical row of
-        (self)·rows[k]·gens[s].  Each frontier is multiplied by every
+        (self)·rows[k]·gens[s].  The rows are native-endian uint16, not
+        ROW (np.concatenate drops the byte order): key them with row_keys,
+        never with their raw bytes.  Each frontier is multiplied by every
         generator at once and its new cosets are kept in order of first
         occurrence, which is the order a first-in first-out walk finds them.
         """
@@ -342,10 +348,27 @@ class PermGroup:
         rows = np.concatenate(blocks)
         return rows, np.concatenate(targets).reshape(len(rows), len(gens))
 
+    @cached_property
+    def _double_coset_min(self) -> dict:
+        """Byte key of the canonical row of every right coset in an orbit
+        walked so far -> the least element of its double coset."""
+        return {}
+
     def min_in_double_coset(self, g: Permutation) -> Permutation:
-        """Lexicographically minimal element of (self)·g·(self)."""
-        rows, _ = self.coset_orbit(g.images, self.generator_rows)
-        return _wrap(min(rows.tolist()))
+        """Lexicographically minimal element of (self)·g·(self).
+
+        The orbit of (self)·g under right multiplication by (self) is exactly
+        the set of right cosets inside the double coset, so one walk files
+        the minimum under every coset of it, and a later g in the same double
+        coset costs one canonical row and a lookup.
+        """
+        memo = self._double_coset_min
+        least = memo.get(row_keys(self.canonical_rows([g.images]))[0].tobytes())
+        if least is None:
+            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)[0]).tolist()
+            least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
+            memo.update(zip(keys, repeat(least)))
+        return least
 
 
 def row_keys(rows) -> np.ndarray:

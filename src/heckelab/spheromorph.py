@@ -199,7 +199,10 @@ class AlmostAutomorphism:
     @classmethod
     def from_level_permutation(cls, shape: TreeShape, n: int, sigma: Permutation,
                                twists: dict | None = None) -> "AlmostAutomorphism":
-        """Element with A = B = the radius-n ball and the given level action."""
+        """Element with A = B = the radius-n ball and the given level action.
+        Level sets above LEVEL_POINT_CAP are refused (V_0 is the root)."""
+        if n > 0:
+            check_level(shape, n)
         level = shape.vertices(n)
         if sigma.degree != len(level):
             raise ValueError(f"permutation degree differs from |V_{n}|")
@@ -325,7 +328,10 @@ def minimal_level(g: AlmostAutomorphism, n_max: int = 16) -> int | None:
 
 
 def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
-    """The induced permutation of the ordered level set V_n."""
+    """The induced permutation of the ordered level set V_n.  Level sets
+    above LEVEL_POINT_CAP are refused before any is listed (V_0 is the root)."""
+    if n > 0:
+        check_level(g.shape, n)
     c = _level_form(g, n)
     if c is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")

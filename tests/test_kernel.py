@@ -284,3 +284,35 @@ def test_min_in_double_coset_matches_the_scalar_orbit(d, k, n):
         x = Permutation(images)
         assert H.min_in_double_coset(x).images == oracles.min_in_double_coset(H, x.images)
         assert r_index(x, H) == oracles.r_index(x.images, H)
+
+
+@pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_min_in_double_coset_is_the_table_representative(d, k, n):
+    # the key of every coset is its Hecke basis representative, whether the
+    # group has walked its double coset before (warm) or not (fresh)
+    shape = TreeShape(d, k)
+    warm = ball_aut_group(shape, n)
+    table = DoubleCosetTable(symmetric_group(warm.degree), warm)
+    for row, d_class in zip(table.cosets.rows.tolist(), table.class_of_coset.tolist()):
+        rep = tuple(table.representatives[d_class].tolist())
+        assert warm.min_in_double_coset(Permutation(row)).images == rep
+        assert ball_aut_group(shape, n).min_in_double_coset(Permutation(row)).images == rep
+
+
+@pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_min_in_double_coset_walks_each_double_coset_once(d, k, n, monkeypatch):
+    H = ball_aut_group(TreeShape(d, k), n)
+    elements = H.elements()
+    rng = random.Random(f"memo{d}{k}{n}")
+    images = list(range(H.degree))
+    rng.shuffle(images)
+    x = Permutation(images)
+    least = H.min_in_double_coset(x)
+
+    def refuse(*args):
+        raise AssertionError("an orbit was walked again")
+
+    monkeypatch.setattr(PermGroup, "coset_orbit", refuse)
+    for _ in range(50):
+        h1, h2 = rng.choice(elements), rng.choice(elements)
+        assert H.min_in_double_coset(h1 * x * h2) == least

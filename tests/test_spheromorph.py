@@ -216,6 +216,17 @@ class TestLevelSubgroups:
         assert not is_in_level_subgroup(g, 12)
         assert minimal_level(g) is None
 
+    def test_level_map_refuses_above_the_point_cap(self, monkeypatch):
+        # |V_17| = 131,072 on the binary tree: refused before V_17 is listed
+        def refuse(self, n):
+            raise AssertionError(f"a level set was listed, n = {n}")
+
+        monkeypatch.setattr(TreeShape, "vertices", refuse)
+        with pytest.raises(ScaleError):
+            level_permutation(AlmostAutomorphism.identity(SHAPE), 17)
+        with pytest.raises(ScaleError):
+            AlmostAutomorphism.from_level_permutation(SHAPE, 17, Permutation.identity(2))
+
     def test_level_permutation_requires_membership(self):
         g = AlmostAutomorphism(SHAPE, {(0, 0): (0,), (0, 1): (1, 0), (1,): (1, 1)}, {})
         with pytest.raises(LevelError):
