@@ -146,7 +146,7 @@ class WreathScenario:
         order of their least class: a basis of the invariant part of H(V, V_0)."""
         roots = self._gamma_roots if gens is None else self._class_orbits(gens)
         return [self.pair_V.element_from_fractions((roots == root).astype(int).tolist())
-                for root in np.unique(roots).tolist()]
+                for root in sorted(set(roots.tolist()))]
 
     def __repr__(self):
         return (f"WreathScenario({self.name or 'unnamed'}: |V|={self.V.order()}, "

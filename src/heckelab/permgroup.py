@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import repeat
+from math import factorial
 
 import numpy as np
 
@@ -410,12 +411,23 @@ def trivial_group(degree: int) -> PermGroup:
 
 
 def symmetric_group(degree: int) -> PermGroup:
+    """S_m on generators (0 1) and the m-cycle, its chain filled in closed
+    form rather than by Schreier–Sims (Seress, ch. 4): level i has orbit
+    {i..m-1}, transversal u_p = (i p) and strong generator (i i+1)."""
     if degree <= 1:
         return trivial_group(max(degree, 1))
     gens = [Permutation.from_cycles(degree, (0, 1))]
     if degree > 2:
         gens.append(Permutation.from_cycles(degree, tuple(range(degree))))
-    return PermGroup(degree, gens)
+    group = PermGroup.__new__(PermGroup)
+    group.degree, group.generators, group._order = degree, tuple(gens), factorial(degree)
+    group._levels = [_Level(b, degree) for b in range(degree)]
+    for i, level in enumerate(group._levels[:-1]):
+        for p in range(i + 1, degree):
+            level.orbit[p] = Permutation.from_cycles(degree, (i, p)).images
+        level.gens.append(level.orbit[i + 1])
+        level.gen_set.add(level.orbit[i + 1])
+    return group
 
 
 def dihedral_square() -> PermGroup:

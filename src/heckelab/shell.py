@@ -11,6 +11,10 @@ Reports are JSON lines (written to --out when given, otherwise to stdout)
 plus a human-readable summary on stdout; file writes are atomic
 (write-temp-then-rename).  Primary output files carry no timestamps, so
 identical configurations reproduce identical bytes.
+
+A command loads only the layers it runs: the handlers import `witness`,
+`embed` and `spheromorph` themselves, and the parser's witness defaults and
+scenario names are literals here, so a census never loads those layers.
 """
 
 from __future__ import annotations
@@ -21,16 +25,15 @@ import os
 import sys
 import tempfile
 
-from . import spheromorph
-from .embed import SCENARIOS, scenario_report
 from .errors import ScaleError, SearchFailureError
 from .hecke import HeckePair, PairSpec
 from .treefam import TreeShape
-from .witness import (DEFAULT_BUDGET, DEFAULT_K_MAX, DEFAULT_SEED,
-                      WitnessCertificate, decay_table, fejer_coefficients,
-                      haar_convergence_check, search_witness, verify_certificate)
 
 DECAY_THRESHOLD = 1e-3
+# equal to witness.DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX and
+# sorted(embed.SCENARIOS); tests/test_shell.py holds them to that
+DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX = 0, 16, 1024
+SCENARIO_NAMES = ("s2-cubed", "s2-squared", "s4-squared")
 
 
 def _check_ranges(args: argparse.Namespace):
@@ -142,6 +145,8 @@ def cmd_gelfand(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .witness import search_witness
+
     pair = load_or_build_pair(PairSpec.depth(args.d, args.l))
     out = args.out or "witness-certificate.json"
     try:
@@ -158,6 +163,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .witness import WitnessCertificate, verify_certificate
+
     cert = WitnessCertificate.load(args.cert)
     pair = load_or_build_pair(PairSpec.depth(cert.d, cert.l))
     report = verify_certificate(cert, pair)
@@ -166,6 +173,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
+    from .witness import (WitnessCertificate, decay_table, fejer_coefficients,
+                          haar_convergence_check)
+
     cert = WitnessCertificate.load(args.cert)
     shape = TreeShape(cert.d, args.k)
     reporter = Reporter(args.out)
@@ -202,9 +212,11 @@ def cmd_decay(args: argparse.Namespace) -> int:
 
 
 def cmd_embed_check(args: argparse.Namespace) -> int:
+    from .embed import SCENARIOS, scenario_report
+
     all_ok = True
-    # argparse refuses a name outside SCENARIOS
-    for name in [args.scenario] if args.scenario else sorted(SCENARIOS):
+    # argparse refuses a name outside SCENARIO_NAMES
+    for name in [args.scenario] if args.scenario else SCENARIO_NAMES:
         scenario = SCENARIOS[name]()
         report = scenario_report(scenario)
         print(f"scenario {name}: {scenario!r}")
@@ -215,6 +227,8 @@ def cmd_embed_check(args: argparse.Namespace) -> int:
 
 
 def cmd_spher(args: argparse.Namespace) -> int:
+    from . import spheromorph
+
     def read(path):
         with open(path) as fh:
             return spheromorph.from_json_dict(json.load(fh))
@@ -293,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
 
     p = command("embed-check", cmd_embed_check, "wreath-embedding axiom suite", out=False)
-    p.add_argument("--scenario", choices=sorted(SCENARIOS),
+    p.add_argument("--scenario", choices=SCENARIO_NAMES,
                    help="run one pinned scenario (default: all)")
 
     p = command("spher", cmd_spher, "almost-automorphism calculus")

@@ -201,7 +201,7 @@ def spectral_data(matrix: np.ndarray) -> SpectralData:
     cluster = np.concatenate([[0], np.cumsum(np.diff(cosines) > PENCIL_CLUSTER_GAP)])
     first = cosines[np.searchsorted(cluster, cluster)]
     block = np.where(first > FLAT_COSINE, -1, np.where(first < -FLAT_COSINE, -2, cluster))
-    for label in np.unique(block):
+    for label in sorted(set(block.tolist())):
         members = np.flatnonzero(block == label)
         if len(members) > 1:
             basis = Z[:, members]

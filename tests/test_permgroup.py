@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -78,6 +79,31 @@ def test_sampling_covers_the_group():
         counts[p.images] = counts.get(p.images, 0) + 1
     assert len(counts) == 8
     assert min(counts.values()) > 2000 / 8 / 2
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_symmetric_group_chain_matches_schreier_sims(m):
+    # symmetric_group fills its chain in closed form; PermGroup builds the same
+    # group from the same generators by Schreier–Sims
+    rng = random.Random(m)
+    closed = symmetric_group(m)
+    sifted = PermGroup(m, closed.generators)
+    assert closed.order() == sifted.order() == math.factorial(m)
+    assert [g.images for g in closed.generators] == [g.images for g in sifted.generators]
+    assert [set(lv.orbit) for lv in closed._levels] == [set(lv.orbit) for lv in sifted._levels]
+    assert closed.same_group(sifted) and sifted.same_group(closed)
+    identity = tuple(range(m))
+    for _ in range(30):
+        images = list(range(m))
+        rng.shuffle(images)
+        p = Permutation(images)
+        assert p in closed and p in sifted
+        # a member strips down to the identity, whatever the transversals
+        assert closed._sift_images(p.images) == (identity, m)
+    rows = np.array([rng.sample(range(m), m) for _ in range(30)])
+    assert np.array_equal(closed.canonical_rows(rows), sifted.canonical_rows(rows))
+    if m <= 6:
+        assert {p.images for p in closed.elements()} == {p.images for p in sifted.elements()}
 
 
 class TestCosetIndex:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -534,6 +535,73 @@ def test_cli_imports_no_scipy(workdir):
                             capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+_LAZY_LAYERS = ["heckelab.witness", "heckelab.embed", "heckelab.spheromorph",
+                "heckelab.groupalg"]
+
+
+@pytest.mark.parametrize("setup, unloaded", [
+    ("import heckelab", [f"heckelab.{layer}" for layer in (
+        "permgroup", "treefam", "hecke", "witness", "embed", "spheromorph", "groupalg")]),
+    ("import heckelab.shell", _LAZY_LAYERS),
+    ("from heckelab.shell import main; main(['census', '--d', '2', '--l', '3'])",
+     [*_LAZY_LAYERS, "numpy.ma"]),
+    ("from heckelab.shell import main; main(['witness', '--budget', '1'])", ["numpy.ma"]),
+    ("from heckelab.shell import main; main(['embed-check'])", ["numpy.ma"]),
+], ids=["package", "shell", "census", "witness", "embed-check"])
+def test_commands_load_only_their_layers(workdir, setup, unloaded):
+    # every command is a fresh process that compiles what it imports, so a
+    # layer or numpy.ma that a command does not run is start-up it pays for nothing
+    probe = f"import sys; {setup}; print(sorted(set({unloaded!r}) & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_parser_defaults_match_their_layers():
+    from heckelab import embed, shell, witness
+    args = shell._build_parser().parse_args(["witness"])
+    assert (args.seed, args.budget, args.k_max) == (
+        witness.DEFAULT_SEED, witness.DEFAULT_BUDGET, witness.DEFAULT_K_MAX)
+    assert shell._build_parser().parse_args(["decay", "c.json"]).k_max == witness.DEFAULT_K_MAX
+    assert list(shell.SCENARIO_NAMES) == sorted(embed.SCENARIOS)
+
+
+#: the names `heckelab/__init__` imported eagerly before it became lazy
+_EXPORTED = {
+    "permgroup": ["CosetIndex", "DoubleCosetTable", "PermGroup", "Permutation",
+                  "r_index", "symmetric_group"],
+    "treefam": ["TreeShape", "ball_aut_group", "closed_form_order", "q_group",
+                "wreath_group"],
+    "hecke": ["GelfandReport", "HeckeElement", "HeckePair", "PairSpec"],
+    "embed": ["SCENARIOS", "WreathScenario", "check_commutation", "embed_invariant",
+              "embed_top", "scenario_report"],
+    "witness": ["SpectralData", "WitnessCertificate", "decay_table", "fejer_coefficients",
+                "haar_convergence_check", "moment_table", "search_witness",
+                "unitary_from_selfadjoint", "verify_certificate"],
+    "spheromorph": ["AlmostAutomorphism", "canonical_form", "compose", "double_coset_key",
+                    "inverse", "is_in_level_subgroup"],
+}
+
+
+def test_lazy_namespace_resolves_every_export():
+    for module_name, names in _EXPORTED.items():
+        module = importlib.import_module(f"heckelab.{module_name}")
+        for name in names:
+            assert getattr(heckelab, name) is getattr(module, name), name
+            assert name in dir(heckelab) and name in heckelab.__all__, name
+    with pytest.raises(AttributeError):
+        heckelab.no_such_name  # noqa: B018
+
+
+def test_from_package_import_submodule(workdir):
+    # perfbench/spher.py imports its layer this way
+    probe = "from heckelab import spheromorph; print(spheromorph.__name__)"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=_package_env())
+    assert (result.returncode, result.stdout) == (0, "heckelab.spheromorph\n"), result.stderr
 
 
 @pytest.mark.parametrize("command", [["verify", "cert.json"],

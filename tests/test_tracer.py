@@ -9,8 +9,6 @@ import importlib.util
 import inspect
 import os
 
-import heckelab  # noqa: F401  (every layer but groupalg, which `_target` imports)
-
 TRACER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                            "perfbench", "tracer.py")
 

@@ -30,11 +30,15 @@ TIMEOUT_S = 600
 LEVEL_PAIRS = (("--d", "3", "--l", "2"), ("--d", "2", "--k", "4", "--n", "2"),
                ("--d", "6", "--k", "2", "--n", "2"), ("--d", "2", "--k", "5", "--n", "2"))
 EMBED_SCENARIOS = ("s2-cubed", "s2-squared", "s4-squared")
+COMMANDS = ("census", "gelfand", "witness", "verify", "decay", "embed-check", "spher")
 
 
 def cases():
     """(name, argv, pinned exit code) in run order; argv[0] "heckelab" means
     `python -m heckelab`, a path under demos/ means that script."""
+    yield "help", ["heckelab", "--help"], 0
+    for command in COMMANDS:
+        yield f"help-{command}", ["heckelab", command, "--help"], 0
     yield "census-default", ["heckelab", "census"], 0
     for i, pair in enumerate(LEVEL_PAIRS):
         yield f"census-level-{i}", ["heckelab", "census", *pair,
@@ -56,6 +60,7 @@ def cases():
     yield "embed-check", ["heckelab", "embed-check"], 0
     for scenario in EMBED_SCENARIOS:
         yield f"embed-check-{scenario}", ["heckelab", "embed-check", "--scenario", scenario], 0
+    yield "embed-check-unknown", ["heckelab", "embed-check", "--scenario", "nope"], 2
     g, h = str(DATA / "spher_g.json"), str(DATA / "spher_h.json")
     yield "spher-compose", ["heckelab", "spher", "compose", g, h], 0
     yield "spher-canonical", ["heckelab", "spher", "canonical", h], 0
@@ -133,7 +138,8 @@ def main(argv=None) -> int:
         return 2
     out = Path(args[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    # COLUMNS pins the width argparse wraps the --help pages to
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     spher_inputs(out)
     failed = 0
