@@ -2,10 +2,12 @@
 
 Permutations act on {0..m-1} and compose left to right: ``(p * q)`` means
 "apply p, then q", so ``(p * q)[i] == q[p[i]]``.  Groups carry a
-deterministic stabilizer chain with the full base 0, 1, ..., m-1, which
-gives fast order/membership and, crucially, lexicographically minimal
-coset representatives: the subgroup at level i fixes every point below i,
-so a greedy descent of the chain computes min(H g) under the total order
+deterministic stabilizer chain with the full base 0, 1, ..., m-1, built for
+every group, S_m included, by Knuth's Schreier–Sims ("Efficient
+representation of perm groups", Combinatorica 11 (1991) 33–43).  It gives
+fast order/membership and, crucially, lexicographically minimal coset
+representatives: the subgroup at level i fixes every point below i, so a
+greedy descent of the chain computes min(H g) under the total order
 "lexicographic on image arrays".
 
 Cosets are handled as whole arrays of permutation rows, after the Schreier
@@ -29,7 +31,6 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import repeat
-from math import factorial
 
 import numpy as np
 
@@ -148,35 +149,29 @@ def _wrap(images) -> Permutation:
 
 
 class _Level:
-    """One stabilizer-chain level: base point, own generators, Schreier vector."""
+    """One stabilizer-chain level: its generators and its Schreier vector."""
 
-    __slots__ = ("base", "gens", "gen_set", "orbit", "done")
+    __slots__ = ("gens", "orbit")
 
     def __init__(self, base: int, m: int):
-        self.base = base
-        self.gens = []                        # raw image tuples first moving this base
-        self.gen_set = set()
+        self.gens = []                        # raw image tuples fixing every point below base
         self.orbit = {base: tuple(range(m))}  # point -> transversal u with u[base] = point
-        self.done = set()                     # processed (point, generator) pairs
-
-    def extend_orbit(self, gens):
-        """Grow the orbit under `gens`, keeping existing transversal entries."""
-        queue = sorted(self.orbit)
-        while queue:
-            point = queue.pop(0)
-            u = self.orbit[point]
-            for g in gens:
-                image = g[point]
-                if image not in self.orbit:
-                    self.orbit[image] = _mul(u, g)
-                    queue.append(image)
 
 
 class PermGroup:
     """Permutation group with a deterministic full-base stabilizer chain.
 
     The stabilizer chain uses the base 0, 1, ..., m-1 in order, so the
-    subgroup at level i fixes every point below i pointwise.
+    subgroup at level i fixes every point below i pointwise.  It is built
+    by Knuth's Schreier–Sims (Combinatorica 11 (1991) 33–43), with an
+    explicit stack of his two moves in place of recursion:
+
+    A(i, t), t fixing every point below i: unless t sifts to the identity
+    from level i, it joins level i's generators and every orbit point's
+    transversal u goes to C(i, u·t).
+    C(i, t): a new orbit point t[i] takes t as its transversal and t·g goes
+    to C(i, ·) for each generator g of level i; a known point with
+    transversal u sends the Schreier generator t·u⁻¹ to A(i + 1, ·).
     """
 
     def __init__(self, degree: int, generators):
@@ -191,60 +186,33 @@ class PermGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._levels = [_Level(b, degree) for b in range(degree)]
-        for g in self.generators:
-            self._store(g.images)
-        self._close()
+        # (t, level i, is_generator): A(i, t) when is_generator, else C(i, t)
+        stack = [(g.images, 0, True) for g in reversed(self.generators)]
+        while stack:
+            t, i, is_generator = stack.pop()
+            if is_generator and self._sift_images(t, i)[1] == degree:
+                continue
+            level = self._levels[i]
+            if is_generator:
+                level.gens.append(t)
+                stack.extend((_mul(u, t), i, False) for u in level.orbit.values())
+            elif t[i] not in level.orbit:
+                level.orbit[t[i]] = t
+                stack.extend((_mul(t, g), i, False) for g in level.gens)
+            elif t != level.orbit[t[i]]:
+                # t·u⁻¹ fixes 0..i and is not the identity, so i + 1 < degree
+                stack.append((_mul(t, _inv(level.orbit[t[i]])), i + 1, True))
         self._order = 1
         for level in self._levels:
             self._order *= len(level.orbit)
 
-    # -- chain construction -------------------------------------------------
-
-    def _store(self, p):
-        """File a strong generator at the level of its first moved point."""
-        for i, x in enumerate(p):
-            if x != i:
-                level = self._levels[i]
-                if p not in level.gen_set:
-                    level.gens.append(p)
-                    level.gen_set.add(p)
-                    return True
-                return False
-        return False
-
-    def _close(self):
-        """Fixed-point closure: orbits stable and all Schreier residues trivial."""
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(self.degree):
-                level = self._levels[i]
-                # strong generators of the level-i stabilizer live at levels >= i
-                gens = [g for lv in self._levels[i:] for g in lv.gens]
-                if not gens:
-                    continue
-                level.extend_orbit(gens)
-                for point in sorted(level.orbit):
-                    u = level.orbit[point]
-                    for g in gens:
-                        key = (point, g)
-                        if key in level.done:
-                            continue
-                        level.done.add(key)
-                        target = level.orbit[g[point]]
-                        schreier = _mul(_mul(u, g), _inv(target))
-                        residue, stop = self._sift_images(schreier, i + 1)
-                        if stop < self.degree and self._store(residue):
-                            dirty = True
-
     def _sift_images(self, p, start=0):
         """Strip p through levels from `start`; return (residue, stop level)."""
         for i in range(start, self.degree):
-            level = self._levels[i]
-            point = p[level.base]
-            if point == level.base:
+            point = p[i]
+            if point == i:
                 continue
-            u = level.orbit.get(point)
+            u = self._levels[i].orbit.get(point)
             if u is None:
                 return p, i
             p = _mul(p, _inv(u))
@@ -411,23 +379,14 @@ def trivial_group(degree: int) -> PermGroup:
 
 
 def symmetric_group(degree: int) -> PermGroup:
-    """S_m on generators (0 1) and the m-cycle, its chain filled in closed
-    form rather than by Schreier–Sims (Seress, ch. 4): level i has orbit
-    {i..m-1}, transversal u_p = (i p) and strong generator (i i+1)."""
+    """S_m on generators (0 1) and the m-cycle; its chain, built like every
+    other by Knuth's Schreier–Sims, has orbit {i..m-1} at level i."""
     if degree <= 1:
         return trivial_group(max(degree, 1))
     gens = [Permutation.from_cycles(degree, (0, 1))]
     if degree > 2:
         gens.append(Permutation.from_cycles(degree, tuple(range(degree))))
-    group = PermGroup.__new__(PermGroup)
-    group.degree, group.generators, group._order = degree, tuple(gens), factorial(degree)
-    group._levels = [_Level(b, degree) for b in range(degree)]
-    for i, level in enumerate(group._levels[:-1]):
-        for p in range(i + 1, degree):
-            level.orbit[p] = Permutation.from_cycles(degree, (i, p)).images
-        level.gens.append(level.orbit[i + 1])
-        level.gen_set.add(level.orbit[i + 1])
-    return group
+    return PermGroup(degree, gens)
 
 
 def dihedral_square() -> PermGroup:

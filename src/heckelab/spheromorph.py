@@ -209,9 +209,6 @@ class AlmostAutomorphism:
         leaf_map = {a: level[sigma(i)] for i, a in enumerate(level)}
         return cls(shape, leaf_map, twists or {})
 
-    def leaves(self) -> list:
-        return sorted(self.leaf_map)
-
     def data_equal(self, other: "AlmostAutomorphism") -> bool:
         return (self.shape == other.shape and self.leaf_map == other.leaf_map
                 and self.twists == other.twists)

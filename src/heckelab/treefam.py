@@ -48,13 +48,6 @@ class TreeShape:
             level = [v + (c,) for v in level for c in range(self.arity(v))]
         return level
 
-    def ball(self, n: int) -> list:
-        """All addresses of the radius-n ball, sorted by (level, address)."""
-        out = []
-        for j in range(n + 1):
-            out.extend(self.vertices(j))
-        return out
-
 
 def closed_form_order(shape: TreeShape, n: int) -> int:
     """Order of the ball automorphism group: k! times d! per deeper internal vertex."""

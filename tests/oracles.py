@@ -65,6 +65,11 @@ def conjugate_intersection(x, h_elements):
     return {h for h in h_elements if mul(mul(x, h), xi) in h_elements}
 
 
+def ball(shape, n):
+    """All addresses of the radius-n ball of `shape`, sorted by (level, address)."""
+    return [v for j in range(n + 1) for v in shape.vertices(j)]
+
+
 def enumerate_ball_automorphisms(shape, n):
     """Every automorphism of the radius-n ball, as its level-n image tuple.
 
@@ -253,6 +258,76 @@ def chain_levels(H):
     stabilizer chain with a nontrivial orbit, in base order."""
     return [(base, dict(level.orbit)) for base, level in enumerate(H._levels)
             if len(level.orbit) > 1]
+
+
+def closure_chain(degree, generators):
+    """(orbits, order) of the group generated by the image tuples
+    `generators`, base 0, 1, ..., degree-1: orbits[i] maps each orbit point
+    of level i to a transversal element, and order is the product of the
+    orbit sizes.
+
+    The fixed-point Schreier–Sims closure the library once used: a strong
+    generator is filed at its first moved point, level i closes its orbit
+    under every generator filed at levels >= i and sifts the Schreier
+    generator of each (point, generator) pair once, and the sweep over the
+    levels repeats until no residue is new.
+    """
+    gens = [[] for _ in range(degree)]
+    orbits = [{b: tuple(range(degree))} for b in range(degree)]
+    done = [set() for _ in range(degree)]
+
+    def store(p):
+        moved = [i for i, x in enumerate(p) if x != i]
+        if not moved or p in gens[moved[0]]:
+            return False
+        gens[moved[0]].append(p)
+        return True
+
+    def sift(p, start):
+        for i in range(start, degree):
+            if p[i] != i:
+                u = orbits[i].get(p[i])
+                if u is None:
+                    return p
+                p = mul(p, inv(u))
+        return p
+
+    for g in generators:
+        store(tuple(g))
+    dirty = True
+    while dirty:
+        dirty = False
+        for i in range(degree):
+            level_gens = [g for filed in gens[i:] for g in filed]
+            orbit = orbits[i]
+            queue = sorted(orbit)
+            while queue:
+                point = queue.pop(0)
+                for g in level_gens:
+                    if g[point] not in orbit:
+                        orbit[g[point]] = mul(orbit[point], g)
+                        queue.append(g[point])
+            for point in sorted(orbit):
+                for g in level_gens:
+                    if (point, g) not in done[i]:
+                        done[i].add((point, g))
+                        residue = sift(mul(mul(orbit[point], g), inv(orbit[g[point]])), i + 1)
+                        dirty |= store(residue)
+    order = 1
+    for orbit in orbits:
+        order *= len(orbit)
+    return orbits, order
+
+
+def chain_contains(orbits, p):
+    """Whether the image tuple p sifts to the identity through `orbits`, one
+    {point: transversal} dict per base point 0, 1, ..."""
+    for i, orbit in enumerate(orbits):
+        u = orbit.get(p[i])
+        if u is None:
+            return False
+        p = mul(p, inv(u))
+    return True
 
 
 def min_coset_images(levels, g):
@@ -547,7 +622,7 @@ def level_permutation_by_refinement(g, n):
     from heckelab.permgroup import Permutation
     from heckelab.spheromorph import canonical_form
 
-    refined = refined_to_domain(canonical_form(g), set(g.shape.ball(n)))
+    refined = refined_to_domain(canonical_form(g), set(ball(g.shape, n)))
     if any(len(b) != n for b in refined.leaf_map.values()):
         return None
     level = g.shape.vertices(n)

@@ -1,15 +1,18 @@
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckelab.errors import ContainmentError, MalformedPermutationError, ScaleError
 from heckelab.permgroup import (CosetIndex, DoubleCosetTable, PermGroup,
                                 Permutation, dihedral_square, r_index,
                                 symmetric_group, trivial_group)
-from heckelab.treefam import q_group
+from heckelab.embed import SCENARIOS
+from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_group
 
 import oracles
 
@@ -81,29 +84,83 @@ def test_sampling_covers_the_group():
     assert min(counts.values()) > 2000 / 8 / 2
 
 
+def assert_chain_matches_closure(G, rng):
+    """G's chain against the fixed-point closure of the same generators:
+    orbit sets, order, membership, canonical rows and (up to order 5040)
+    the element set."""
+    m = G.degree
+    orbits, order = oracles.closure_chain(m, [g.images for g in G.generators])
+    assert [set(level.orbit) for level in G._levels] == [set(o) for o in orbits]
+    assert G.order() == order
+    for _ in range(20):
+        p = oracles.sample(G, rng)
+        assert p in G and oracles.chain_contains(orbits, p.images)
+    # products of generators are members whatever either chain holds
+    word = Permutation.identity(m)
+    for g in rng.choices(G.generators + (word,), k=20):
+        word = word * g
+        assert word in G and oracles.chain_contains(orbits, word.images)
+    rows = np.array([rng.sample(range(m), m) for _ in range(20)])
+    levels = [(base, orbit) for base, orbit in enumerate(orbits) if len(orbit) > 1]
+    assert G.canonical_rows(rows).tolist() == [
+        list(oracles.min_coset_images(levels, row)) for row in rows.tolist()]
+    if order <= 5040:
+        assert {p.images for p in G.elements()} == oracles.mulclose(
+            [g.images for g in G.generators]) | {tuple(range(m))}
+
+
+#: (d, k, n) of the ball groups P_n on 8 to 64 level points
+BALL_SHAPES = [(2, 2, 3), (2, 4, 2), (3, 3, 2), (4, 2, 2), (2, 3, 3), (6, 2, 2),
+               (2, 2, 4), (4, 4, 2), (8, 2, 2), (3, 2, 3), (10, 2, 2), (2, 3, 4),
+               (3, 3, 3), (2, 2, 5), (4, 2, 3), (3, 2, 4), (2, 2, 6), (8, 8, 2)]
+
+
+@pytest.mark.parametrize("d, k, n", BALL_SHAPES)
+def test_ball_group_chain_matches_closure(d, k, n):
+    assert_chain_matches_closure(ball_aut_group(TreeShape(d, k), n), random.Random(d * k * n))
+
+
+def test_scenario_and_wreath_chains_match_closure():
+    rng = random.Random(7)
+    for build in SCENARIOS.values():
+        s = build()
+        for G in (s.base_group, *s.base_subgroups, s.top, s.gamma, s.V, s.V0, s.big,
+                  s.gamma_embedded, s.V0_gamma):
+            assert_chain_matches_closure(G, rng)
+    assert_chain_matches_closure(wreath_group(TreeShape(2, 2), 3, 2), rng)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 9).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=4)))
+def test_random_generators_chain_matches_closure(gens):
+    assert_chain_matches_closure(PermGroup(len(gens[0]), gens), random.Random(0))
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_symmetric_group_chain_matches_schreier_sims(m):
-    # symmetric_group fills its chain in closed form; PermGroup builds the same
-    # group from the same generators by Schreier–Sims
+    # the closure of the same generators, and the closed form: level i has
+    # orbit {i..m-1}
+    G = symmetric_group(m)
+    assert G.order() == math.factorial(m)
+    assert [set(level.orbit) for level in G._levels] == [set(range(i, m)) for i in range(m)]
     rng = random.Random(m)
-    closed = symmetric_group(m)
-    sifted = PermGroup(m, closed.generators)
-    assert closed.order() == sifted.order() == math.factorial(m)
-    assert [g.images for g in closed.generators] == [g.images for g in sifted.generators]
-    assert [set(lv.orbit) for lv in closed._levels] == [set(lv.orbit) for lv in sifted._levels]
-    assert closed.same_group(sifted) and sifted.same_group(closed)
+    assert_chain_matches_closure(G, rng)
     identity = tuple(range(m))
     for _ in range(30):
-        images = list(range(m))
-        rng.shuffle(images)
-        p = Permutation(images)
-        assert p in closed and p in sifted
-        # a member strips down to the identity, whatever the transversals
-        assert closed._sift_images(p.images) == (identity, m)
-    rows = np.array([rng.sample(range(m), m) for _ in range(30)])
-    assert np.array_equal(closed.canonical_rows(rows), sifted.canonical_rows(rows))
-    if m <= 6:
-        assert {p.images for p in closed.elements()} == {p.images for p in sifted.elements()}
+        p = Permutation(rng.sample(range(m), m))
+        # every permutation is a member and strips down to the identity
+        assert G._sift_images(p.images) == (identity, m)
+
+
+def test_chain_build_does_not_recurse():
+    # a recursive Schreier–Sims nests one call per orbit point of the cycle;
+    # the build must not raise the recursion limit either
+    limit = sys.getrecursionlimit()
+    assert PermGroup(1000, [list(range(1, 1000)) + [0]]).order() == 1000
+    assert symmetric_group(20).order() == math.factorial(20)
+    assert sys.getrecursionlimit() == limit
 
 
 class TestCosetIndex:

@@ -241,7 +241,7 @@ def constructions(monkeypatch):
 def test_refinement_builds_one_element(constructions):
     shape = TreeShape(2, 2)
     g = AlmostAutomorphism.automorphism(shape, {(): (1, 0), (0, 1): (1, 0)})
-    ball = set(shape.ball(3))
+    ball = set(oracles.ball(shape, 3))
     constructions.clear()
     refined = oracles.refined_to_domain(g, ball)  # 7 splits
     assert len(refined.leaf_map) == 8

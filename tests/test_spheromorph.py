@@ -211,7 +211,6 @@ class TestLevelSubgroups:
         def refuse(self, n):
             raise AssertionError(f"a level set was listed, n = {n}")
 
-        monkeypatch.setattr(TreeShape, "ball", refuse)
         monkeypatch.setattr(TreeShape, "vertices", refuse)
         assert not is_in_level_subgroup(g, 12)
         assert minimal_level(g) is None

@@ -44,6 +44,7 @@ def cases():
         yield f"census-level-{i}", ["heckelab", "census", *pair,
                                     "--out", f"census-level-{i}.jsonl"], 0
     yield "census-4-3-2", ["heckelab", "census", "--d", "4", "--k", "3", "--n", "2"], 0
+    yield "census-8-2-2", ["heckelab", "census", "--d", "8", "--k", "2", "--n", "2"], 0
     for l in (2, 3):
         yield f"gelfand-l{l}", ["heckelab", "gelfand", "--l", str(l),
                                 "--out", f"gelfand-l{l}.json"], 0
