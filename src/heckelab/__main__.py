@@ -1,5 +1,3 @@
-import sys
+from .shell import run
 
-from .shell import main
-
-sys.exit(main())
+run()

@@ -32,7 +32,9 @@ modular correction.
 Every tree pair, depth (S_{d^l}, Q_l) or level (S_{|V_n|}, P_n), is built
 through one `PairSpec`, which also checks its caps and names it.  A pair's
 `r_indices`, `star_map` and `class_of_coset` are its double-coset table's
-own arrays.
+own arrays.  `_exactvec` (and with it `fractions` and `decimal`) is imported
+by the three functions that build exact elements, so a command that builds
+none, `census` or `witness`, never loads it.
 """
 
 from __future__ import annotations
@@ -40,13 +42,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._exactvec import ExactVector
 from .errors import PairMismatchError, ScaleError
 from .permgroup import DoubleCosetTable, PermGroup, check_coset_count, symmetric_group
 from .treefam import TreeShape, ball_aut_group, check_level, closed_form_order
+
+if TYPE_CHECKING:
+    from ._exactvec import ExactVector
 
 #: largest coset space whose λ-matrices (`HeckePair.cell_class`) are built:
 #: 4096² int32 cells are 64 MB
@@ -228,6 +233,8 @@ class HeckePair:
         return self.basis_element(0)
 
     def basis_element(self, j: int) -> "HeckeElement":
+        from ._exactvec import ExactVector
+
         re = np.zeros(self.dim, dtype=object)
         re[j] = 1
         return HeckeElement(self, ExactVector(1, re, None, reduce_terms=False))
@@ -236,6 +243,8 @@ class HeckePair:
         return [self.basis_element(j) for j in range(self.dim)]
 
     def element_from_fractions(self, values) -> "HeckeElement":
+        from ._exactvec import ExactVector
+
         return HeckeElement(self, ExactVector.from_fractions(values))
 
     # -- algebra-level checks -------------------------------------------------------
@@ -328,6 +337,8 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
     support dotted with the int64 rows N[d, e]; numpy multiplies them as
     Python ints, so no sum overflows.
     """
+    from ._exactvec import ExactVector
+
     f._same_pair(g)
     pair = f.pair
     struct = pair.structure_constants()

@@ -14,12 +14,13 @@ Cosets are handled as whole arrays of permutation rows, after the Schreier
 vector coset enumeration of Seress, *Permutation Group Algorithms* (CUP
 2003), ch. 4.  One routine canonicalises a block of rows (per chain level,
 an argmin over the orbit and a gather with the transversal), one walks the
-orbit of a coset under right multiplication a frontier at a time, and rows
-are ranked against sorted rows by binary search on byte keys.  The coset
-space H\\G is just its sorted rows and the action arrays of G's generators
-on them; it, the R-indices and the minimal double-coset elements come from
-these routines, and double cosets H\\G/H are the orbits of H's
-action arrays on H\\G, never computed on raw group elements, and their
+orbit of a coset under right multiplication a frontier at a time (in blocks
+of bounded size, refusing orbits above the coset cap), and rows are ranked
+against sorted rows by binary search on byte keys.  The coset space H\\G is
+just its sorted rows and the action arrays of G's generators on them; it,
+the R-indices and the minimal double-coset elements come from these
+routines, and double cosets H\\G/H are the orbits of H's action arrays on
+H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
 A group memoises the minimal element of each double coset it has walked,
 keyed on the byte key of the canonical row of every right coset in the walk,
@@ -38,6 +39,10 @@ from .errors import ContainmentError, DomainMismatchError, MalformedPermutationE
 
 #: right-coset spaces larger than this are refused (spec desk-scale cap)
 COSET_INDEX_CAP = 100_000
+
+#: image rows the coset orbit walk canonicalises at once, so that a big
+#: frontier costs tens of MB at a time, not its whole product with the generators
+WALK_BLOCK_ROWS = 1 << 16
 
 #: exhaustive element enumeration is refused beyond this order
 ENUMERATION_CAP = 1_000_000
@@ -288,34 +293,49 @@ class PermGroup:
             rows = rows[at, transversal[best]]
         return rows
 
-    def coset_orbit(self, start, gens):
+    def coset_orbit(self, start, gens, targets=True):
         """Orbit of the right coset (self)·start under right multiplication
         by the rows of `gens`, an (S, m) array.
 
         Returns (rows, targets): the canonical rows of the orbit in
         breadth-first discovery order, rows[0] being that of (self)·start,
         and targets[k, s], the byte key of the canonical row of
-        (self)·rows[k]·gens[s].  The rows are native-endian uint16, not
-        ROW (np.concatenate drops the byte order): key them with row_keys,
-        never with their raw bytes.  Each frontier is multiplied by every
-        generator at once and its new cosets are kept in order of first
-        occurrence, which is the order a first-in first-out walk finds them.
+        (self)·rows[k]·gens[s]; with targets=False no image key is kept and
+        targets is None.  The rows are native-endian uint16, not ROW
+        (np.concatenate drops the byte order): key them with row_keys, never
+        with their raw bytes.  A frontier is multiplied by every generator a
+        block of rows at a time, at most WALK_BLOCK_ROWS images per block, and
+        each block's new cosets are kept in order of first occurrence, which
+        is the order a first-in first-out walk finds them.  An orbit of more
+        than COSET_INDEX_CAP cosets raises ScaleError in the block that takes
+        the count past the cap.
         """
         frontier = self.canonical_rows([start])
         seen = row_keys(frontier)
-        blocks, targets = [frontier], []
+        blocks, moves = [frontier], []
+        step = max(1, WALK_BLOCK_ROWS // max(1, len(gens)))
         while len(frontier):
-            images = self.canonical_rows(
-                gens[:, frontier].swapaxes(0, 1).reshape(-1, self.degree))
-            keys = row_keys(images)
-            targets.append(keys)
-            fresh, first = np.unique(keys, return_index=True)
-            _, known = rank_keys(seen, fresh)
-            frontier = images[np.sort(first[~known])]
-            seen = np.sort(np.concatenate([seen, row_keys(frontier)]))
+            found = []
+            for i in range(0, len(frontier), step):
+                images = self.canonical_rows(
+                    gens[:, frontier[i:i + step]].swapaxes(0, 1).reshape(-1, self.degree))
+                keys = row_keys(images)
+                if targets:
+                    moves.append(keys)
+                fresh, first = np.unique(keys, return_index=True)
+                at = np.searchsorted(seen, fresh)
+                new = seen[np.minimum(at, len(seen) - 1)] != fresh
+                if len(seen) + np.count_nonzero(new) > COSET_INDEX_CAP:
+                    raise ScaleError(f"coset orbit walk found more than {COSET_INDEX_CAP} "
+                                     "right cosets")
+                found.append(images[np.sort(first[new])])
+                seen = np.insert(seen, at[new], fresh[new])  # stays sorted
+            frontier = found[0] if len(found) == 1 else np.concatenate(found)
             blocks.append(frontier)
         rows = np.concatenate(blocks)
-        return rows, np.concatenate(targets).reshape(len(rows), len(gens))
+        if not targets:
+            return rows, None
+        return rows, np.concatenate(moves).reshape(len(rows), len(gens))
 
     @cached_property
     def _double_coset_min(self) -> dict:
@@ -334,7 +354,8 @@ class PermGroup:
         memo = self._double_coset_min
         least = memo.get(row_keys(self.canonical_rows([g.images]))[0].tobytes())
         if least is None:
-            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)[0]).tolist()
+            rows, _ = self.coset_orbit(g.images, self.generator_rows, targets=False)
+            keys = row_keys(rows).tolist()
             least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
             memo.update(zip(keys, repeat(least)))
         return least
@@ -561,7 +582,7 @@ def r_index(x: Permutation, H: PermGroup) -> int:
     """
     if x.degree != H.degree:
         raise DomainMismatchError("element degree differs from subgroup degree")
-    return len(H.coset_orbit(x.images, H.generator_rows)[0])
+    return len(H.coset_orbit(x.images, H.generator_rows, targets=False)[0])
 
 
 def _int_rows(value, what: str) -> list:

@@ -15,11 +15,19 @@ identical configurations reproduce identical bytes.
 A command loads only the layers it runs: the handlers import `witness`,
 `embed` and `spheromorph` themselves, and the parser's witness defaults and
 scenario names are literals here, so a census never loads those layers.
+
+`run` is the one program entry point, for `python -m heckelab` and the
+installed `heckelab` script alike.  It freezes the import-time heap (numpy,
+this module and its eager layers, about 21,000 objects) with `gc.freeze`
+before it dispatches, so no garbage collection of the command, nor those at
+interpreter shutdown, scans those objects again.  Library callers and tests
+call `main(argv)`, which freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -338,5 +346,12 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run():
+    """Program entry point: freeze the import-time heap, then exit with
+    `main()`'s status.  The cycles that exist by now are never collected."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

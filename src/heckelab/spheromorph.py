@@ -165,8 +165,10 @@ class AlmostAutomorphism:
         stray = [a for a in self.twists if a not in leaf_map]
         if stray:
             raise ValueError(f"twist at {stray[0]} is not at a domain leaf")
-        # one pass; an identity is dropped after its vertex check, as it is a permutation
-        identities = (tuple(range(self.shape.k)), tuple(range(self.shape.d)))
+        # one pass; an identity is dropped after its vertex check, as it is a
+        # permutation.  The identity of an arity is built once a permutation
+        # that long is seen, so a huge d or k costs nothing.
+        identities = {}
         twists = {}
         for a in leaf_map:
             twists[a] = portrait = {}
@@ -174,13 +176,16 @@ class AlmostAutomorphism:
                 r, perm = tuple(r), tuple(perm)
                 if not _is_vertex(self.shape, a + r):
                     raise ValueError(f"twist at leaf {a}, address {r} is not a vertex of the tree")
-                identity = identities[bool(a or r)]
+                arity = self.shape.d if a or r else self.shape.k
+                identity = identities.get(arity)
+                if identity is None and len(perm) == arity:
+                    identity = identities[arity] = tuple(range(arity))
                 if perm == identity:
                     continue
-                if sorted(perm) != list(identity):
+                if identity is None or sorted(perm) != list(identity):
                     raise ValueError(
                         f"twist at leaf {a}, address {r} is not a permutation "
-                        f"of {len(identity)} children")
+                        f"of {arity} children")
                 portrait[r] = perm
         object.__setattr__(self, "leaf_map", leaf_map)
         object.__setattr__(self, "twists", twists)

@@ -50,9 +50,10 @@ class TreeShape:
 
 
 def closed_form_order(shape: TreeShape, n: int) -> int:
-    """Order of the ball automorphism group: k! times d! per deeper internal vertex."""
+    """Order of the ball automorphism group: k! times d! per deeper internal
+    vertex.  d! is formed only when there is one: at n = 1, d is unbounded."""
     internal = sum(shape.level_size(j) for j in range(1, n))
-    return math.factorial(shape.k) * math.factorial(shape.d) ** internal
+    return math.factorial(shape.k) * (math.factorial(shape.d) ** internal if internal else 1)
 
 
 def check_level(shape: TreeShape, n: int, level="level n", size_name="|V_n|") -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from heckelab import permgroup
 from heckelab.errors import ContainmentError, MalformedPermutationError, ScaleError
 from heckelab.permgroup import (CosetIndex, DoubleCosetTable, PermGroup,
                                 Permutation, dihedral_square, r_index,
@@ -276,6 +277,42 @@ class TestRIndex:
             x = oracles.sample(G, rng)
             intersection = oracles.conjugate_intersection(x.images, set(h_elements))
             assert r_index(x, H) * len(intersection) == H.order()
+
+
+def _shuffled(degree: int, seed) -> Permutation:
+    images = list(range(degree))
+    random.Random(seed).shuffle(images)
+    return Permutation(images)
+
+
+class TestCosetOrbit:
+    def test_blocks_do_not_change_the_walk(self, monkeypatch):
+        # S_8 on Q_3's cosets, and ball groups on generic double cosets
+        cases = [(q_group(2, 3), np.arange(8), symmetric_group(8).generator_rows)]
+        for d, k, n in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
+            H = ball_aut_group(TreeShape(d, k), n)
+            cases.append((H, _shuffled(H.degree, f"walk{d}{k}{n}").images, H.generator_rows))
+        whole = [H.coset_orbit(start, gens) for H, start, gens in cases]
+        monkeypatch.setattr(permgroup, "WALK_BLOCK_ROWS", 5)
+        for (H, start, gens), (rows, targets) in zip(cases, whole):
+            got_rows, got_targets = H.coset_orbit(start, gens)
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_targets, targets)
+            bare_rows, none = H.coset_orbit(start, gens, targets=False)
+            assert np.array_equal(bare_rows, rows) and none is None
+
+    def test_walk_refuses_past_the_coset_cap(self, monkeypatch):
+        H = ball_aut_group(TreeShape(2, 2), 3)
+        x = _shuffled(8, "cap")
+        size = r_index(x, H)
+        assert size > 2
+        monkeypatch.setattr(permgroup, "COSET_INDEX_CAP", size - 1)
+        for walk in (lambda: r_index(x, H), lambda: H.min_in_double_coset(x)):
+            with pytest.raises(ScaleError, match=f"found more than {size - 1} right cosets"):
+                walk()
+        assert not H._double_coset_min  # a refused walk files nothing
+        monkeypatch.setattr(permgroup, "COSET_INDEX_CAP", size)
+        assert r_index(x, H) == size
+        assert H.min_in_double_coset(x).images == oracles.min_in_double_coset(H, x.images)
 
 
 class TestSerialization:

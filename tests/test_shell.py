@@ -1,16 +1,22 @@
+import gc
 import importlib
 import json
 import math
 import os
+import random
+import re
+import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import heckelab
 from heckelab.hecke import PairSpec
-from heckelab.permgroup import DoubleCosetTable, PermGroup, symmetric_group
+from heckelab.permgroup import (COSET_INDEX_CAP, DoubleCosetTable, PermGroup, Permutation,
+                                symmetric_group)
 from heckelab.shell import main
 from heckelab.spheromorph import AlmostAutomorphism, to_json_dict
 from heckelab.treefam import TreeShape, ball_aut_group, closed_form_order
@@ -539,6 +545,8 @@ def test_cli_imports_no_scipy(workdir):
 
 _LAZY_LAYERS = ["heckelab.witness", "heckelab.embed", "heckelab.spheromorph",
                 "heckelab.groupalg"]
+#: exact arithmetic, which only embed-check runs
+_EXACT = ["heckelab._exactvec", "fractions", "decimal"]
 
 
 @pytest.mark.parametrize("setup, unloaded", [
@@ -546,8 +554,9 @@ _LAZY_LAYERS = ["heckelab.witness", "heckelab.embed", "heckelab.spheromorph",
         "permgroup", "treefam", "hecke", "witness", "embed", "spheromorph", "groupalg")]),
     ("import heckelab.shell", _LAZY_LAYERS),
     ("from heckelab.shell import main; main(['census', '--d', '2', '--l', '3'])",
-     [*_LAZY_LAYERS, "numpy.ma"]),
-    ("from heckelab.shell import main; main(['witness', '--budget', '1'])", ["numpy.ma"]),
+     [*_LAZY_LAYERS, *_EXACT, "numpy.ma"]),
+    ("from heckelab.shell import main; main(['witness', '--budget', '1'])",
+     [*_EXACT, "numpy.ma"]),
     ("from heckelab.shell import main; main(['embed-check'])", ["numpy.ma"]),
 ], ids=["package", "shell", "census", "witness", "embed-check"])
 def test_commands_load_only_their_layers(workdir, setup, unloaded):
@@ -558,6 +567,91 @@ def test_commands_load_only_their_layers(workdir, setup, unloaded):
                             capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_embed_check_loads_exact_arithmetic(workdir):
+    probe = ("import sys; from heckelab.shell import main; "
+             "main(['embed-check', '--scenario', 's2-squared']); "
+             f"print(sorted(set({_EXACT!r}) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=_package_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(sorted(_EXACT))
+
+
+def test_run_freezes_the_import_heap_before_dispatch(workdir):
+    probe = ("import gc, heckelab.shell as shell\n"
+             "def stub(argv=None):\n"
+             "    print(gc.get_freeze_count())\n"
+             "    return 7\n"
+             "shell.main = stub\n"
+             "shell.run()\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=_package_env())
+    assert (result.returncode, result.stderr) == (7, "")
+    assert int(result.stdout) > 0
+
+
+def test_main_freezes_nothing(workdir, capsys):
+    before = gc.get_freeze_count()
+    assert main(["census", "--d", "2", "--l", "1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_and_console_script_share_one_entry_point():
+    root = Path(heckelab.__file__).parent
+    assert (root / "__main__.py").read_text() == "from .shell import run\n\nrun()\n"
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    if sys.version_info >= (3, 11):
+        import tomllib
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"heckelab": "heckelab.shell:run"}
+    else:
+        assert re.search(r'^heckelab = "heckelab\.shell:run"$', pyproject.read_text(), re.M)
+
+
+def _limited(*argv):
+    """(result, seconds) of `python -m heckelab ARGV` under a 1 GiB address
+    space, a limit set in the child alone, so a regression fails the test
+    instead of taking the machine's memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "heckelab", *argv],
+                            capture_output=True, text=True, env=_package_env(),
+                            preexec_fn=limit, timeout=60)
+    return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("d", [2 ** 70, 10 ** 9], ids=["2^70", "10^9"])
+@pytest.mark.parametrize("argv", [["spher", "canonical", "g.json"],
+                                  ["spher", "compose", "g.json", "g.json"],
+                                  ["spher", "key", "g.json", "--n", "1"],
+                                  ["census", "--d", "D", "--k", "2", "--n", "1"]],
+                         ids=["canonical", "compose", "key", "census"])
+def test_huge_degrees_build_nothing_of_their_size(workdir, d, argv):
+    # a root-only element has no vertex of degree d, and at n = 1 no d! is formed
+    document = dict(to_json_dict(AlmostAutomorphism.identity(TreeShape(2, 2))), d=d)
+    (workdir / "g.json").write_text(json.dumps(document))
+    result, seconds = _limited(*[str(d) if a == "D" else a for a in argv])
+    assert (result.returncode, result.stderr) == (0, "")
+    if argv[1] != "key":
+        assert json.loads(result.stdout.splitlines()[-1])["d"] == d
+    assert seconds < 1
+
+
+def test_spher_key_refuses_a_walk_past_the_coset_cap(workdir):
+    # a generic permutation of the 32 level-5 points of the binary tree: its
+    # double coset holds more than 10^5 right cosets of the ball group
+    images = list(range(32))
+    random.Random(5).shuffle(images)
+    g = AlmostAutomorphism.from_level_permutation(TreeShape(2, 2), 5, Permutation(images))
+    (workdir / "g.json").write_text(json.dumps(to_json_dict(g)))
+    result, _ = _limited("spher", "key", "g.json", "--n", "5")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("scale cap violated: coset orbit walk found more than "
+                             f"{COSET_INDEX_CAP} right cosets\n")
 
 
 def test_parser_defaults_match_their_layers():

@@ -92,6 +92,14 @@ class TestValidation:
         g = AlmostAutomorphism(SHAPE, {(): ()}, {(): {(): (0, 1), (0,): (1, 0)}})
         assert g.twists == {(): {(0,): (1, 0)}}
 
+    def test_huge_degree_builds_no_identity(self):
+        # a permutation of d children is checked by its length before any range(d)
+        shape = TreeShape(2 ** 70, 3)
+        g = AlmostAutomorphism(shape, {(): ()}, {(): {(): (2, 0, 1)}})
+        assert g.twists == {(): {(): (2, 0, 1)}}
+        with pytest.raises(ValueError, match=f"permutation of {2 ** 70} children"):
+            AlmostAutomorphism(shape, {(): ()}, {(): {(1,): (1, 0)}})
+
     def test_twist_arity_at_root(self):
         shape = TreeShape(2, 3)  # root has three children
         AlmostAutomorphism(shape, {(): ()}, {(): {(): (2, 0, 1)}})

@@ -56,6 +56,10 @@ class TestBallAutGroup:
             shape = TreeShape(d, k)
             assert ball_aut_group(shape, n).order() == closed_form_order(shape, n)
 
+    def test_closed_form_needs_no_factorial_of_an_unused_degree(self):
+        # at n = 1 no vertex has d children, so d may be any size
+        assert closed_form_order(TreeShape(2 ** 70, 3), 1) == 6
+
     def test_binary_depth3_equals_portrait_enumeration(self):
         shape = TreeShape(2, 2)
         oracle = oracles.enumerate_ball_automorphisms(shape, 3)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +47,8 @@ def cases():
                                     "--out", f"census-level-{i}.jsonl"], 0
     yield "census-4-3-2", ["heckelab", "census", "--d", "4", "--k", "3", "--n", "2"], 0
     yield "census-8-2-2", ["heckelab", "census", "--d", "8", "--k", "2", "--n", "2"], 0
+    yield "census-huge-degree", ["heckelab", "census", "--d", str(2 ** 70), "--k", "2",
+                                 "--n", "1"], 0
     for l in (2, 3):
         yield f"gelfand-l{l}", ["heckelab", "gelfand", "--l", str(l),
                                 "--out", f"gelfand-l{l}.json"], 0
@@ -70,6 +74,11 @@ def cases():
     for name in ("non-ascii", "twist", "not-injective", "deep-leaf"):
         yield f"spher-{name}", ["heckelab", "spher", "canonical", f"spher-{name}.json"], 2
     yield "spher-outside", ["heckelab", "spher", "key", "spher-outside.json", "--n", "2"], 2
+    yield "spher-huge-degree", ["heckelab", "spher", "canonical", "spher-huge-degree.json"], 0
+    yield "spher-key-huge-degree", ["heckelab", "spher", "key", "spher-huge-degree.json",
+                                    "--n", "1"], 0
+    yield "spher-key-generic-32", ["heckelab", "spher", "key", "spher-generic-32.json",
+                                   "--n", "5"], 2
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         yield f"demo-{demo.stem}", [str(demo)], 0
 
@@ -97,8 +106,13 @@ def spher_inputs(out: Path):
     """Element files: a level-2 element of the ternary tree with twists, and
     one refusal each for a non-ASCII digit, a twist that is not a permutation,
     a leaf map that is not injective, a lone leaf at depth 40,000 and an
-    element outside the level-2 subgroup."""
+    element outside the level-2 subgroup; a root-only element of degree
+    d = 2^70; and a generic level-5 element of the binary tree, whose key
+    walk passes the coset cap."""
     deep = "0" * 40_000
+    level = sorted("".join(bits) for bits in product("01", repeat=5))
+    sigma = list(range(32))
+    random.Random(5).shuffle(sigma)
     documents = {
         "ternary": _element(3, 3, [["0", "2"], ["10", "01"], ["11", "12"], ["12", "00"],
                                    ["20", "10"], ["21", "02"], ["22", "11"]],
@@ -109,6 +123,8 @@ def spher_inputs(out: Path):
         "not-injective": _element(2, 2, [["0", "0"], ["1", "0"]]),
         "deep-leaf": dict(_element(2, 2, []), phi=[[deep, deep]]),
         "outside": _element(2, 2, [["00", "0"], ["01", "10"], ["1", "11"]]),
+        "huge-degree": _element(2 ** 70, 2, [["", ""]]),
+        "generic-32": _element(2, 2, [[a, level[j]] for a, j in zip(level, sigma)]),
     }
     for name, document in documents.items():
         (out / f"spher-{name}.json").write_text(json.dumps(document))
