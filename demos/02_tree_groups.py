@@ -12,7 +12,8 @@ shape = TreeShape(d=2, k=2)
 print("level sizes:", [shape.level_size(n) for n in range(6)])
 print("level-2 addresses:", ["".join(map(str, v)) for v in shape.vertices(2)])
 
-# Ball automorphism groups: generated by child swaps at internal vertices.
+# Ball automorphism groups, built as iterated wreath products: S_k at the
+# root, then P_{j+1} = S_d ≀ P_j, from at most two generators per level.
 for n in (1, 2, 3, 4):
     group = ball_aut_group(shape, n)
     print(f"|Aut(B_{n})| = {group.order()}  (closed form "

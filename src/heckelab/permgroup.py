@@ -399,15 +399,19 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [])
 
 
-def symmetric_group(degree: int) -> PermGroup:
-    """S_m on generators (0 1) and the m-cycle; its chain, built like every
-    other by Knuth's Schreier–Sims, has orbit {i..m-1} at level i."""
-    if degree <= 1:
-        return trivial_group(max(degree, 1))
-    gens = [Permutation.from_cycles(degree, (0, 1))]
+def symmetric_generators(degree: int) -> list:
+    """(0 1) and the m-cycle, the generators of S_m from which every symmetric
+    group and every ball group is built: only (0 1) on 2 points, none below."""
+    gens = [Permutation.from_cycles(degree, (0, 1))] if degree > 1 else []
     if degree > 2:
         gens.append(Permutation.from_cycles(degree, tuple(range(degree))))
-    return PermGroup(degree, gens)
+    return gens
+
+
+def symmetric_group(degree: int) -> PermGroup:
+    """S_m on `symmetric_generators(m)`; its chain, built like every other by
+    Knuth's Schreier–Sims, has orbit {i..m-1} at level i."""
+    return PermGroup(max(degree, 1), symmetric_generators(degree))
 
 
 def dihedral_square() -> PermGroup:

@@ -38,19 +38,21 @@ from .hecke import HeckePair, PairSpec
 from .treefam import TreeShape
 
 DECAY_THRESHOLD = 1e-3
-# equal to witness.DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX and
+# equal to witness.DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX, K_MAX_CAP and
 # sorted(embed.SCENARIOS); tests/test_shell.py holds them to that
-DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX = 0, 16, 1024
+DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX, K_MAX_CAP = 0, 16, 1024, 1 << 16
 SCENARIO_NAMES = ("s2-cubed", "s2-squared", "s4-squared")
 
 
 def _check_ranges(args: argparse.Namespace):
-    """Refuse tree degrees below 2 and a k-max, budget or n-max below 1."""
+    """Refuse degrees below 2, a k-max, budget or n-max below 1, a k-max above its cap."""
     if getattr(args, "d", 2) < 2 or getattr(args, "k", 2) < 2:
         raise ScaleError("tree degrees d and k must be at least 2")
     for name in ("k_max", "budget", "n_max"):
         if getattr(args, name, 1) < 1:
             raise ScaleError(f"{name.replace('_', '-')} must be at least 1")
+    if getattr(args, "k_max", 1) > K_MAX_CAP:
+        raise ScaleError(f"k-max {args.k_max} exceeds the cap {K_MAX_CAP}")
 
 
 def _atomic_write(path: str, text: str):

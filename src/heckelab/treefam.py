@@ -1,5 +1,6 @@
 """Rooted trees with root degree k and branching degree d, and their
-ball automorphism groups realized as permutation groups on ordered levels.
+ball automorphism groups realized as permutation groups on ordered levels:
+the iterated wreath products P_1 = S_k, P_{j+1} = S_d ≀ P_j.
 
 Vertices are addressed by words: the root is the empty word, a level-n
 vertex is c_1 c_2 ... c_n with c_1 in {0..k-1} and c_i in {0..d-1} for
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup, Permutation, symmetric_generators
 
 #: largest level set realized as explicit permutations (desk-scale cap)
 LEVEL_POINT_CAP = 64
@@ -83,35 +84,20 @@ def block_permutation(sigma: Permutation, m0: int) -> Permutation:
     return Permutation([sigma(i) * m0 + r for i in range(sigma.degree) for r in range(m0)])
 
 
-def _subtree_swap(shape: TreeShape, n: int, vertex: tuple, c: int) -> Permutation:
-    """Swap the subtrees below children c and c+1 of `vertex`, seen on level n."""
-    leaves = shape.vertices(n)
-    position = {addr: i for i, addr in enumerate(leaves)}
-    depth = len(vertex)
-    images = list(range(len(leaves)))
-    a, b = vertex + (c,), vertex + (c + 1,)
-    for i, addr in enumerate(leaves):
-        if addr[:depth + 1] == a:
-            images[i] = position[b + addr[depth + 1:]]
-        elif addr[:depth + 1] == b:
-            images[i] = position[a + addr[depth + 1:]]
-    return Permutation(images)
-
-
 def ball_aut_group(shape: TreeShape, n: int) -> PermGroup:
     """Automorphisms of the radius-n ball acting on the ordered level set V_n.
 
-    Generated by child swaps at every internal vertex; the order matches
-    closed_form_order(shape, n).
+    The wreath recursion P_1 = S_k, P_{j+1} = S_d ≀ P_j: S_d on the first
+    block of d children and P_j's generators moving the |V_j| blocks rigidly,
+    at most 2n generators in all (P_j is transitive, so its conjugates put S_d
+    in every block).  The order matches closed_form_order(shape, n).
     """
-    if n < 1:
-        raise ValueError("ball automorphism groups are built for n >= 1")
     check_level(shape, n)
-    gens = []
-    for depth in range(n):
-        for vertex in shape.vertices(depth):
-            for c in range(shape.arity(vertex) - 1):
-                gens.append(_subtree_swap(shape, n, vertex, c))
+    gens = symmetric_generators(shape.k)
+    for j in range(1, n):
+        blocks = shape.level_size(j)
+        gens = ([block_element(0, s, blocks) for s in symmetric_generators(shape.d)]
+                + [block_permutation(g, shape.d) for g in gens])
     group = PermGroup(shape.level_size(n), gens)
     assert group.order() == closed_form_order(shape, n)
     return group

@@ -41,6 +41,8 @@ DEFAULT_TOLERANCES = {
     "root_scan_order": 360,
 }
 DEFAULT_K_MAX = 1024
+#: most moments a certificate may hold and the CLI's --k-max may ask for
+K_MAX_CAP = 1 << 16
 DEFAULT_BUDGET = 16
 DEFAULT_SEED = 0
 #: accept a candidate only if its full-range moment maximum stays below this;
@@ -318,7 +320,7 @@ class WitnessCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WitnessCertificate":
         """Parse a certificate; any missing or malformed field raises ValueError,
-        and a (d, l) outside the caps of a depth pair raises ScaleError."""
+        and a (d, l) or a moment count outside its cap raises ScaleError."""
         if not isinstance(data, dict):
             raise ValueError("certificate is not a JSON object")
         if data.get("format") != CERTIFICATE_FORMAT:
@@ -337,6 +339,9 @@ class WitnessCertificate:
                              lambda i: f"moment τ(w^{i + 1})")
         if len(moments) == 0:
             raise ValueError("certificate field 'moments' is empty")
+        if len(moments) > K_MAX_CAP:
+            raise ScaleError(f"certificate has {len(moments)} moments, above the "
+                             f"k-max cap {K_MAX_CAP}")
         tolerances = _field(data, "tolerances", dict)
         for key in DEFAULT_TOLERANCES:
             _number(tolerances, key, "tolerances")

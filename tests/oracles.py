@@ -231,6 +231,25 @@ def kronecker_trace_check(pair, coef):
 
 # -- slow paths kept as references ----------------------------------------------
 
+def ball_group_by_child_swaps(shape, n):
+    """The radius-n ball group on V_n generated by every child swap: for each
+    internal vertex and each c, the swap of the subtrees below its children
+    c and c+1.  The construction `treefam.ball_aut_group` replaced."""
+    from heckelab.permgroup import PermGroup, Permutation
+    leaves = shape.vertices(n)
+    position = {addr: i for i, addr in enumerate(leaves)}
+    gens = []
+    for depth in range(n):
+        for vertex in shape.vertices(depth):
+            for c in range(shape.arity(vertex) - 1):
+                a, b = vertex + (c,), vertex + (c + 1,)
+                swap = {a: b, b: a}
+                gens.append(Permutation(
+                    position[swap.get(addr[:depth + 1], addr[:depth + 1]) + addr[depth + 1:]]
+                    for addr in leaves))
+    return PermGroup(len(leaves), gens)
+
+
 def orbit(start, gens, step):
     """Orbit of `start` under the maps x ↦ step(x, g) for g in `gens`.
 

@@ -48,6 +48,19 @@ def test_census_level_pair(workdir, capsys):
     assert row["n"] == 2 and row["subgroup_order"] == 8
 
 
+@pytest.mark.parametrize("d, k, index, classes, order", [
+    (4, 3, 5775, 9, 82944),
+    (8, 2, 6435, 5, 3251404800),
+    (9, 2, 24310, 5, 263363788800),
+])
+def test_census_big_level_pairs(workdir, capsys, d, k, index, classes, order):
+    assert main(["census", "--d", str(d), "--k", str(k), "--n", "2",
+                 "--out", "rows.jsonl"]) == 0
+    row = json.loads((workdir / "rows.jsonl").read_text())
+    assert (row["index"], row["double_coset_count"], row["commutative"],
+            row["subgroup_order"]) == (index, classes, True, order)
+
+
 def test_census_without_out_prints_json(workdir, capsys):
     # depth 1 is the degenerate pair (S_2, S_2): a single class
     assert main(["census", "--d", "2", "--l", "1"]) == 0
@@ -303,6 +316,27 @@ DEGREES = "tree degrees d and k must be at least 2"
 def test_range_errors_keep_their_order(workdir, capsys, argv, reason):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"scale cap violated: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [["witness", "--k-max", "1000000000000"],
+                                  ["witness", "--k-max", "100000000"],
+                                  ["decay", "missing.json", "--k-max", "65537"]])
+def test_k_max_meets_its_cap_first(workdir, argv):
+    result, _ = _limited(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"scale cap violated: k-max {argv[-1]} exceeds the cap 65536\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "decay"])
+def test_certificate_moment_count_meets_the_cap(workdir, capsys, flagship_certificate,
+                                                command):
+    data = flagship_certificate.to_json_dict()
+    for part in ("re", "im"):
+        data["moments"][part] += [0.0] * (65537 - len(data["moments"][part]))
+    (workdir / "cert.json").write_text(json.dumps(data))
+    assert main([command, "cert.json"]) == 2
+    assert capsys.readouterr() == (
+        "", "scale cap violated: certificate has 65537 moments, above the k-max cap 65536\n")
 
 
 def test_verify_rejects_tampered_certificate(workdir, capsys):
@@ -660,6 +694,7 @@ def test_parser_defaults_match_their_layers():
     assert (args.seed, args.budget, args.k_max) == (
         witness.DEFAULT_SEED, witness.DEFAULT_BUDGET, witness.DEFAULT_K_MAX)
     assert shell._build_parser().parse_args(["decay", "c.json"]).k_max == witness.DEFAULT_K_MAX
+    assert shell.K_MAX_CAP == witness.K_MAX_CAP
     assert list(shell.SCENARIO_NAMES) == sorted(embed.SCENARIOS)
 
 

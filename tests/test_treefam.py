@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from heckelab.errors import ScaleError
-from heckelab.permgroup import PermGroup, Permutation, symmetric_group
-from heckelab.treefam import (TreeShape, ball_aut_group, block_element, block_permutation,
-                              check_level, closed_form_order, q_group, wreath_group)
+from heckelab.permgroup import COSET_INDEX_CAP, PermGroup, Permutation, symmetric_group
+from heckelab.treefam import (LEVEL_POINT_CAP, TreeShape, ball_aut_group, block_element,
+                              block_permutation, check_level, closed_form_order, q_group,
+                              wreath_group)
 
 import oracles
 
@@ -42,6 +45,23 @@ def test_vertices_are_lexicographically_sorted():
         assert len(verts) == shape.level_size(n)
 
 
+#: every (d, k, n) with |V_n| <= 16; d plays no part at n = 1, so only d = 2 there
+SMALL_LEVELS = [(d, k, n) for d in range(2, 17) for k in range(2, 17) for n in range(1, 5)
+                if TreeShape(d, k).level_size(n) <= 16 and (n > 1 or d == 2)]
+
+
+def _index(d, k, n):
+    shape = TreeShape(d, k)
+    return math.factorial(shape.level_size(n)) // closed_form_order(shape, n)
+
+
+#: every level pair (S_{|V_n|}, P_n) with 2 to COSET_INDEX_CAP cosets; n = 1
+#: gives one coset, and |V_n| <= 64 needs n <= 6 and d, k <= 32
+IN_CAP_LEVEL_PAIRS = [(d, k, n) for d in range(2, 33) for k in range(2, 33) for n in range(2, 7)
+                      if TreeShape(d, k).level_size(n) <= LEVEL_POINT_CAP
+                      and 1 < _index(d, k, n) <= COSET_INDEX_CAP]
+
+
 class TestBallAutGroup:
     def test_small_orders(self):
         assert ball_aut_group(TreeShape(2, 2), 1).order() == 2
@@ -76,6 +96,18 @@ class TestBallAutGroup:
     def test_scale_cap(self):
         with pytest.raises(ScaleError):
             ball_aut_group(TreeShape(2, 2), 7)
+        with pytest.raises(ScaleError, match="level n must be at least 1"):
+            ball_aut_group(TreeShape(2, 2), 0)
+
+    @pytest.mark.parametrize("d,k,n", SMALL_LEVELS + [(8, 8, 2), (2, 2, 6), (2, 4, 5)])
+    def test_wreath_recursion_equals_child_swaps(self, d, k, n):
+        shape = TreeShape(d, k)
+        assert ball_aut_group(shape, n).same_group(oracles.ball_group_by_child_swaps(shape, n))
+
+    def test_at_most_two_generators_per_level(self):
+        assert len(IN_CAP_LEVEL_PAIRS) == 17
+        for d, k, n in IN_CAP_LEVEL_PAIRS:
+            assert len(ball_aut_group(TreeShape(d, k), n).generators) <= 2 * n, (d, k, n)
 
     def test_restriction_is_onto(self):
         shape = TreeShape(2, 2)
