@@ -73,9 +73,9 @@ class WreathScenario:
         if len(subgroups) != blocks:
             raise ValueError("need one base subgroup per block")
         for sub in subgroups:
-            if not sub.is_subgroup_of(base_group):
+            if not base_group.contains_group(sub):
                 raise ContainmentError("base subgroup not contained in base group")
-        if not gamma.is_subgroup_of(top):
+        if not top.contains_group(gamma):
             raise ContainmentError("gamma not contained in the top group")
         self.name = name
         self.base_group = base_group

@@ -17,7 +17,8 @@ an argmin over the orbit and a gather with the transversal), one walks the
 orbit of a coset under right multiplication a frontier at a time (in blocks
 of bounded size, refusing orbits above the coset cap), and rows are ranked
 against sorted rows by binary search on byte keys.  The coset space H\\G is
-just its sorted rows and the action arrays of G's generators on them; it,
+just its sorted rows, and the action arrays of G's generators on them are
+ranked from the translated rows when first asked for; it,
 the R-indices and the minimal double-coset elements come from these
 routines, and double cosets H\\G/H are the orbits of H's action arrays on
 H\\G, never computed on raw group elements, and their
@@ -237,9 +238,6 @@ class PermGroup:
     def contains_group(self, other: "PermGroup") -> bool:
         return other.degree == self.degree and all(g in self for g in other.generators)
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return other.contains_group(self)
-
     def same_group(self, other: "PermGroup") -> bool:
         return self.order() == other.order() and self.contains_group(other)
 
@@ -293,36 +291,31 @@ class PermGroup:
             rows = rows[at, transversal[best]]
         return rows
 
-    def coset_orbit(self, start, gens, targets=True):
+    def coset_orbit(self, start, gens) -> np.ndarray:
         """Orbit of the right coset (self)·start under right multiplication
         by the rows of `gens`, an (S, m) array.
 
-        Returns (rows, targets): the canonical rows of the orbit in
-        breadth-first discovery order, rows[0] being that of (self)·start,
-        and targets[k, s], the byte key of the canonical row of
-        (self)·rows[k]·gens[s]; with targets=False no image key is kept and
-        targets is None.  The rows are native-endian uint16, not ROW
-        (np.concatenate drops the byte order): key them with row_keys, never
-        with their raw bytes.  A frontier is multiplied by every generator a
-        block of rows at a time, at most WALK_BLOCK_ROWS images per block, and
-        each block's new cosets are kept in order of first occurrence, which
-        is the order a first-in first-out walk finds them.  An orbit of more
-        than COSET_INDEX_CAP cosets raises ScaleError in the block that takes
-        the count past the cap.
+        Returns the canonical rows of the orbit in breadth-first discovery
+        order, rows[0] being that of (self)·start.  The rows are
+        native-endian uint16, not ROW (np.concatenate drops the byte order):
+        key them with row_keys, never with their raw bytes.  A frontier is
+        multiplied by every generator a block of rows at a time, at most
+        WALK_BLOCK_ROWS images per block, and each block's new cosets are
+        kept in order of first occurrence, which is the order a first-in
+        first-out walk finds them.  An orbit of more than COSET_INDEX_CAP
+        cosets raises ScaleError in the block that takes the count past the
+        cap.
         """
         frontier = self.canonical_rows([start])
         seen = row_keys(frontier)
-        blocks, moves = [frontier], []
+        blocks = [frontier]
         step = max(1, WALK_BLOCK_ROWS // max(1, len(gens)))
         while len(frontier):
             found = []
             for i in range(0, len(frontier), step):
                 images = self.canonical_rows(
                     gens[:, frontier[i:i + step]].swapaxes(0, 1).reshape(-1, self.degree))
-                keys = row_keys(images)
-                if targets:
-                    moves.append(keys)
-                fresh, first = np.unique(keys, return_index=True)
+                fresh, first = np.unique(row_keys(images), return_index=True)
                 at = np.searchsorted(seen, fresh)
                 new = seen[np.minimum(at, len(seen) - 1)] != fresh
                 if len(seen) + np.count_nonzero(new) > COSET_INDEX_CAP:
@@ -332,10 +325,7 @@ class PermGroup:
                 seen = np.insert(seen, at[new], fresh[new])  # stays sorted
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
             blocks.append(frontier)
-        rows = np.concatenate(blocks)
-        if not targets:
-            return rows, None
-        return rows, np.concatenate(moves).reshape(len(rows), len(gens))
+        return np.concatenate(blocks)
 
     @cached_property
     def _double_coset_min(self) -> dict:
@@ -354,8 +344,7 @@ class PermGroup:
         memo = self._double_coset_min
         least = memo.get(row_keys(self.canonical_rows([g.images]))[0].tobytes())
         if least is None:
-            rows, _ = self.coset_orbit(g.images, self.generator_rows, targets=False)
-            keys = row_keys(rows).tolist()
+            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)).tolist()
             least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
             memo.update(zip(keys, repeat(least)))
         return least
@@ -425,7 +414,7 @@ def dihedral_square() -> PermGroup:
 def _check_subgroup(G: PermGroup, H: PermGroup):
     if G.degree != H.degree:
         raise DomainMismatchError("subgroup acts on a different point set")
-    if not H.is_subgroup_of(G):
+    if not G.contains_group(H):
         raise ContainmentError("claimed subgroup is not contained in the group")
 
 
@@ -450,20 +439,24 @@ class CosetIndex:
         size = check_coset_count(G.order() // H.order())
         self.group = G
         self.subgroup = H
-        gens = G.generator_rows
-        found, targets = H.coset_orbit(np.arange(G.degree), gens)
+        found = H.coset_orbit(np.arange(G.degree), G.generator_rows)
         if len(found) != size:
             raise RuntimeError(
                 f"coset enumeration found {len(found)} cosets, expected {size}")
-        order = np.argsort(row_keys(found), kind="stable")
-        self.rows = found[order]
+        self.rows = found[np.argsort(row_keys(found))]
         self._keys = row_keys(self.rows)
-        # discovery order -> sorted order
-        position = np.empty(size, dtype=np.int32)
-        position[order] = np.arange(size, dtype=np.int32)
-        moves, _ = rank_keys(self._keys, targets)
-        self.action = np.empty((len(gens), size), dtype=np.int32)
-        self.action[:, position] = moves.T
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """`right_action` of G's generators, built on first use: only
+        λ-matrices read it."""
+        return self.right_action(self.group.generator_rows)
+
+    def right_action(self, gens) -> np.ndarray:
+        """The (S, N) int32 array whose [s, i] is the index of H·r_i·gens[s],
+        one canonicalisation of the translated rows per generator."""
+        return np.array([self.cosets_of(g[self.rows]) for g in gens],
+                        dtype=np.int32).reshape(len(gens), len(self))
 
     def __len__(self):
         return len(self.rows)
@@ -497,9 +490,9 @@ class DoubleCosetTable:
         self.subgroup = H
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
-        action = [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows]
-        self.subgroup_action = np.array(action, dtype=np.int32).reshape(-1, len(cosets))
-        roots, classes = np.unique(orbit_roots(action, len(cosets)), return_inverse=True)
+        self.subgroup_action = cosets.right_action(H.generator_rows)
+        roots, classes = np.unique(orbit_roots(self.subgroup_action, len(cosets)),
+                                   return_inverse=True)
         self.class_of_coset = classes.astype(np.int32)
         self.r_index = np.bincount(classes)
         self.representatives = cosets.rows[roots]
@@ -586,7 +579,7 @@ def r_index(x: Permutation, H: PermGroup) -> int:
     """
     if x.degree != H.degree:
         raise DomainMismatchError("element degree differs from subgroup degree")
-    return len(H.coset_orbit(x.images, H.generator_rows, targets=False)[0])
+    return len(H.coset_orbit(x.images, H.generator_rows))
 
 
 def _int_rows(value, what: str) -> list:

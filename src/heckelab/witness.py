@@ -51,16 +51,6 @@ ACCEPT_CEILING = 0.999
 SELFADJOINT_TOL = 1e-12
 #: root-scan candidates this close to the minimum distance count as ties
 ROOT_SCAN_TIE = 1e-9
-#: rotation φ of the eigenvalue pencil in `spectral_data`; any angle works, a
-#: generic one keeps the collision line θ₁ + θ₂ ≡ 2φ off conjugate pairs (φ = 0)
-PENCIL_ANGLE = 0.5772156649015329
-#: cosines of the pencil closer than this form one cluster that the sine part
-#: resolves.  About √eps balances two errors: eigenvectors split across a gap
-#: g mix by about eps/g, and distinct angles that one cluster leaves to a flat
-#: sine part (near θ ≡ φ ± π/2) lie about g apart
-PENCIL_CLUSTER_GAP = 1.5e-8
-#: where |cos(θ - φ)| exceeds this, the sine part resolves the pencil better
-FLAT_COSINE = math.sqrt(0.5)
 #: eigenvalue angles this close merge into one spectral atom
 ATOM_ANGLE_GAP = 1e-8
 #: atoms of at most this weight at δ_H are invisible to the root-of-unity scan
@@ -179,36 +169,28 @@ class SpectralData:
 def spectral_data(matrix: np.ndarray) -> SpectralData:
     """Orthonormal eigenbasis of a (numerically normal) unitary matrix w.
 
-    The rotated w' = e^{-iφ}w splits into two commuting Hermitian parts,
-    (w' + w'*)/2 with eigenvalues cos(θ - φ) and (w' - w'*)/2i with
-    eigenvalues sin(θ - φ).  One `eigh` of the first gives the basis.  Where
-    |cos(θ - φ)| > 1/√2 the cosine is flat and resolves eigenvectors poorly,
-    while the sine is steep and one-to-one, so the clusters on each side
-    form one block that a second `eigh` of the sine part, restricted to it,
-    resolves again.  In the band between, two angles share a cosine only
-    when θ₁ + θ₂ ≡ 2φ, and inside each cluster of equal cosines the same
-    restricted `eigh` separates them.  Degenerate eigenvalues of w keep an
-    orthonormal basis of their eigenspace.  With T = Z*wZ the angles are
-    arg T_jj, and `offdiagonal_residual` is ‖T - diag T‖.
+    With φ in the middle of the widest gap between the eigenvalue angles θ
+    of w, the Cayley transform C = i(1 + e^{-iφ}w)(1 - e^{-iφ}w)⁻¹ is
+    Hermitian with eigenvalues -cot((θ - φ)/2), θ - φ taken in (0, 2π).
+    That map is strictly increasing, with slope at least 1/2, so distinct
+    angles stay distinct and one `eigh` of C gives the basis; the widest
+    gap keeps e^{iφ} at least π/dim away from every eigenvalue, so
+    1 - e^{-iφ}w is well conditioned and ‖C‖ ≤ cot(π/(2·dim)).
+    Degenerate eigenvalues of w keep an orthonormal basis of their
+    eigenspace.  With T = Z*wZ the angles are arg T_jj, and
+    `offdiagonal_residual` is ‖T - diag T‖.
 
     Weights are μ_j = |⟨δ_H, ζ_j⟩|² for the orthonormal basis ζ_j; they
     are nonnegative and sum to 1 by construction.
     """
-    rotated = np.exp(-1j * PENCIL_ANGLE) * matrix
-    adjoint = rotated.conj().T
-    cosines, Z = np.linalg.eigh((rotated + adjoint) / 2)
-    sine_part = (rotated - adjoint) / 2j
-    # clusters of equal cosines, placed whole by their first cosine: one block
-    # per flat side, each cluster of the band its own block
-    cluster = np.concatenate([[0], np.cumsum(np.diff(cosines) > PENCIL_CLUSTER_GAP)])
-    first = cosines[np.searchsorted(cluster, cluster)]
-    block = np.where(first > FLAT_COSINE, -1, np.where(first < -FLAT_COSINE, -2, cluster))
-    for label in sorted(set(block.tolist())):
-        members = np.flatnonzero(block == label)
-        if len(members) > 1:
-            basis = Z[:, members]
-            _, rotation = np.linalg.eigh(basis.conj().T @ sine_part @ basis)
-            Z[:, members] = basis @ rotation
+    thetas = np.sort(np.angle(np.linalg.eigvals(matrix)))
+    gaps = np.diff(thetas, append=thetas[0] + 2 * math.pi)
+    j = int(np.argmax(gaps))
+    rotated = np.exp(-1j * (thetas[j] + gaps[j] / 2)) * matrix
+    eye = np.eye(len(matrix))
+    # 1 + w' and 1 - w' commute, so the inverse may stand on either side
+    cayley = 1j * np.linalg.solve(eye - rotated, eye + rotated)
+    _, Z = np.linalg.eigh((cayley + cayley.conj().T) / 2)
     T = Z.conj().T @ matrix @ Z
     diagonal = np.diag(T)
     offdiag = float(np.linalg.norm(T - np.diag(diagonal)))
@@ -243,6 +225,7 @@ def cluster_spectrum(spectral: SpectralData) -> SpectralData:
                         spectral.offdiagonal_residual)
 
 
+@np.errstate(all="ignore")
 def root_of_unity_scan(spectral: SpectralData, order: int):
     """Diagnostic for near-rational eigenvalue-angle ratios.
 
@@ -251,7 +234,9 @@ def root_of_unity_scan(spectral: SpectralData, order: int):
     of (λ_j / λ_j')^m to 1 over 1 <= m <= order.  A tiny value flags a
     near-resonance that a bounded moment check cannot distinguish from an
     exact root of unity.  Of the (pair, m) within `ROOT_SCAN_TIE` of the
-    minimum, the lexicographically least is reported.
+    minimum, the lexicographically least is reported.  Angles or weights
+    near the float range overflow to a NaN distance; the scan then reports
+    that NaN and no pair.
     """
     atoms = cluster_spectrum(spectral)
     visible = np.where(atoms.weights > VISIBLE_WEIGHT)[0]
@@ -266,6 +251,9 @@ def root_of_unity_scan(spectral: SpectralData, order: int):
 
     row_min = np.array([distances(a).min() for a in range(len(visible) - 1)])
     min_distance = float(row_min.min())
+    if math.isnan(min_distance):
+        return {"min_distance": min_distance, "pair": None, "m": None,
+                "visible_atoms": int(len(visible))}
     # mirror atoms θ, −θ tie up to rounding: report the least (pair, m) of the ties
     a = int(np.argmax(row_min <= min_distance + ROOT_SCAN_TIE))
     b, m = np.argwhere(distances(a) <= min_distance + ROOT_SCAN_TIE)[0]

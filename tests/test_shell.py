@@ -294,6 +294,18 @@ def test_decay_refuses_moments_off_the_unit_disc(workdir, capsys, flagship_certi
     assert "τ(w^3)" in capsys.readouterr().err
 
 
+def test_verify_fails_overflowing_weights_without_a_traceback(workdir, capsys,
+                                                              flagship_certificate):
+    # weights 0 and 1 share an atom, whose merged weight overflows to inf
+    data = flagship_certificate.to_json_dict()
+    data["spectral"]["weights"][0] = data["spectral"]["weights"][1] = 1e308
+    (workdir / "cert.json").write_text(json.dumps(data))
+    assert main(["verify", "cert.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("certificate verification: FAIL\n  failed: weight-sum\n")
+
+
 @pytest.mark.parametrize("command", ["gelfand", "witness"])
 def test_depth_pair_commands_take_no_root_degree(workdir, capsys, command):
     with pytest.raises(SystemExit) as exc:

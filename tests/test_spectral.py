@@ -4,19 +4,21 @@
 eigenbasis replaced.  Both must give the same spectral atoms (angles merged
 by `cluster_spectrum`, with their weights) and the same reconstructed
 moments, on the flagship commutators, on unitaries with repeated
-eigenvalues, and where two angles collide in the cosine pencil.
+eigenvalues, and on the spectra that defeated an earlier cosine/sine pencil
+of e^{-iφ}w: angles θ and 2φ - θ that share its cosine, and close angles
+near θ ≡ φ ± π/2, where its sine part is flat.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from heckelab import witness
-from heckelab.witness import (PENCIL_ANGLE, _commutator, cluster_spectrum,
-                              search_witness, spectral_data)
+from heckelab.witness import _commutator, cluster_spectrum, search_witness, spectral_data
 
 import oracles
 
+#: the rotation φ of that pencil
+PHI = 0.5772156649015329
 ATOM_TOL = 1e-10
 
 
@@ -69,7 +71,7 @@ def repeated_spectra(draw):
     slots = draw(st.lists(st.integers(0, 59), min_size=1, max_size=5, unique=True))
     angles = [2 * np.pi * j / 60 + 0.1 for j in slots]
     if draw(st.booleans()):
-        angles.append(2 * PENCIL_ANGLE - angles[0])
+        angles.append(2 * PHI - angles[0])
     counts = draw(st.lists(st.integers(1, 4), min_size=len(angles),
                            max_size=len(angles)))
     spectrum = [theta for theta, c in zip(angles, counts) for _ in range(c)]
@@ -93,18 +95,39 @@ def test_unitaries_with_repeated_eigenvalues(case):
 
 def collision(alpha):
     """θ = φ ± α twice and three times, which share the cosine cos(α)."""
-    spectrum = [PENCIL_ANGLE + alpha] * 2 + [PENCIL_ANGLE - alpha] * 3 + [2.0, -1.0]
+    spectrum = [PHI + alpha] * 2 + [PHI - alpha] * 3 + [2.0, -1.0]
     return unitary_with_spectrum(np.random.default_rng(5), spectrum)
 
 
-def test_pencil_collision_is_resolved(monkeypatch):
-    # θ and 2φ - θ share the cosine cos(θ - φ); only the sine part splits them
-    matrix, exact = collision(0.3)
-    spec = spectral_data(matrix)
-    assert spec.offdiagonal_residual < 1e-12
-    assert_same_atoms(spec, oracles.schur_spectral_data(matrix))
-    assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
-    # every cosine its own cluster: a collision in the steep band of the
-    # cosine (|cos α| < 1/√2) is left mixed
-    monkeypatch.setattr(witness, "PENCIL_CLUSTER_GAP", -1.0)
-    assert spectral_data(collision(1.2)[0]).offdiagonal_residual > 1e-2
+def test_pencil_collision_is_resolved():
+    # θ and 2φ - θ share the cosine cos(θ - φ), in the flat and the steep band
+    for alpha in (0.3, 1.2):
+        matrix, exact = collision(alpha)
+        spec = spectral_data(matrix)
+        assert spec.offdiagonal_residual < 1e-12
+        assert_same_atoms(spec, oracles.schur_spectral_data(matrix))
+        assert np.max(np.abs(spec.reconstruct(64) - exact)) < 1e-12
+
+
+def near_flat_sine(seed):
+    """16 × 16 unitary with two angles 1e-10 to 1e-6 apart at φ ± π/2, and
+    its exact moments up to k = 1024; when 3 divides the seed, also two angles
+    within 1e-6 of sharing a cosine."""
+    rng = np.random.default_rng(seed)
+    centre = PHI + rng.choice([-1, 1]) * np.pi / 2
+    angles = [centre, centre + 10.0 ** rng.uniform(-10, -6)]
+    if seed % 3 == 0:
+        theta = rng.uniform(-np.pi, np.pi)
+        angles += [theta, 2 * PHI - theta + 10.0 ** rng.uniform(-10, -6)]
+    angles = np.array(angles + list(rng.uniform(-np.pi, np.pi, 16 - len(angles))))
+    Q = haar_unitary(rng, 16)
+    matrix = (Q * np.exp(1j * angles)) @ Q.conj().T
+    exact = np.exp(1j * np.outer(np.arange(1, 1025), angles)) @ (np.abs(Q[0]) ** 2)
+    return matrix, exact
+
+
+# the pencil's moments were off by 1.5e-10 to 5.6e-7 on each of these seeds
+@pytest.mark.parametrize("seed", [0, 2, 3, 4, 6, 9, 11, 14])
+def test_close_angles_where_the_pencil_sine_is_flat(seed):
+    matrix, exact = near_flat_sine(seed)
+    assert np.max(np.abs(spectral_data(matrix).reconstruct(1024) - exact)) <= 1e-10

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heckelab.errors import SearchFailureError
 from heckelab.hecke import HeckePair, PairSpec
@@ -193,6 +194,21 @@ class TestSpectra:
             scan = root_of_unity_scan(SpectralData(noisy, weights), 360)
             assert (scan["pair"], scan["m"]) == (exact["pair"], exact["m"])
             assert abs(scan["min_distance"] - exact["min_distance"]) < 1e-9
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=8))
+    # two equal angles of weight 1e308 merge into an atom of weight inf at
+    # angle -0, which then swallows the next atom with a NaN angle
+    @example([(-0.3, 1e308), (-0.3, 1e308), (-0.26, 0.2), (0.1, 0.3)])
+    def test_root_scan_never_raises_on_finite_spectra(self, atoms):
+        angles, weights = map(np.array, zip(*atoms))
+        scan = root_of_unity_scan(SpectralData(angles, weights), 360)
+        if scan["pair"] is None:
+            assert scan["m"] is None
+        else:
+            assert 1 <= scan["m"] <= 360 and scan["min_distance"] <= 2
 
     def test_spectral_data_of_diagonal_matrix(self):
         angles = np.array([0.3, -1.2, 2.5])

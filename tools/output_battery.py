@@ -57,6 +57,7 @@ def cases():
                                   "--out", f"witness-{seed}.json"], 0
     yield "verify", ["heckelab", "verify", "witness-0.json"], 0
     yield "verify-tampered", ["heckelab", "verify", "tampered.json"], 1
+    yield "verify-huge-weights", ["heckelab", "verify", "huge-weights.json"], 1
     yield "decay", ["heckelab", "decay", "witness-0.json"], 0
     yield "decay-out", ["heckelab", "decay", "witness-0.json", "--out", "decay.jsonl"], 0
     yield "decay-k3", ["heckelab", "decay", "witness-0.json", "--k", "3"], 0
@@ -84,10 +85,14 @@ def cases():
 
 
 def tamper(out: Path):
-    """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3."""
-    data = json.loads((out / "witness-0.json").read_text())
+    """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3, and
+    huge-weights.json: the same with its first two spectral weights 1e308."""
+    text = (out / "witness-0.json").read_text()
+    data, huge = json.loads(text), json.loads(text)
     data["u"]["re"][1] += 1e-3
     (out / "tampered.json").write_text(json.dumps(data))
+    huge["spectral"]["weights"][0] = huge["spectral"]["weights"][1] = 1e308
+    (out / "huge-weights.json").write_text(json.dumps(huge))
 
 
 def _element(d: int, k: int, phi: list, twists: dict | None = None) -> dict:
