@@ -1,10 +1,10 @@
 """Dense vectors of Gaussian rationals in common-denominator form.
 
 A vector is (den, re, im) with den a positive Python int and re/im numpy
-object arrays of Python ints; entry i is (re[i] + im[i]*1j) / den.  The
-imaginary array is None while the vector is real.  Python ints never
-overflow, so the arithmetic is exact at any scale; numpy object arrays
-keep the inner loops in C.
+object arrays of Python ints; entry i is (re[i] + im[i]*1j) / den, and a
+real vector has an imaginary array of zeros.  Python ints never overflow,
+so the arithmetic is exact at any scale; numpy object arrays keep the
+inner loops in C.
 """
 
 from __future__ import annotations
@@ -24,43 +24,34 @@ def _gcd_array(arr) -> int:
     return reduce(math.gcd, arr.tolist(), 0)
 
 
-def _nonzero(arr) -> bool:
-    return any(x != 0 for x in arr.tolist())
-
-
 class ExactVector:
-    """Immutable-by-convention exact vector; all operations return new vectors."""
+    """Immutable-by-convention exact vector; all operations return new vectors.
+
+    `im=None` builds a real vector.  With `reduce_terms=False` the caller
+    vouches that den and the entries have no common factor, which equality
+    and hashing rely on.
+    """
 
     __slots__ = ("den", "re", "im")
 
     def __init__(self, den: int, re, im=None, reduce_terms: bool = True):
         re = np.asarray(re, dtype=object)
-        if im is not None:
-            im = np.asarray(im, dtype=object)
-            if not _nonzero(im):
-                im = None
+        im = _obj_zeros(len(re)) if im is None else np.asarray(im, dtype=object)
         if den < 0:
-            den, re = -den, -re
-            im = None if im is None else -im
+            den, re, im = -den, -re, -im
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if reduce_terms:
-            g = _gcd_array(re)
-            if im is not None:
-                g = math.gcd(g, _gcd_array(im))
-            g = math.gcd(g, den)
+            g = math.gcd(_gcd_array(re), _gcd_array(im), den)
             if g > 1:
-                den //= g
-                re = np.array([x // g for x in re.tolist()], dtype=object)
-                if im is not None:
-                    im = np.array([x // g for x in im.tolist()], dtype=object)
+                den, re, im = den // g, re // g, im // g
         self.den = den
         self.re = re
         self.im = im
 
     @classmethod
     def zeros(cls, n: int) -> "ExactVector":
-        return cls(1, _obj_zeros(n), None, reduce_terms=False)
+        return cls(1, _obj_zeros(n), reduce_terms=False)
 
     @classmethod
     def from_fractions(cls, values) -> "ExactVector":
@@ -84,37 +75,23 @@ class ExactVector:
 
     def coeff(self, i: int):
         """Entry i as a (real, imaginary) pair of Fractions."""
-        re = Fraction(int(self.re[i]), self.den)
-        im = Fraction(0) if self.im is None else Fraction(int(self.im[i]), self.den)
-        return re, im
+        return Fraction(int(self.re[i]), self.den), Fraction(int(self.im[i]), self.den)
 
     def support(self):
-        nz = [i for i, x in enumerate(self.re.tolist()) if x != 0]
-        if self.im is not None:
-            extra = {i for i, x in enumerate(self.im.tolist()) if x != 0}
-            nz = sorted(set(nz) | extra)
-        return nz
+        return np.flatnonzero((self.re != 0) | (self.im != 0)).tolist()
 
     def is_zero(self) -> bool:
-        return not _nonzero(self.re) and (self.im is None or not _nonzero(self.im))
+        return not self.support()
 
     def __add__(self, other: "ExactVector") -> "ExactVector":
         d1, d2 = self.den, other.den
         g = math.gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
-        re = self.re * m1 + other.re * m2
-        if self.im is None and other.im is None:
-            im = None
-        else:
-            a = self.im * m1 if self.im is not None else 0
-            b = other.im * m2 if other.im is not None else 0
-            im = a + b
-        return ExactVector(d1 * m1, re, im)
+        return ExactVector(d1 * m1, self.re * m1 + other.re * m2,
+                           self.im * m1 + other.im * m2)
 
     def __neg__(self) -> "ExactVector":
-        return ExactVector(self.den, -self.re,
-                           None if self.im is None else -self.im,
-                           reduce_terms=False)
+        return ExactVector(self.den, -self.re, -self.im, reduce_terms=False)
 
     def __sub__(self, other: "ExactVector") -> "ExactVector":
         return self + (-other)
@@ -128,48 +105,32 @@ class ExactVector:
         den = self.den * sre.denominator * sim.denominator
         a = sre.numerator * sim.denominator
         b = sim.numerator * sre.denominator
-        re = self.re * a
-        im = self.re * b if b else None
-        if self.im is not None:
-            re = re - self.im * b if b else re
-            im = (im + self.im * a) if im is not None else self.im * a
-        return ExactVector(den, re, im)
+        return ExactVector(den, self.re * a - self.im * b, self.re * b + self.im * a)
 
     def conjugate(self) -> "ExactVector":
-        return ExactVector(self.den, self.re,
-                           None if self.im is None else -self.im,
-                           reduce_terms=False)
+        return ExactVector(self.den, self.re, -self.im, reduce_terms=False)
 
     def permuted(self, index_array) -> "ExactVector":
         """New vector with entry i taken from entry index_array[i]."""
         idx = np.asarray(index_array)
-        return ExactVector(self.den, self.re[idx],
-                           None if self.im is None else self.im[idx],
-                           reduce_terms=False)
+        return ExactVector(self.den, self.re[idx], self.im[idx], reduce_terms=False)
 
     def __eq__(self, other):
         if not isinstance(other, ExactVector):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if any(a * other.den != b * self.den
-               for a, b in zip(self.re.tolist(), other.re.tolist())):
-            return False
-        a_im = self.im.tolist() if self.im is not None else [0] * len(self)
-        b_im = other.im.tolist() if other.im is not None else [0] * len(other)
-        return all(a * other.den == b * self.den for a, b in zip(a_im, b_im))
+        return len(self) == len(other) and all(
+            a * other.den == b * self.den
+            for a, b in zip(self.re.tolist() + self.im.tolist(),
+                            other.re.tolist() + other.im.tolist()))
 
     def __hash__(self):
-        return hash((self.den, tuple(self.re.tolist()),
-                     None if self.im is None else tuple(self.im.tolist())))
+        return hash((self.den, tuple(self.re.tolist()), tuple(self.im.tolist())))
 
     def to_complex(self) -> np.ndarray:
-        out = np.array([float(Fraction(int(x), self.den)) for x in self.re.tolist()],
-                       dtype=np.complex128)
-        if self.im is not None:
-            out += 1j * np.array(
-                [float(Fraction(int(x), self.den)) for x in self.im.tolist()])
-        return out
+        def floats(arr):
+            return np.array([float(Fraction(int(x), self.den)) for x in arr.tolist()])
+
+        return floats(self.re) + 1j * floats(self.im)
 
     def __repr__(self):
         entries = ", ".join(

@@ -16,17 +16,20 @@ in the group algebra C[V⋊G], which the tests keep as the oracle
 (`groupalg.hecke_image` translates).  With e_D = 1_D/|H| on each pair,
 e_D·p_Γ = 1_{DΓ}/|V_0⋊Γ| and p_{V0}·e_E = 1_{V_0 E}/|V_0⋊Γ|, so both maps
 send e_D to R(D)/R(F)·e_F, F the double coset of V_0⋊Γ holding D's lifted
-representative; a Γ-orbit sum of e_D goes to e_F.
+representative; a Γ-orbit sum of e_D goes to e_F.  Each map is built once,
+by `double_coset_map`, as one integer matrix over the least common
+denominator of the R(F), and applied as one product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from ._exactvec import ExactVector
 from .errors import ContainmentError, InvarianceError
 from .hecke import HeckeElement, HeckePair
 from .permgroup import PermGroup, orbit_roots, symmetric_group, trivial_group
@@ -41,17 +44,20 @@ def double_coset_map(source: HeckePair, rows, target: HeckePair):
     """The linear map e_D ↦ R(D)/R(F)·e_F from H(source) into H(target).
 
     Row i of `rows` is the representative of source class i as an element
-    of the target group, and F is the target class that holds it.
+    of the target group, and F is the target class that holds it.  The map
+    is one integer matrix M over the common denominator L = lcm R(F), with
+    M[D, F] = R(D)·L/R(F), so applying it is one product x·M over x.den·L.
     """
-    classes = target.class_of_coset[target.cosets.cosets_of(rows)].tolist()
-    images = [target.basis_element(f).scaled(Fraction(int(r), int(target.r_indices[f])))
-              for r, f in zip(source.r_indices.tolist(), classes)]
+    classes = target.class_of_coset[target.cosets.cosets_of(rows)]
+    r_target = target.r_indices[classes].tolist()
+    common = math.lcm(*r_target)
+    matrix = np.zeros((source.dim, target.dim), dtype=object)
+    matrix[np.arange(source.dim), classes] = [
+        r * (common // r_f) for r, r_f in zip(source.r_indices.tolist(), r_target)]
 
     def apply(x: HeckeElement) -> HeckeElement:
-        image = target.unit().scaled(0)
-        for d in x.exact.support():
-            image = image + images[d].scaled(x.coeff(d))
-        return image
+        return HeckeElement(target, ExactVector(x.exact.den * common, x.exact.re.dot(matrix),
+                                                x.exact.im.dot(matrix)))
 
     return apply
 

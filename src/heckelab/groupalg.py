@@ -134,7 +134,7 @@ class AlgebraElement:
     def delta(cls, carrier: EnumeratedGroup, p: Permutation) -> "AlgebraElement":
         re = np.zeros(len(carrier), dtype=object)
         re[carrier.index_of(p)] = 1
-        return cls(carrier, ExactVector(1, re, None, reduce_terms=False))
+        return cls(carrier, ExactVector(1, re, reduce_terms=False))
 
     # -- linear structure -------------------------------------------------------
 
@@ -225,17 +225,12 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
         contrib = np.multiply.outer(left, right).ravel()
         np.add.at(acc, targets, contrib)
 
-    fre = f.vec.re[supp_f]
-    gre = g.vec.re[supp_g]
+    fre, fim = f.vec.re[supp_f], f.vec.im[supp_f]
+    gre, gim = g.vec.re[supp_g], g.vec.im[supp_g]
     scatter(res_re, fre, gre)
-    fim = f.vec.im[supp_f] if f.vec.im is not None else None
-    gim = g.vec.im[supp_g] if g.vec.im is not None else None
-    if fim is not None and gim is not None:
-        scatter(res_re, -fim, gim)
-    if gim is not None:
-        scatter(res_im, fre, gim)
-    if fim is not None:
-        scatter(res_im, fim, gre)
+    scatter(res_re, -fim, gim)
+    scatter(res_im, fre, gim)
+    scatter(res_im, fim, gre)
 
     vec = ExactVector(f.vec.den * g.vec.den, res_re, res_im)
     return AlgebraElement(carrier, vec)

@@ -17,11 +17,13 @@ H\\G: row 0 is read off the classes, every other row is one gather of a
 row filled before it.
 
 `HeckeElement` is exact: Gaussian-rational coefficients, multiplied through
-the integer structure constants.  Float elements are plain coefficient
-arrays: `HeckePair.left_matrix(c)` multiplies by one in dim × dim, and
-`HeckePair.lambda_matrix(c)` is its action on ℓ²(H\\G), built only when
-asked for, as a cross-check.  The group-algebra corner p_H C[G] p_H is the
-independent oracle; it lives in `groupalg`, which this module never imports.
+the integer structure constants; `embed.double_coset_map` carries them
+between pairs as one integer matrix over its least common denominator.
+Float elements are plain coefficient arrays: `HeckePair.left_matrix(c)`
+multiplies by one in dim × dim, and `HeckePair.lambda_matrix(c)` is its
+action on ℓ²(H\\G), built only when asked for, as a cross-check.  The
+group-algebra corner p_H C[G] p_H is the independent oracle; it lives in
+`groupalg`, which this module never imports.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
@@ -237,7 +239,7 @@ class HeckePair:
 
         re = np.zeros(self.dim, dtype=object)
         re[j] = 1
-        return HeckeElement(self, ExactVector(1, re, None, reduce_terms=False))
+        return HeckeElement(self, ExactVector(1, re, reduce_terms=False))
 
     def basis(self) -> list:
         return [self.basis_element(j) for j in range(self.dim)]
@@ -342,9 +344,9 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
     f._same_pair(g)
     pair = f.pair
     struct = pair.structure_constants()
-    f_re, f_im = f.exact.re, _imaginary(f.exact)
+    f_re, f_im = f.exact.re, f.exact.im
     support = g.exact.support()
-    g_re, g_im = g.exact.re[support], _imaginary(g.exact)[support]
+    g_re, g_im = g.exact.re[support], g.exact.im[support]
     re = np.zeros(pair.dim, dtype=object)
     im = np.zeros(pair.dim, dtype=object)
     for d in f.exact.support():
@@ -353,10 +355,6 @@ def convolve(f: HeckeElement, g: HeckeElement) -> HeckeElement:
         re = re + f_re[d] * sum_re - f_im[d] * sum_im
         im = im + f_re[d] * sum_im + f_im[d] * sum_re
     return HeckeElement(pair, ExactVector(f.exact.den * g.exact.den, re, im))
-
-
-def _imaginary(vec: ExactVector):
-    return vec.im if vec.im is not None else np.zeros_like(vec.re)
 
 
 def trace_inner_product(f: HeckeElement, g: HeckeElement):

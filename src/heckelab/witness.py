@@ -200,25 +200,32 @@ def spectral_data(matrix: np.ndarray) -> SpectralData:
 
 
 def cluster_spectrum(spectral: SpectralData) -> SpectralData:
-    """Merge numerically equal eigenvalue angles into spectral atoms."""
+    """Merge numerically equal eigenvalue angles into spectral atoms.
+
+    The sorted angles are swept once: an angle within `ATOM_ANGLE_GAP` of
+    its atom's first angle joins that atom, any other starts the next one.
+    An atom weighs the sum of its weights and sits at the mean of its
+    angles weighted by their weights over the largest, so the mean stays
+    finite and inside the atom at any weight scale.
+    """
     order = np.argsort(spectral.angles)
     angles = spectral.angles[order]
     weights = spectral.weights[order]
-    merged_angles = [angles[0]]
-    merged_weights = [weights[0]]
-    for theta, mu in zip(angles[1:], weights[1:]):
-        if theta - merged_angles[-1] <= ATOM_ANGLE_GAP:
-            total = merged_weights[-1] + mu
-            if total > 0:
-                merged_angles[-1] = (merged_angles[-1] * merged_weights[-1]
-                                     + theta * mu) / total
-            merged_weights[-1] = total
-        else:
-            merged_angles.append(theta)
-            merged_weights.append(mu)
-    # the circle wraps: -pi and pi are the same atom
-    if len(merged_angles) > 1 and \
-            (2 * math.pi - (merged_angles[-1] - merged_angles[0])) <= ATOM_ANGLE_GAP:
+    starts = [0]
+    for i, theta in enumerate(angles.tolist()):
+        if theta - angles[starts[-1]] > ATOM_ANGLE_GAP:
+            starts.append(i)
+    merged_angles, merged_weights = [], []
+    for theta, mu in zip(np.split(angles, starts[1:]), np.split(weights, starts[1:])):
+        top = mu.max()
+        share = mu / top if top > 0 else 0 * mu
+        total = share.sum()
+        merged_angles.append((theta * share).sum() / total if total > 0 else theta[0])
+        merged_weights.append(sum(mu.tolist()))
+    # the circle wraps: a last atom starting within the gap of the first
+    # angle, across -pi = pi, joins the first atom
+    if len(starts) > 1 and \
+            (2 * math.pi - (angles[starts[-1]] - angles[0])) <= ATOM_ANGLE_GAP:
         merged_weights[0] += merged_weights.pop()
         merged_angles.pop()
     return SpectralData(np.array(merged_angles), np.array(merged_weights),

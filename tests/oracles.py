@@ -488,7 +488,7 @@ def convolve_by_blocks(f, g):
     from heckelab.hecke import HeckeElement
 
     def parts(vec, i):
-        return int(vec.re[i]), 0 if vec.im is None else int(vec.im[i])
+        return int(vec.re[i]), int(vec.im[i])
 
     pair = f.pair
     struct = pair.structure_constants().astype(object)
@@ -730,3 +730,20 @@ def wreath_embed_top(scenario, big, y):
         raise InvarianceError("the top group does not leave V_0 invariant")
     m0 = scenario.base_group.degree
     return convolve(p, lift_by_coefficients(big, y, lambda s: block_permutation(s, m0)))
+
+
+def double_coset_map_by_support(source, rows, target):
+    """e_D ↦ R(D)/R(F)·e_F, summed as one scaled basis image per entry of
+    the support: the loop `embed.double_coset_map` replaced by one integer
+    matrix."""
+    classes = target.class_of_coset[target.cosets.cosets_of(rows)].tolist()
+    images = [target.basis_element(f).scaled(Fraction(int(r), int(target.r_indices[f])))
+              for r, f in zip(source.r_indices.tolist(), classes)]
+
+    def apply(x):
+        image = target.unit().scaled(0)
+        for d in x.exact.support():
+            image = image + images[d].scaled(x.coeff(d))
+        return image
+
+    return apply

@@ -1,6 +1,8 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heckelab.errors import InvarianceError
@@ -10,8 +12,8 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             scenario_s2_squared, scenario_s4_d4)
 from heckelab.groupalg import EnumeratedGroup, convolve, corner_basis, hecke_image, projector
 from heckelab.hecke import PairSpec
-from heckelab.permgroup import symmetric_group, trivial_group
-from heckelab.treefam import q_group
+from heckelab.permgroup import Permutation, symmetric_group, trivial_group
+from heckelab.treefam import block_permutation, q_group
 
 import oracles
 
@@ -214,6 +216,38 @@ def test_hecke_maps_match_the_group_algebra(name):
     for y in corner_basis(top, scenario.gamma, scenario.pair_top.table):
         assert embed_top(scenario, hecke_image(y, scenario.pair_top)) == \
             hecke_image(oracles.wreath_embed_top(scenario, big, y), scenario.pair_big)
+
+
+def _assert_maps_agree(source, rows, target):
+    # the integer matrix against one scaled basis image per support entry
+    fast = double_coset_map(source, rows, target)
+    slow = oracles.double_coset_map_by_support(source, rows, target)
+    rng = np.random.default_rng(len(rows))
+    elements = source.basis() + [oracles.random_exact_element(source, rng, span)
+                                 for span in (0, 3, 2 ** 70)]
+    elements += [x.scaled((Fraction(1, 6), Fraction(-5, 4))) for x in elements[-2:]]
+    for x in elements:
+        image = fast(x)
+        assert image.pair is target and image == slow(x)
+        assert hash(image) == hash(slow(x))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
+def test_matrix_maps_match_the_support_loop(name):
+    scenario = ORACLE_SCENARIOS[name]()
+    m0 = scenario.base_group.degree
+    # the top representatives lifted one block permutation at a time
+    lifted = np.array([block_permutation(Permutation(row.tolist()), m0).images
+                       for row in scenario.pair_top.table.representatives])
+    _assert_maps_agree(scenario.pair_V, scenario.pair_V.table.representatives,
+                       scenario.pair_big)
+    _assert_maps_agree(scenario.pair_top, lifted, scenario.pair_big)
+
+
+def test_matrix_map_into_the_flagship_matches_the_support_loop(s4sq, flagship_pair):
+    # the arguments of `_to_tree_pair`: V_0 ⋊ Γ = Q_3
+    assert s4sq.V0_gamma.same_group(flagship_pair.subgroup)
+    _assert_maps_agree(s4sq.pair_big, s4sq.pair_big.table.representatives, flagship_pair)
 
 
 def test_unbalanced_scenario_fails_in_both_pictures():

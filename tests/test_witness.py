@@ -1,5 +1,6 @@
 import cmath
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from heckelab.errors import SearchFailureError
 from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 from heckelab.treefam import TreeShape
-from heckelab.witness import (ACCEPT_CEILING, DEFAULT_TOLERANCES, SpectralData,
-                              WitnessCertificate, cluster_spectrum, decay_table,
-                              fejer_coefficients, haar_convergence_check,
+from heckelab.witness import (ACCEPT_CEILING, ATOM_ANGLE_GAP, DEFAULT_TOLERANCES,
+                              SpectralData, WitnessCertificate, cluster_spectrum,
+                              decay_table, fejer_coefficients, haar_convergence_check,
                               moment_table, root_of_unity_scan, search_witness,
                               selfadjoint_from_parameters,
                               selfadjoint_parameter_layout, spectral_data,
@@ -209,6 +210,36 @@ class TestSpectra:
             assert scan["m"] is None
         else:
             assert 1 <= scan["m"] <= 360 and scan["min_distance"] <= 2
+
+    def test_clustering_keeps_overflowing_atoms_in_place(self):
+        # merged into a running mean, the two weights 1e308 overflowed to an
+        # atom at NaN that absorbed the atom at -0.26
+        spec = SpectralData(np.array([-0.297, -0.297, -0.26, 1.0]),
+                            np.array([1e308, 1e308, 0.2, 0.3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            atoms = cluster_spectrum(spec)
+        assert atoms.angles.tolist() == [-0.297, -0.26, 1.0]
+        assert atoms.weights.tolist() == [float("inf"), 0.2, 0.3]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(-np.pi, np.pi),
+                              st.floats(0, 1e308)), min_size=1, max_size=8),
+           st.data())
+    def test_atoms_are_finite_and_hold_their_angles(self, atoms, data):
+        # clusters of near-equal angles, the ones the gap merges
+        angles, weights = map(list, zip(*atoms))
+        for i in data.draw(st.lists(st.integers(0, len(angles) - 1), max_size=4)):
+            angles.append(angles[i] + data.draw(st.floats(0, 2 * ATOM_ANGLE_GAP)))
+            weights.append(data.draw(st.floats(0, 1e308)))
+        clustered = cluster_spectrum(SpectralData(np.array(angles), np.array(weights)))
+        assert np.isfinite(clustered.angles).all()
+        # an atom's angle lies inside it, so an input angle within the gap
+        # of its atom's first angle is within the gap of the atom's angle
+        slack = ATOM_ANGLE_GAP + 1e-12
+        for theta in angles:
+            gaps = np.abs(clustered.angles - theta)
+            assert np.minimum(gaps, 2 * np.pi - gaps).min() <= slack
 
     def test_spectral_data_of_diagonal_matrix(self):
         angles = np.array([0.3, -1.2, 2.5])
