@@ -45,7 +45,7 @@ DEFAULT_K_MAX = 1024
 K_MAX_CAP = 1 << 16
 DEFAULT_BUDGET = 16
 DEFAULT_SEED = 0
-#: accept a candidate only if its full-range moment maximum stays below this;
+#: accept a candidate only if its full-range moment maximum is at most this;
 #: keeps the certificate margin far from the 1 - 1e-6 contract line
 ACCEPT_CEILING = 0.999
 SELFADJOINT_TOL = 1e-12
@@ -57,8 +57,6 @@ ATOM_ANGLE_GAP = 1e-8
 VISIBLE_WEIGHT = 1e-4
 #: standard deviation of the random self-adjoint parameters of a candidate
 CANDIDATE_SCALE = 1.7
-#: coordinate step of the one refinement sweep of a poor candidate
-REFINE_STEP = 0.25
 
 
 # -- algebra-level unitaries -----------------------------------------------------
@@ -129,24 +127,15 @@ def unitary_from_selfadjoint(pair: HeckePair, a) -> tuple:
 
 # -- moments and spectra -----------------------------------------------------------
 
-def moment_table(matrix: np.ndarray, k_max: int):
-    """τ(w^k) = ⟨w^k δ_H, δ_H⟩ for k = 1..k_max, plus the conjugate-symmetry
-    defect max_k |τ(w^{-k}) - conj(τ(w^k))|."""
-    n = matrix.shape[0]
-    forward = np.zeros(n, dtype=np.complex128)
-    forward[0] = 1.0
-    backward = forward.copy()
-    adj = matrix.conj().T
+def moment_table(matrix: np.ndarray, k_max: int) -> np.ndarray:
+    """τ(w^k) = ⟨w^k δ_H, δ_H⟩ for k = 1..k_max."""
+    vector = np.zeros(matrix.shape[0], dtype=np.complex128)
+    vector[0] = 1.0
     moments = np.empty(k_max, dtype=np.complex128)
-    inverse_moments = np.empty(k_max, dtype=np.complex128)
     for k in range(k_max):
-        forward = matrix @ forward
-        backward = adj @ backward
-        moments[k] = forward[0]
-        inverse_moments[k] = backward[0]
-    # one np.max, which keeps a NaN where a running max() would drop it
-    defect = np.max(np.abs(inverse_moments - np.conj(moments)), initial=0.0)
-    return moments, float(defect)
+        vector = matrix @ vector
+        moments[k] = vector[0]
+    return moments
 
 
 @dataclass
@@ -299,14 +288,14 @@ class WitnessCertificate:
             "d": self.d,
             "l": self.l,
             "basis": [list(map(int, rep)) for rep in self.basis],
-            "u": {"re": _reals(self.u_coefficients.real),
-                  "im": _reals(self.u_coefficients.imag)},
-            "v": {"re": _reals(self.v_coefficients.real),
-                  "im": _reals(self.v_coefficients.imag)},
-            "spectral": {"angles": _reals(self.angles),
-                         "weights": _reals(self.weights)},
-            "moments": {"re": _reals(self.moments.real),
-                        "im": _reals(self.moments.imag)},
+            "u": {"re": self.u_coefficients.real.tolist(),
+                  "im": self.u_coefficients.imag.tolist()},
+            "v": {"re": self.v_coefficients.real.tolist(),
+                  "im": self.v_coefficients.imag.tolist()},
+            "spectral": {"angles": self.angles.tolist(),
+                         "weights": self.weights.tolist()},
+            "moments": {"re": self.moments.real.tolist(),
+                        "im": self.moments.imag.tolist()},
             "max_abs_moment": float(self.max_abs_moment),
             "tolerances": {k: self.tolerances[k]
                            for k in ("unitarity", "moment_margin", "root_scan_order")},
@@ -364,11 +353,6 @@ class WitnessCertificate:
             return cls.from_json_dict(json.load(fh))
 
 
-def _reals(values) -> list:
-    # shortest round-trip decimals (at most 17 significant digits)
-    return [float(f"{float(v):.17g}") for v in values]
-
-
 def _field(data: dict, key: str, kind, where: str = ""):
     value = data.get(key)
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -408,44 +392,8 @@ def _complexes(data: dict, where: str, name=None) -> np.ndarray:
 
 # -- the search -------------------------------------------------------------------------
 
-def _score(matrix: np.ndarray, k_max: int):
-    """(max_k |τ(w^k)|, the moment table) over 1 <= k <= k_max."""
-    table, _ = moment_table(matrix, k_max)
-    return float(np.max(np.abs(table))), table
-
-
 def _commutator(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u @ v @ u.conj().T @ v.conj().T
-
-
-def _candidate(pair: HeckePair, params_a, params_b):
-    """(u, v, w, defect): the coefficients of u = exp(i·a) and v = exp(i·b),
-    their commutator w on the GNS space, and the larger unitarity defect."""
-    a = selfadjoint_from_parameters(pair, params_a)
-    b = selfadjoint_from_parameters(pair, params_b)
-    u, u_defect = unitary_from_selfadjoint(pair, a)
-    v, v_defect = unitary_from_selfadjoint(pair, b)
-    w = _commutator(gns_matrix(pair, u), gns_matrix(pair, v))
-    return u, v, w, max(u_defect, v_defect)
-
-
-def _refine(pair: HeckePair, params_a, params_b, score, k_max: int):
-    """One deterministic sweep of coordinate perturbation descent on the
-    max-moment score: each coordinate takes the first of ±`REFINE_STEP`
-    that lowers it."""
-    params = np.concatenate([params_a, params_b])
-    half = len(params_a)
-    for i in range(len(params)):
-        for delta in (REFINE_STEP, -REFINE_STEP):
-            trial = params.copy()
-            trial[i] += delta
-            _, _, w, _ = _candidate(pair, trial[:half], trial[half:])
-            s, _ = _score(w, k_max)
-            if s < score:
-                score = s
-                params = trial
-                break
-    return params[:half], params[half:]
 
 
 def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
@@ -453,12 +401,13 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
                    k_max: int = DEFAULT_K_MAX) -> WitnessCertificate:
     """Find unitaries u, v with max_{1<=k<=k_max} |τ((u v u* v*)^k)| well below 1.
 
-    Candidates are seeded random self-adjoint pairs, scored by their
-    moments over the full range 1 <= k <= k_max, refined by coordinate
-    descent when the score is poor, and accepted when that score holds.  Every step runs on
-    dim × dim GNS matrices; no λ-matrix is built.  Deterministic for
-    fixed (pair, seed, budget): candidate i draws from an rng keyed by
-    (seed, i), and the first acceptable candidate in that order wins.
+    One loop over at most `budget` candidates: draw a random self-adjoint
+    pair (a, b), score w = u v u* v* by max |τ(w^k)| over the full range
+    1 <= k <= k_max, and accept the first candidate whose score is at most
+    `ACCEPT_CEILING` and whose unitarity defect is within tolerance.  Every
+    step runs on dim × dim GNS matrices; no λ-matrix is built.
+    Deterministic for fixed (pair, seed, budget): candidate i draws from an
+    rng keyed by (seed, i).
     """
     if pair.spec is None or pair.spec.kind != "depth":
         raise ValueError(
@@ -469,24 +418,19 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         raise ValueError(
             "pair has a commutative algebra: commutators are trivial and "
             "every moment equals 1; no witness exists")
-    margin = DEFAULT_TOLERANCES["moment_margin"]
     n_params = len(selfadjoint_parameter_layout(pair))
     best_seen = None
     for i in range(budget):
         rng = np.random.default_rng([seed, i])
-        params_a = CANDIDATE_SCALE * rng.standard_normal(n_params)
-        params_b = CANDIDATE_SCALE * rng.standard_normal(n_params)
-        u, v, w, defect = _candidate(pair, params_a, params_b)
-        full, table = _score(w, k_max)
-        if full > ACCEPT_CEILING:
-            params_a, params_b = _refine(pair, params_a, params_b, full, k_max)
-            u, v, w, defect = _candidate(pair, params_a, params_b)
-            full, table = _score(w, k_max)
-        if best_seen is None or full < best_seen:
-            best_seen = full
-        if full > min(1.0 - margin, ACCEPT_CEILING):
-            continue
-        if defect > DEFAULT_TOLERANCES["unitarity"]:
+        a = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(n_params))
+        b = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(n_params))
+        u, u_defect = unitary_from_selfadjoint(pair, a)
+        v, v_defect = unitary_from_selfadjoint(pair, b)
+        w = _commutator(gns_matrix(pair, u), gns_matrix(pair, v))
+        table = moment_table(w, k_max)
+        full = float(np.max(np.abs(table)))
+        best_seen = full if best_seen is None else min(best_seen, full)
+        if full > ACCEPT_CEILING or max(u_defect, v_defect) > DEFAULT_TOLERANCES["unitarity"]:
             continue
         spec = spectral_data(w)
         return WitnessCertificate(
@@ -500,8 +444,7 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
             max_abs_moment=full,
         )
     raise SearchFailureError(
-        f"no witness within budget {budget}; best max-moment seen {best_seen}",
-        best_score=best_seen)
+        f"no witness within budget {budget}; best max-moment seen {best_seen}", best_seen)
 
 
 # -- decay and circle averages ------------------------------------------------------------
@@ -586,7 +529,12 @@ def haar_convergence_check(cert: WitnessCertificate, coefficients: dict,
 
     Returns one row per level: (n, value, deviation |value - c_0|, bound),
     where bound is the rigorous majorant Σ_{k≠0} |c_k| |τ(w^k)|^{|V_n|}.
+    A certificate holding fewer moments than the largest |k| is refused.
     """
+    order = max(map(abs, coefficients), default=0)
+    if order > cert.k_max:
+        raise ValueError(f"certificate holds {cert.k_max} moments; the circle average "
+                         f"needs τ(w^k) for every |k| <= {order}")
     c0 = complex(coefficients.get(0, 0.0))
     rows = []
     for n in levels:
@@ -655,6 +603,10 @@ def verify_certificate(cert: WitnessCertificate,
     if len(cert.u_coefficients) != pair.dim or len(cert.v_coefficients) != pair.dim:
         failures.append("coefficient-length")
         return VerificationReport(False, failures, diagnostics)
+    # the spectrum of w on the GNS space has one atom per basis class
+    if len(cert.angles) != pair.dim:
+        failures.append("spectral-length")
+        return VerificationReport(False, failures, diagnostics)
 
     u = pair.lambda_matrix(cert.u_coefficients)
     v = pair.lambda_matrix(cert.v_coefficients)
@@ -664,8 +616,11 @@ def verify_certificate(cert: WitnessCertificate,
             failures.append(f"unitarity-{name}")
 
     w = _commutator(u, v)
-    table, conj_defect = moment_table(w, cert.k_max)
-    diagnostics["conjugate_symmetry_defect"] = conj_defect
+    table = moment_table(w, cert.k_max)
+    # τ(w^{-k}) from w*; one np.max, which keeps a NaN where max() would drop it
+    inverse = moment_table(w.conj().T, cert.k_max)
+    diagnostics["conjugate_symmetry_defect"] = float(
+        np.max(np.abs(inverse - np.conj(table)), initial=0.0))
     moment_gap = float(np.max(np.abs(table - cert.moments)))
     diagnostics["moment_recomputation_gap"] = moment_gap
     if not moment_gap <= 1e-8:

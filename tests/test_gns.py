@@ -45,9 +45,8 @@ def assert_gns_matches_lambda(pair, seed, scale):
     lam_u, lam_v = pair.lambda_matrix(u[0]), pair.lambda_matrix(v[0])
     product = pair.lambda_matrix(pair.left_matrix(u[0]) @ v[0])
     assert np.max(np.abs(product - lam_u @ lam_v)) <= 1e-10
-    gns, _ = moment_table(_commutator(gns_matrix(pair, u[0]), gns_matrix(pair, v[0])),
-                          1024)
-    lam, _ = moment_table(_commutator(lam_u, lam_v), 1024)
+    gns = moment_table(_commutator(gns_matrix(pair, u[0]), gns_matrix(pair, v[0])), 1024)
+    lam = moment_table(_commutator(lam_u, lam_v), 1024)
     assert np.max(np.abs(gns - lam)) <= 1e-9
 
 

@@ -306,6 +306,29 @@ def test_verify_fails_overflowing_weights_without_a_traceback(workdir, capsys,
     assert captured.out.startswith("certificate verification: FAIL\n  failed: weight-sum\n")
 
 
+def test_decay_refuses_a_certificate_too_short_for_the_circle_average(workdir, capsys):
+    # the Fejér average reads τ(w^k) for every |k| <= 8
+    assert main(["witness", "--k-max", "3", "--out", "cert.json"]) == 0
+    assert main(["verify", "cert.json"]) == 0
+    capsys.readouterr()
+    assert main(["decay", "cert.json", "--out", "decay.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: certificate holds 3 moments")
+    assert not (workdir / "decay.jsonl").exists()
+
+
+def test_verify_fails_a_long_spectrum_before_reconstructing_it(workdir, flagship_certificate):
+    # 200,000 atoms: their reconstruction alone would ask for 3 GiB
+    data = flagship_certificate.to_json_dict()
+    for key in ("angles", "weights"):
+        data["spectral"][key] *= 12_500
+    (workdir / "cert.json").write_text(json.dumps(data))
+    result, _ = _limited("verify", "cert.json")
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout.startswith("certificate verification: FAIL\n  failed: spectral-length\n")
+
+
 @pytest.mark.parametrize("command", ["gelfand", "witness"])
 def test_depth_pair_commands_take_no_root_degree(workdir, capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -66,14 +66,13 @@ class TestUnitaries:
 
 class TestMoments:
     def test_unit_has_constant_moments(self, flagship_pair):
-        table, defect = moment_table(np.eye(flagship_pair.size), 32)
+        table = moment_table(np.eye(flagship_pair.size), 32)
         assert np.allclose(table, 1.0)
-        assert defect < 1e-15
 
     def test_scalar_rotation(self, flagship_pair):
         theta = 0.41
         matrix = cmath.exp(1j * theta) * np.eye(flagship_pair.size)
-        table, _ = moment_table(matrix, 16)
+        table = moment_table(matrix, 16)
         expected = np.exp(1j * theta * np.arange(1, 17))
         assert np.max(np.abs(table - expected)) < 1e-12
 
@@ -83,7 +82,7 @@ class TestMoments:
         a = selfadjoint_from_parameters(flagship_pair,
                                         2.0 * rng.standard_normal(len(layout)))
         u, _ = unitary_from_selfadjoint(flagship_pair, a)
-        table, _ = moment_table(flagship_pair.lambda_matrix(u), 1000)
+        table = moment_table(flagship_pair.lambda_matrix(u), 1000)
         assert np.max(np.abs(table)) <= 1.0 + 1e-8
 
 
@@ -120,7 +119,7 @@ class TestSearch:
         u = cert.u_coefficients[flagship_pair.cell_class]
         v = cert.v_coefficients[flagship_pair.cell_class]
         w = u @ v @ u.conj().T @ v.conj().T
-        table, _ = moment_table(w, cert.k_max)
+        table = moment_table(w, cert.k_max)
         assert np.max(np.abs(table - cert.moments)) < 1e-8
 
     def test_search_is_deterministic(self, flagship_pair, flagship_certificate):
@@ -136,8 +135,11 @@ class TestSearch:
         assert info.value.best_score is not None
         assert info.value.best_score > 1e-9
 
+    def test_acceptance_ceiling_keeps_clear_of_the_moment_margin(self):
+        assert ACCEPT_CEILING < 1.0 - DEFAULT_TOLERANCES["moment_margin"]
+
     def test_candidates_are_scored_over_the_full_range(self, flagship_pair, monkeypatch):
-        # seed 54's first candidate scores above ACCEPT_CEILING and is refined
+        # seed 54's first candidate scores above ACCEPT_CEILING; its second is accepted
         import heckelab.witness as witness_module
         ranges = []
 
@@ -147,7 +149,7 @@ class TestSearch:
 
         monkeypatch.setattr(witness_module, "moment_table", recording)
         cert = search_witness(flagship_pair, seed=54)
-        assert len(ranges) > 2 and set(ranges) == {cert.k_max}
+        assert ranges == [cert.k_max] * 2
         assert verify_certificate(cert, flagship_pair).ok
 
 
@@ -310,11 +312,21 @@ class TestVerification:
         data["u"] = data["v"] = {"re": unit, "im": zeros}
         data["moments"] = {"re": [1.0] * 1024, "im": [0.0] * 1024}
         data["max_abs_moment"] = 1.0
-        data["spectral"] = {"angles": [0.0], "weights": [1.0]}
+        data["spectral"] = {"angles": [0.0] * flagship_pair.dim, "weights": unit}
         data["tolerances"]["moment_margin"] = 0
         report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
         assert not report.ok
         assert {"tolerances", "moment-bound"} <= set(report.failures)
+        # w is the identity: τ(w^{-k}) = conj(τ(w^k)) = 1 exactly
+        assert report.diagnostics["conjugate_symmetry_defect"] < 1e-15
+
+    def test_extra_spectral_atom_fails(self, flagship_pair, flagship_certificate):
+        # an atom of weight 0 changes no moment, but w has one atom per basis class
+        data = flagship_certificate.to_json_dict()
+        data["spectral"]["angles"].append(0.5)
+        data["spectral"]["weights"].append(0.0)
+        report = verify_certificate(WitnessCertificate.from_json_dict(data), flagship_pair)
+        assert report.failures == ["spectral-length"]
 
     def test_loosened_unitarity_tolerance_fails(self, flagship_pair,
                                                 flagship_certificate):

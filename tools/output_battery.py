@@ -55,14 +55,18 @@ def cases():
     for seed in range(8):
         yield f"witness-{seed}", ["heckelab", "witness", "--seed", str(seed),
                                   "--out", f"witness-{seed}.json"], 0
+    yield "witness-k-max-3", ["heckelab", "witness", "--k-max", "3",
+                              "--out", "witness-k-max-3.json"], 0
     yield "verify", ["heckelab", "verify", "witness-0.json"], 0
     yield "verify-tampered", ["heckelab", "verify", "tampered.json"], 1
     yield "verify-huge-weights", ["heckelab", "verify", "huge-weights.json"], 1
+    yield "verify-extra-atom", ["heckelab", "verify", "extra-atom.json"], 1
     yield "decay", ["heckelab", "decay", "witness-0.json"], 0
     yield "decay-out", ["heckelab", "decay", "witness-0.json", "--out", "decay.jsonl"], 0
     yield "decay-k3", ["heckelab", "decay", "witness-0.json", "--k", "3"], 0
     yield "decay-short", ["heckelab", "decay", "witness-0.json",
                           "--n-max", "5", "--k-max", "10"], 1
+    yield "decay-k-max-3", ["heckelab", "decay", "witness-k-max-3.json"], 2
     yield "embed-check", ["heckelab", "embed-check"], 0
     for scenario in EMBED_SCENARIOS:
         yield f"embed-check-{scenario}", ["heckelab", "embed-check", "--scenario", scenario], 0
@@ -85,14 +89,18 @@ def cases():
 
 
 def tamper(out: Path):
-    """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3, and
-    huge-weights.json: the same with its first two spectral weights 1e308."""
+    """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3,
+    huge-weights.json: the same with its first two spectral weights 1e308, and
+    extra-atom.json: the same with a 17th spectral atom, of weight 0."""
     text = (out / "witness-0.json").read_text()
-    data, huge = json.loads(text), json.loads(text)
+    data, huge, extra = json.loads(text), json.loads(text), json.loads(text)
     data["u"]["re"][1] += 1e-3
     (out / "tampered.json").write_text(json.dumps(data))
     huge["spectral"]["weights"][0] = huge["spectral"]["weights"][1] = 1e308
     (out / "huge-weights.json").write_text(json.dumps(huge))
+    extra["spectral"]["angles"].append(0.5)
+    extra["spectral"]["weights"].append(0.0)
+    (out / "extra-atom.json").write_text(json.dumps(extra))
 
 
 def _element(d: int, k: int, phi: list, twists: dict | None = None) -> dict:
