@@ -53,6 +53,8 @@ def _portrait_preimage(portrait: dict, rel: tuple) -> tuple:
 
 def _portrait_compose(first: dict, second: dict) -> dict:
     """Portrait of (apply `first`, then `second`)."""
+    if not first or not second:
+        return dict(first or second)
     addresses = set(first)
     addresses.update(_portrait_preimage(first, r) for r in second)
     out = {}
@@ -256,6 +258,20 @@ class AlmostAutomorphism:
 
 # -- group operations ------------------------------------------------------------------------
 
+def _built(shape: TreeShape, leaf_map: dict, twists: dict) -> AlmostAutomorphism:
+    """An element from data already in the form the constructor leaves: tuple
+    addresses, complete subtrees on both sides, a portrait at every domain
+    leaf and no identity in one.  Nothing is checked: only the operations
+    below, whose results have that form by construction, build elements this
+    way, and a differential test rebuilds their results through the
+    constructor."""
+    g = object.__new__(AlmostAutomorphism)
+    object.__setattr__(g, "shape", shape)
+    object.__setattr__(g, "leaf_map", leaf_map)
+    object.__setattr__(g, "twists", twists)
+    return g
+
+
 def compose(g: AlmostAutomorphism, h: AlmostAutomorphism) -> AlmostAutomorphism:
     """The element "apply g, then h"."""
     if g.shape != h.shape:
@@ -265,13 +281,13 @@ def compose(g: AlmostAutomorphism, h: AlmostAutomorphism) -> AlmostAutomorphism:
     h_map, h_twists = _split_leaves(h, interface, by_image=False)
     leaf_map = {a: h_map[b] for a, b in g_map.items()}
     twists = {a: _portrait_compose(g_twists[a], h_twists[b]) for a, b in g_map.items()}
-    return AlmostAutomorphism(g.shape, leaf_map, twists)
+    return _built(g.shape, leaf_map, twists)
 
 
 def inverse(g: AlmostAutomorphism) -> AlmostAutomorphism:
     leaf_map = {b: a for a, b in g.leaf_map.items()}
     twists = {g.leaf_map[a]: _portrait_invert(t) for a, t in g.twists.items()}
-    return AlmostAutomorphism(g.shape, leaf_map, twists)
+    return _built(g.shape, leaf_map, twists)
 
 
 def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
@@ -295,15 +311,15 @@ def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
             if any(image[:-1] != target for image in images) or \
                     sorted(letters) != list(range(shape.arity(target))):
                 continue
-            portrait = {(): letters}
+            portrait = {} if letters == tuple(range(len(letters))) else {(): letters}
             for c, child in enumerate(children):
                 portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
                 del leaf_map[child]
             leaf_map[parent] = target
-            twists[parent] = portrait  # the constructor drops identities
+            twists[parent] = portrait
     if len(leaf_map) == len(g.leaf_map):
         return g
-    return AlmostAutomorphism(shape, leaf_map, twists)
+    return _built(shape, leaf_map, twists)
 
 
 # -- level subgroups and the double-coset bridge ------------------------------------------------
@@ -337,9 +353,15 @@ def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     c = _level_form(g, n)
     if c is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")
-    level = g.shape.vertices(n)
-    position = {addr: i for i, addr in enumerate(level)}
+    level, position = _level_index(g.shape, n)
     return Permutation([position[c.apply_to_address(v)] for v in level])
+
+
+@cache
+def _level_index(shape: TreeShape, n: int) -> tuple:
+    """The ordered level set V_n and the position of each vertex in it."""
+    level = shape.vertices(n)
+    return level, {addr: i for i, addr in enumerate(level)}
 
 
 @cache
@@ -398,11 +420,23 @@ def _address_to_text(addr: tuple) -> str:
     return "".join(map(str, addr))
 
 
+# Parsed address texts, filled until ADDRESS_MEMO_CAP entries; only texts that
+# pass the grammar are stored.
+ADDRESS_MEMO_CAP = 4096
+_address_memo: dict = {}
+
+
 def _address_from_text(text) -> tuple:
     if isinstance(text, str):
+        address = _address_memo.get(text)
+        if address is not None:
+            return address
         # isascii: "²".isdigit() is true, and int() reads "٣" as 3
         if not text or text.isascii() and text.isdigit():
-            return tuple(map(int, text))
+            address = tuple(map(int, text))
+            if len(_address_memo) < ADDRESS_MEMO_CAP:
+                _address_memo[text] = address
+            return address
     elif isinstance(text, (list, tuple)) and all(type(c) is int for c in text):
         return tuple(text)
     raise ValueError(f"malformed tree address {text!r}")
@@ -456,8 +490,12 @@ def from_json_dict(data: dict) -> AlmostAutomorphism:
     if data.get("format") != FORMAT:
         raise ValueError(f"unsupported element format {data.get('format')!r}")
     shape = TreeShape(_int_field(data, "d"), _int_field(data, "k"))
-    leaf_map = {_address_from_text(a): _address_from_text(b)
-                for a, b in _pairs(data.get("phi"), "element field 'phi'")}
+    leaf_map = {}
+    for a, b in _pairs(data.get("phi"), "element field 'phi'"):
+        a = _address_from_text(a)
+        if a in leaf_map:
+            raise ValueError(f"element field 'phi' lists domain leaf {a} twice")
+        leaf_map[a] = _address_from_text(b)
     twist_data = data.get("twists", {})
     if not isinstance(twist_data, dict):
         raise ValueError("element field 'twists' is not an object")
@@ -467,8 +505,14 @@ def from_json_dict(data: dict) -> AlmostAutomorphism:
         for r, perm in _pairs(entries, f"twist at leaf {leaf!r}"):
             if not isinstance(perm, (list, tuple)) or any(type(c) is not int for c in perm):
                 raise ValueError(f"twist at leaf {leaf!r} has a malformed permutation")
-            portrait[_address_from_text(r)] = tuple(perm)
-        twists[_address_from_text(leaf)] = portrait
+            r = _address_from_text(r)
+            if r in portrait:
+                raise ValueError(f"twist at leaf {leaf!r} lists address {r} twice")
+            portrait[r] = tuple(perm)
+        leaf = _address_from_text(leaf)
+        if leaf in twists:
+            raise ValueError(f"element field 'twists' lists leaf {leaf} twice")
+        twists[leaf] = portrait
     g = AlmostAutomorphism(shape, leaf_map, twists)
     declared_a = {_address_from_text(v) for v in _list_field(data, "A")}
     if declared_a != _tree_vertices(set(g.leaf_map)):

@@ -1,8 +1,19 @@
 import pytest
+from hypothesis import settings
 
 from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import symmetric_group
 from heckelab.witness import search_witness
+
+# Every property test draws the same examples on every run, each test its own
+# fixed sequence, and keeps no example database; a test's own @settings
+# (max_examples, deadline, ...) still apply.  `pytest --hypothesis-profile=explore`
+# draws fresh examples on each run, with the local database and the
+# reproduction blob of a failure; pin what it finds with @example.
+_BUILTIN = settings.get_profile("default")
+settings.register_profile("default", _BUILTIN, derandomize=True, database=None)
+settings.register_profile("explore", _BUILTIN, print_blob=True)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

@@ -227,14 +227,21 @@ def test_level_permutation_is_multiplicative(case, rng):
 
 @pytest.fixture
 def constructions(monkeypatch):
+    """Every element built, by the validating constructor or unchecked."""
     built = []
     validate = AlmostAutomorphism.__post_init__
+    unchecked = spheromorph._built
 
     def counting(self):
         validate(self)
         built.append(self)
 
+    def counting_unchecked(*data):
+        built.append(unchecked(*data))
+        return built[-1]
+
     monkeypatch.setattr(AlmostAutomorphism, "__post_init__", counting)
+    monkeypatch.setattr(spheromorph, "_built", counting_unchecked)
     return built
 
 

@@ -517,6 +517,10 @@ def _spher_doc():
     (dict(_spher_doc(), twists={"": [["7", [1, 0]]]}), "not a vertex"),
     (dict(_spher_doc(), twists={"0": [["", [1, 0]]]}), "not at a domain leaf"),
     (dict(_spher_doc(), twists={"": [["", [0, 1, 2]]]}), "permutation"),
+    # contradictory entries: the last one used to win, and the file passed
+    (dict(_spher_doc(), A=["", "0", "1"], B=["", "0", "1"], twists={},
+          phi=[["0", "1"], ["0", "0"], ["1", "1"]]), "twice"),
+    (dict(_spher_doc(), twists={"": [["", [1, 0]], ["", [0, 1]]]}), "twice"),
 ])
 def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document, field):
     (workdir / "bad.json").write_text(json.dumps(document))

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab import spheromorph
 from heckelab.errors import LevelError, ScaleError
@@ -134,6 +136,33 @@ class TestGroupAxioms:
             assert compose(g, inverse(g)).is_identity()
             assert inverse(inverse(g)) == g
             assert inverse(compose(g, h)) == compose(inverse(h), inverse(g))
+
+
+SMALL_SHAPES = [TreeShape(d, k) for d in (2, 3) for k in (2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SMALL_SHAPES), rng=st.randoms(use_true_random=False))
+def test_unchecked_results_pass_the_constructor(shape, rng):
+    # compose, inverse and canonical_form build their results without the
+    # constructor's checks; rebuilding each through it must succeed and change
+    # nothing: tuple addresses, a portrait at every domain leaf, no identity
+    g = oracles.random_element(shape, rng)
+    h = oracles.random_element(shape, rng)
+    ball = {v for j in range(3) for v in shape.vertices(j)}
+    results = []
+    for x in (compose(g, h), compose(g, inverse(g)), inverse(g), inverse(compose(h, g))):
+        results += [x, canonical_form(x)]
+    results += [canonical_form(oracles.refined_to_domain(g, ball)),
+                canonical_form(AlmostAutomorphism.from_level_permutation(
+                    shape, 1, Permutation(rng.sample(range(shape.k), shape.k))))]
+    for r in results:
+        rebuilt = AlmostAutomorphism(r.shape, r.leaf_map, r.twists)
+        assert rebuilt.leaf_map == r.leaf_map
+        assert rebuilt.twists == r.twists
+        assert all(type(a) is tuple and type(b) is tuple for a, b in r.leaf_map.items())
+        assert all(type(v) is tuple and type(perm) is tuple
+                   for t in r.twists.values() for v, perm in t.items())
 
 
 class TestCanonicalForm:
@@ -352,11 +381,59 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed tree address"):
             spheromorph._address_from_text(text)
 
+    def test_refused_address_texts_are_not_memoized(self, monkeypatch):
+        monkeypatch.setattr(spheromorph, "_address_memo", {})
+        for text in ("٣", "0²", "x", "0 1", "-1"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="malformed tree address"):
+                    spheromorph._address_from_text(text)
+        assert spheromorph._address_memo == {}
+        assert spheromorph._address_from_text("012") == (0, 1, 2)
+        assert spheromorph._address_memo == {"012": (0, 1, 2)}
+
+    def test_address_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(spheromorph, "_address_memo", {})
+        cap = spheromorph.ADDRESS_MEMO_CAP
+        texts = [format(i, "b") for i in range(cap + 100)]
+        for text in texts:
+            assert spheromorph._address_from_text(text) == tuple(map(int, text))
+        assert len(spheromorph._address_memo) == cap
+        # past the cap, stored and unstored texts alike still parse
+        for text in (texts[0], texts[cap - 1], texts[cap], texts[-1], "9" * 30):
+            assert spheromorph._address_from_text(text) == tuple(map(int, text))
+        with pytest.raises(ValueError, match="malformed tree address"):
+            spheromorph._address_from_text("٣")
+        assert len(spheromorph._address_memo) == cap
+
     def test_address_grammar_accepts(self):
         assert spheromorph._address_from_text("") == ()
         assert spheromorph._address_from_text([]) == ()
         assert spheromorph._address_from_text("0912") == (0, 9, 1, 2)
         assert spheromorph._address_from_text([0, 12]) == (0, 12)
+
+    def test_rejects_a_domain_leaf_listed_twice(self):
+        # with the last entry winning this file read as the identity
+        data = {"format": "heckelab/spheromorph/v1", "d": 2, "k": 2,
+                "A": ["", "0", "1"], "B": ["", "0", "1"],
+                "phi": [["0", "1"], ["0", "0"], ["1", "1"]], "twists": {}}
+        with pytest.raises(ValueError, match="lists domain leaf \\(0,\\) twice"):
+            from_json_dict(data)
+        # the same leaf in its two spellings, even with one image
+        data["phi"] = [["0", "0"], [[0], "0"], ["1", "1"]]
+        with pytest.raises(ValueError, match="twice"):
+            from_json_dict(data)
+
+    def test_rejects_a_twist_address_listed_twice(self):
+        data = to_json_dict(AlmostAutomorphism.automorphism(SHAPE, {(): (1, 0)}))
+        data["twists"] = {"": [["", [1, 0]], ["", [0, 1]]]}
+        with pytest.raises(ValueError, match="lists address \\(\\) twice"):
+            from_json_dict(data)
+        data["twists"] = {"": [["1", [1, 0]], [[1], [1, 0]]]}
+        with pytest.raises(ValueError, match="twice"):
+            from_json_dict(data)
+        data["twists"] = {"": [["", [1, 0]]], (): [["1", [1, 0]]]}
+        with pytest.raises(ValueError, match="lists leaf \\(\\) twice"):
+            from_json_dict(data)
 
     def test_addresses_accept_lists_and_strings(self):
         data = {

@@ -76,7 +76,8 @@ def cases():
     yield "spher-canonical", ["heckelab", "spher", "canonical", h], 0
     yield "spher-key", ["heckelab", "spher", "key", g, "--n", "3"], 0
     yield "spher-key-ternary", ["heckelab", "spher", "key", "spher-ternary.json", "--n", "2"], 0
-    for name in ("non-ascii", "twist", "not-injective", "deep-leaf"):
+    for name in ("non-ascii", "twist", "not-injective", "deep-leaf", "duplicate-leaf",
+                 "duplicate-twist"):
         yield f"spher-{name}", ["heckelab", "spher", "canonical", f"spher-{name}.json"], 2
     yield "spher-outside", ["heckelab", "spher", "key", "spher-outside.json", "--n", "2"], 2
     yield "spher-huge-degree", ["heckelab", "spher", "canonical", "spher-huge-degree.json"], 0
@@ -118,8 +119,9 @@ def _element(d: int, k: int, phi: list, twists: dict | None = None) -> dict:
 def spher_inputs(out: Path):
     """Element files: a level-2 element of the ternary tree with twists, and
     one refusal each for a non-ASCII digit, a twist that is not a permutation,
-    a leaf map that is not injective, a lone leaf at depth 40,000 and an
-    element outside the level-2 subgroup; a root-only element of degree
+    a leaf map that is not injective, a lone leaf at depth 40,000, a domain
+    leaf listed twice in phi, a twist address listed twice and an element
+    outside the level-2 subgroup; a root-only element of degree
     d = 2^70; and a generic level-5 element of the binary tree, whose key
     walk passes the coset cap."""
     deep = "0" * 40_000
@@ -135,6 +137,8 @@ def spher_inputs(out: Path):
         "twist": _element(2, 2, [["", ""]], {"": [["", [0, 0]]]}),
         "not-injective": _element(2, 2, [["0", "0"], ["1", "0"]]),
         "deep-leaf": dict(_element(2, 2, []), phi=[[deep, deep]]),
+        "duplicate-leaf": _element(2, 2, [["0", "1"], ["0", "0"], ["1", "1"]]),
+        "duplicate-twist": _element(2, 2, [["", ""]], {"": [["", [1, 0]], ["", [0, 1]]]}),
         "outside": _element(2, 2, [["00", "0"], ["01", "10"], ["1", "11"]]),
         "huge-degree": _element(2 ** 70, 2, [["", ""]]),
         "generic-32": _element(2, 2, [[a, level[j]] for a, j in zip(level, sigma)]),
