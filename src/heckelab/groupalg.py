@@ -44,10 +44,10 @@ class EnumeratedGroup:
     products, inverses and conjugates are whole-array compositions of rows.
     """
 
-    def __init__(self, group: PermGroup, cap: int = ORACLE_CAP):
-        if group.order() > cap:
+    def __init__(self, group: PermGroup):
+        if group.order() > ORACLE_CAP:
             raise ScaleError(
-                f"group of order {group.order()} exceeds the oracle cap {cap}")
+                f"group of order {group.order()} exceeds the oracle cap {ORACLE_CAP}")
         self.group = group
         elements = group.elements()
         rows = np.array([p.images for p in elements], dtype=ROW)

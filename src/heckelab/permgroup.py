@@ -30,7 +30,6 @@ so its memory grows with the cosets walked so far.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import repeat
 
@@ -241,11 +240,11 @@ class PermGroup:
     def same_group(self, other: "PermGroup") -> bool:
         return self.order() == other.order() and self.contains_group(other)
 
-    def elements(self, cap: int = ENUMERATION_CAP):
+    def elements(self):
         """All elements in a deterministic order (product over transversals)."""
-        if self.order() > cap:
+        if self.order() > ENUMERATION_CAP:
             raise ScaleError(
-                f"enumeration of order {self.order()} exceeds cap {cap}")
+                f"enumeration of order {self.order()} exceeds cap {ENUMERATION_CAP}")
         return [_wrap(t) for t in self._element_tuples(0)]
 
     def _element_tuples(self, i):
@@ -486,8 +485,6 @@ class DoubleCosetTable:
 
     def __init__(self, G: PermGroup, H: PermGroup):
         self.cosets = cosets = CosetIndex(G, H)
-        self.group = G
-        self.subgroup = H
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
         self.subgroup_action = cosets.right_action(H.generator_rows)
@@ -509,66 +506,11 @@ class DoubleCosetTable:
         """Whether every class satisfies R(rep) == R(rep^{-1})."""
         return bool(np.array_equal(self.r_index, self.r_index[self.inverse_class]))
 
-    # -- serialization ----------------------------------------------------------
-
-    FORMAT = "heckelab/dctable/v1"
-
-    def to_json_dict(self, descriptor=None) -> dict:
-        return {
-            "format": self.FORMAT,
-            "descriptor": descriptor or {},
-            "m": self.group.degree,
-            "group_generators": [list(g.images) for g in self.group.generators],
-            "subgroup_generators": [list(g.images) for g in self.subgroup.generators],
-            "coset_representatives": self.cosets.rows.tolist(),
-            "entries": [
-                {
-                    "representative": rep,
-                    "size": size,
-                    "right_cosets": np.flatnonzero(self.class_of_coset == d).tolist(),
-                    "r_index": r,
-                    "r_index_inv": r_inv,
-                }
-                for d, (rep, size, r, r_inv) in enumerate(zip(
-                    self.representatives.tolist(), self.sizes, self.r_index.tolist(),
-                    self.r_index[self.inverse_class].tolist()))
-            ],
-        }
-
-    def save(self, path, descriptor=None):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(descriptor), fh)
-
     @classmethod
-    def from_json_dict(cls, data: dict, descriptor=None) -> "DoubleCosetTable":
-        """Rebuild a cached table from its stored groups.
-
-        The stored document must equal the rebuilt table's, so a table is
-        used only if it is the orbit computation of its groups.  When
-        `descriptor` is given, the stored one must equal it.  Any malformed
-        or mismatched field raises ValueError.
-        """
-        if not isinstance(data, dict):
-            raise ValueError("cached table is not a JSON object")
-        if data.get("format") != cls.FORMAT:
-            raise ValueError(f"unsupported table format {data.get('format')!r}")
-        if descriptor is not None and data.get("descriptor") != descriptor:
-            raise ValueError(f"cached descriptor {data.get('descriptor')!r} "
-                             f"is not {descriptor!r}")
-        m = data.get("m")
-        if type(m) is not int or m < 1:
-            raise ValueError(f"cached degree {m!r} is not a positive integer")
-        G = PermGroup(m, _int_rows(data.get("group_generators"), "group generators"))
-        H = PermGroup(m, _int_rows(data.get("subgroup_generators"), "subgroup generators"))
-        table = cls(G, H)
-        if table.to_json_dict(data.get("descriptor")) != data:
-            raise ValueError("cached table differs from the orbit computation of its groups")
-        return table
-
-    @classmethod
-    def load(cls, path, descriptor=None) -> "DoubleCosetTable":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh), descriptor)
+    def load(cls, path) -> "DoubleCosetTable":
+        """Refuse: tables are not stored.  Held only because `perfbench/tracer.py`
+        patches this name; ROADMAP item 1 deletes it with the tracer."""
+        raise ValueError("double-coset tables are built, never loaded")
 
 
 def r_index(x: Permutation, H: PermGroup) -> int:
@@ -581,9 +523,3 @@ def r_index(x: Permutation, H: PermGroup) -> int:
         raise DomainMismatchError("element degree differs from subgroup degree")
     return len(H.coset_orbit(x.images, H.generator_rows))
 
-
-def _int_rows(value, what: str) -> list:
-    if not isinstance(value, list) or any(
-            not isinstance(row, list) or any(type(x) is not int for x in row) for row in value):
-        raise ValueError(f"cached {what} are not lists of integers")
-    return value

@@ -37,7 +37,6 @@ from .errors import ScaleError, SearchFailureError
 from .hecke import HeckePair, PairSpec
 from .treefam import TreeShape
 
-DECAY_THRESHOLD = 1e-3
 # equal to witness.DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX, K_MAX_CAP and
 # sorted(embed.SCENARIOS); tests/test_shell.py holds them to that
 DEFAULT_SEED, DEFAULT_BUDGET, DEFAULT_K_MAX, K_MAX_CAP = 0, 16, 1024, 1 << 16
@@ -189,8 +188,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     cert = WitnessCertificate.load(args.cert)
     shape = TreeShape(cert.d, args.k)
     reporter = Reporter(args.out)
-    report = decay_table(cert, shape, n_max=args.n_max, k_max=args.k_max,
-                         threshold=DECAY_THRESHOLD)
+    report = decay_table(cert, shape, n_max=args.n_max, k_max=args.k_max)
     for row in report.rows():
         reporter.emit({"format": "heckelab/decay-row/v1", **row})
     coeffs = fejer_coefficients()
@@ -207,12 +205,12 @@ def cmd_decay(args: argparse.Namespace) -> int:
         })
     if report.first_level_below is not None:
         reporter.summary(
-            f"max_k |τ(w^k)|^|V_n| drops below {DECAY_THRESHOLD} at n = "
+            f"max_k |τ(w^k)|^|V_n| drops below {report.threshold} at n = "
             f"{report.first_level_below} (tensor count "
             f"{shape.level_size(report.first_level_below)})")
     else:
         reporter.summary(
-            f"decay did not reach {DECAY_THRESHOLD} within n <= {args.n_max}")
+            f"decay did not reach {report.threshold} within n <= {args.n_max}")
     last = haar_rows[-1]
     reporter.summary(
         f"circle-average deviation at n = {last['n']}: {last['deviation']:.3e} "

@@ -57,6 +57,8 @@ ATOM_ANGLE_GAP = 1e-8
 VISIBLE_WEIGHT = 1e-4
 #: standard deviation of the random self-adjoint parameters of a candidate
 CANDIDATE_SCALE = 1.7
+#: `decay_table` reports the first level whose tensor-power maximum is below this
+DECAY_THRESHOLD = 1e-3
 
 
 # -- algebra-level unitaries -----------------------------------------------------
@@ -485,7 +487,7 @@ class DecayReport:
 
 
 def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
-                k_max: int | None = None, threshold: float = 1e-3) -> DecayReport:
+                k_max: int | None = None) -> DecayReport:
     """Per-level maxima of |τ(w^k)|^{|V_n|} for k up to k_max; a level whose
     |V_n| exceeds the float range is refused, by logarithms before |V_n|, and
     so is a certificate with any stored moment not of modulus at most 1."""
@@ -509,11 +511,11 @@ def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
         m_plain = float(np.exp(top * n))
         max_tensor.append(m_tensor)
         max_plain.append(m_plain)
-        if first is None and m_tensor < threshold:
+        if first is None and m_tensor < DECAY_THRESHOLD:
             first = n
     return DecayReport(levels=levels, level_sizes=sizes, max_by_level=max_tensor,
                        max_by_level_plain=max_plain, first_level_below=first,
-                       threshold=threshold)
+                       threshold=DECAY_THRESHOLD)
 
 
 def fejer_coefficients(order: int = 8, mass: float = 0.1) -> dict:

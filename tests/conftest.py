@@ -7,13 +7,22 @@ from heckelab.witness import search_witness
 
 # Every property test draws the same examples on every run, each test its own
 # fixed sequence, and keeps no example database; a test's own @settings
-# (max_examples, deadline, ...) still apply.  `pytest --hypothesis-profile=explore`
-# draws fresh examples on each run, with the local database and the
-# reproduction blob of a failure; pin what it finds with @example.
+# (deadline, health checks) still apply, and its example count goes through
+# `examples`.  `pytest --hypothesis-profile=explore` draws fresh examples on
+# each run, ten times as many, with the local database and the reproduction
+# blob of a failure; pin what it finds with @example.
 _BUILTIN = settings.get_profile("default")
 settings.register_profile("default", _BUILTIN, derandomize=True, database=None)
 settings.register_profile("explore", _BUILTIN, print_blob=True)
 settings.load_profile("default")
+
+#: how many times its own example count a property test draws, per profile
+EXAMPLE_FACTOR = {"default": 1, "explore": 10}
+
+
+def examples(n: int) -> int:
+    """A property test's example count `n`, scaled by the loaded profile."""
+    return n * EXAMPLE_FACTOR.get(settings.get_current_profile_name(), 1)
 
 
 @pytest.fixture(scope="session")

@@ -157,7 +157,7 @@ def test_criterion_10_decay_and_circle_averages(flagship_certificate):
     start = time.perf_counter()
     shape = TreeShape(2, 2)
     assert shape.level_size(5) == 32  # |V_n| = 2^n for d = k = 2
-    report = decay_table(flagship_certificate, shape, n_max=20, threshold=1e-3)
+    report = decay_table(flagship_certificate, shape, n_max=20)
     assert report.first_level_below is not None
     assert report.first_level_below <= 20
 

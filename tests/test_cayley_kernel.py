@@ -23,6 +23,7 @@ from heckelab.groupalg import AlgebraElement, EnumeratedGroup, convolve
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 
 import oracles
+from conftest import examples
 
 
 def _indexed(carrier):
@@ -101,7 +102,7 @@ def small_groups(draw):
     return G, draw(st.lists(perm, max_size=2))
 
 
-@settings(max_examples=40, deadline=None, database=None,
+@settings(max_examples=examples(40), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_groups())
 def test_random_small_groups(group_and_conjugators):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from heckelab._exactvec import ExactVector
 
-QUICK = settings(max_examples=60, deadline=None, database=None)
+from conftest import examples
+
+QUICK = settings(max_examples=examples(60), deadline=None)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 gaussians = st.tuples(rationals, rationals)

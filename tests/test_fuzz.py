@@ -21,6 +21,8 @@ from heckelab.hecke import PairSpec
 from heckelab.shell import main
 from heckelab.witness import search_witness
 
+from conftest import examples
+
 CERTIFICATE = search_witness(PairSpec.depth(2, 3).pair()).to_json_dict()
 EXTREMES = (1e308, -1e308, 2 ** 70, -(2 ** 70), math.nan, math.inf, 1e-320, 0, -1,
             "x", True, False, None, [], [[0.5]], {"re": [1.0], "im": [0.0]})
@@ -70,6 +72,8 @@ def _mutate(data, path, op, arg):
         value = parent[key]
     except (KeyError, IndexError, TypeError):
         return
+    if not isinstance(parent, (dict, list)):
+        return  # a string indexes like a list but cannot change
     if op == "delete":
         del parent[key]
     elif op == "set":
@@ -87,12 +91,16 @@ def _mutate(data, path, op, arg):
             parent[partner] = _resized(parent[partner], length)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(mutations)
 # three moments: verify passes, and the circle average of decay needs eight
 @example([(("moments", "re"), "resize", (3, True))])
 # seventeen spectral atoms for sixteen basis classes
 @example([(("spectral", "angles"), "resize", (17, True))])
+# the format string copied over `basis`; later paths into it are skipped
+@example([(("format",), "duplicate", 0), (("basis", 0), "delete", None)])
+@example([(("format",), "duplicate", 0), (("basis", 0), "set", 1e308)])
+@example([(("format",), "duplicate", 0), (("basis", 0), "duplicate", 0)])
 def test_mutated_certificates_exit_cleanly(tmp_path_factory, changes):
     data = copy.deepcopy(CERTIFICATE)
     for path, op, arg in changes:

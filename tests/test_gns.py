@@ -19,9 +19,10 @@ from heckelab.witness import (_commutator, gns_matrix, moment_table, search_witn
                               selfadjoint_parameter_layout, unitary_from_selfadjoint)
 
 import oracles
+from conftest import examples
 from test_kernel import symmetric_over_cyclic
 
-QUICK = settings(deadline=None, database=None,
+QUICK = settings(deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 seeds = st.integers(0, 2 ** 32 - 1)
 scales = st.floats(0.1, 3.0)
@@ -50,13 +51,13 @@ def assert_gns_matches_lambda(pair, seed, scale):
     assert np.max(np.abs(gns - lam)) <= 1e-9
 
 
-@settings(QUICK, max_examples=10)
+@settings(QUICK, max_examples=examples(10))
 @given(seeds, scales)
 def test_flagship(flagship_pair, seed, scale):
     assert_gns_matches_lambda(flagship_pair, seed, scale)
 
 
-@settings(QUICK, max_examples=25)
+@settings(QUICK, max_examples=examples(25))
 @given(symmetric_over_cyclic(), seeds, scales)
 def test_noncommutative_small_pairs(gh, seed, scale):
     pair = HeckePair(*gh)

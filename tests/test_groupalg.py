@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import groupalg
 from heckelab.errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
 from heckelab.groupalg import (AlgebraElement, EnumeratedGroup, convolve,
                                corner_basis, corner_trace, invariant_subalgebra,
@@ -75,9 +76,10 @@ class TestConvolution:
         with pytest.raises(PairMismatchError):
             convolve(AlgebraElement.zero(s4), AlgebraElement.zero(other))
 
-    def test_large_carrier_uses_elementwise_path(self):
+    def test_large_carrier_uses_elementwise_path(self, monkeypatch):
         # S_8 is too big for a Cayley table; convolution must still be exact
-        big = EnumeratedGroup(symmetric_group(8), cap=50_000)
+        monkeypatch.setattr(groupalg, "ORACLE_CAP", 50_000)
+        big = EnumeratedGroup(symmetric_group(8))
         rng = random.Random(12)
         a, b = oracles.sample(big.group, rng), oracles.sample(big.group, rng)
         lhs = convolve(AlgebraElement.delta(big, a), AlgebraElement.delta(big, b))

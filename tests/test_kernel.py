@@ -31,6 +31,7 @@ from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_inde
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
 import oracles
+from conftest import examples
 
 
 def assert_kernel_matches_oracle(pair):
@@ -153,7 +154,7 @@ def small_pairs(draw):
     return G, PermGroup(m, h_gens)
 
 
-@settings(max_examples=40, deadline=None, database=None,
+@settings(max_examples=examples(40), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_pairs())
 def test_random_small_pairs(gh):
@@ -206,7 +207,7 @@ def symmetric_over_cyclic(draw):
     return symmetric_group(m), PermGroup(m, [g])
 
 
-@settings(max_examples=25, deadline=None, database=None,
+@settings(max_examples=examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(symmetric_over_cyclic())
 def test_gelfand_entry_matches_dense_commutator(gh):
@@ -260,7 +261,7 @@ def test_tree_pairs_match_the_scalar_cosets(d, k, n):
     assert_cosets_match_oracle(symmetric_group(spec.points), spec.subgroup())
 
 
-@settings(max_examples=40, deadline=None, database=None,
+@settings(max_examples=examples(40), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_pairs())
 def test_random_small_pairs_match_the_scalar_cosets(gh):

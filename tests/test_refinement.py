@@ -25,11 +25,12 @@ from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
 from heckelab.treefam import TreeShape
 
 import oracles
+from conftest import examples
 
 # (d, k, n) of the benchmark elements
 LEVEL_SHAPES = ((2, 2, 3), (2, 3, 2), (3, 2, 2))
 SHAPES = tuple(TreeShape(d, k) for d, k, _ in LEVEL_SHAPES)
-SETTINGS = settings(max_examples=120, deadline=None, database=None,
+SETTINGS = settings(max_examples=examples(120), deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -138,7 +139,7 @@ def test_compose_acts_as_apply_g_then_h(g, rng):
         assert gh.apply_to_address(x) == h.apply_to_address(g.apply_to_address(x))
 
 
-@settings(max_examples=300, deadline=None, database=None,
+@settings(max_examples=examples(300), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(leaf_sets())
 def test_completeness_checks_agree(case):

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from heckelab.witness import _commutator, cluster_spectrum, search_witness, spectral_data
 
 import oracles
+from conftest import examples
 
 #: the rotation φ of that pencil
 PHI = 0.5772156649015329
@@ -78,7 +79,7 @@ def repeated_spectra(draw):
     return draw(st.integers(0, 2 ** 32 - 1)), spectrum
 
 
-@settings(max_examples=60, deadline=None, database=None,
+@settings(max_examples=examples(60), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(repeated_spectra())
 # three angles in the flat band of the cosine, just above φ, one of them twice

@@ -16,6 +16,7 @@ from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
 from heckelab.treefam import TreeShape, ball_aut_group
 
 import oracles
+from conftest import examples
 
 SHAPE = TreeShape(2, 2)
 
@@ -141,7 +142,7 @@ class TestGroupAxioms:
 SMALL_SHAPES = [TreeShape(d, k) for d in (2, 3) for k in (2, 3)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(shape=st.sampled_from(SMALL_SHAPES), rng=st.randoms(use_true_random=False))
 def test_unchecked_results_pass_the_constructor(shape, rng):
     # compose, inverse and canonical_form build their results without the

@@ -19,6 +19,7 @@ from heckelab.witness import (ACCEPT_CEILING, ATOM_ANGLE_GAP, DEFAULT_TOLERANCES
                               unitary_from_selfadjoint, verify_certificate)
 
 import oracles
+from conftest import examples
 
 
 def _saved_and_loaded(cert, path):
@@ -198,7 +199,7 @@ class TestSpectra:
             assert (scan["pair"], scan["m"]) == (exact["pair"], exact["m"])
             assert abs(scan["min_distance"] - exact["min_distance"]) < 1e-9
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.floats(allow_nan=False, allow_infinity=False)),
                     min_size=1, max_size=8))
@@ -224,7 +225,7 @@ class TestSpectra:
         assert atoms.angles.tolist() == [-0.297, -0.26, 1.0]
         assert atoms.weights.tolist() == [float("inf"), 0.2, 0.3]
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(st.lists(st.tuples(st.floats(-np.pi, np.pi),
                               st.floats(0, 1e308)), min_size=1, max_size=8),
            st.data())
