@@ -11,14 +11,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heckelab
 from heckelab.hecke import PairSpec
-from heckelab.permgroup import COSET_INDEX_CAP, PermGroup, Permutation
+from heckelab.permgroup import (COSET_INDEX_CAP, DoubleCosetTable, PermGroup, Permutation,
+                                symmetric_group)
 from heckelab.shell import main
 from heckelab.spheromorph import AlmostAutomorphism, to_json_dict
-from heckelab.treefam import TreeShape, closed_form_order
+from heckelab.treefam import TreeShape, ball_aut_group, closed_form_order
 
 
 @pytest.fixture()
@@ -396,14 +398,70 @@ PINNED_D2_L3_ROW = {
 }
 
 
-def test_bad_cache_entry_is_rebuilt(workdir, capsys, monkeypatch):
-    # bytes planted where the removed disk cache kept (S_8, Q_3) are never
-    # read: the verdict and output bytes stay, and the file is not touched
+def _table_document(G, H, descriptor):
+    # the old heckelab/dctable/v1 cache document, written here from the table
+    # arrays since the package no longer writes it
+    table = DoubleCosetTable(G, H)
+    return {
+        "format": "heckelab/dctable/v1",
+        "descriptor": descriptor,
+        "m": G.degree,
+        "group_generators": [list(g.images) for g in G.generators],
+        "subgroup_generators": [list(g.images) for g in H.generators],
+        "coset_representatives": table.cosets.rows.tolist(),
+        "entries": [
+            {"representative": rep, "size": size,
+             "right_cosets": np.flatnonzero(table.class_of_coset == d).tolist(),
+             "r_index": r, "r_index_inv": r_inv}
+            for d, (rep, size, r, r_inv) in enumerate(zip(
+                table.representatives.tolist(), table.sizes, table.r_index.tolist(),
+                table.r_index[table.inverse_class].tolist()))
+        ],
+    }
+
+
+def _corrupt_index(data):
+    data["entries"][1]["right_cosets"][0] = 10 ** 6
+
+
+def _wrong_descriptor(data):
+    data["descriptor"]["l"] = 2
+
+
+def _other_subgroup(data):
+    # a valid table of (S_8, P_2) for the tree with root degree 4
+    data.update(_table_document(symmetric_group(8), ball_aut_group(TreeShape(2, 4), 2),
+                                data["descriptor"]))
+
+
+def _swapped_entries(data):
+    # entries 1 and 8 both hold 4 cosets, so every size still checks out
+    entries = data["entries"]
+    entries[1], entries[8] = entries[8], entries[1]
+
+
+def _fused_entries(data):
+    # the identity class and one class of the other 314 cosets: a partition
+    # in the constructor's order, with sizes and R-indices that add up
+    entries = data["entries"]
+    rest = sorted(c for entry in entries[1:] for c in entry["right_cosets"])
+    entries[1:] = [{"representative": entries[1]["representative"], "size": 128 * 314,
+                    "right_cosets": rest, "r_index": 314, "r_index_inv": 314}]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_index, _wrong_descriptor, _other_subgroup,
+                                     _swapped_entries, _fused_entries])
+def test_bad_cache_entry_is_rebuilt(workdir, capsys, monkeypatch, corrupt):
+    # a wrong table planted where the removed disk cache kept (S_8, Q_3) is
+    # never read: the verdict and output bytes stay, and the file is not touched
     assert main(["census", "--d", "2", "--l", "3", "--out", "a.jsonl"]) == 0
+    data = _table_document(symmetric_group(8), ball_aut_group(TreeShape(2, 2), 3),
+                           {"kind": "depth", "d": 2, "l": 3})
+    corrupt(data)
     path = workdir / "cache" / "dc_depth_d2_l3_v1.json"
     path.parent.mkdir()
-    planted = bytes(range(256))
-    path.write_bytes(planted)
+    path.write_text(json.dumps(data))
+    planted = path.read_bytes()
     monkeypatch.setenv("HECKELAB_CACHE", str(path.parent))
     assert main(["census", "--d", "2", "--l", "3", "--cache", str(path.parent),
                  "--out", "b.jsonl"]) == 0
