@@ -43,9 +43,9 @@ for row in decay.rows():
           f"      {row['max_abs_plain']:>12.3e}")
 print(f"drops below {decay.threshold} at n = {decay.first_level_below}")
 
-# Circle averages of a positive trigonometric polynomial (a scaled Fejér
-# kernel with constant coefficient 0.1) converge to that constant.
-coefficients = fejer_coefficients(order=8, mass=0.1)
+# Circle averages of a positive trigonometric polynomial (the Fejér kernel
+# of order 8 scaled to constant coefficient 0.1) converge to that constant.
+coefficients = fejer_coefficients()
 rows = haar_convergence_check(certificate, coefficients, range(1, 13), shape)
 print("\n n   Σ c_k τ(w^k)^|V_n|      |average - c_0|")
 for row in rows:

@@ -26,7 +26,8 @@ from .permgroup import (ROW, DoubleCosetTable, PermGroup, Permutation, orbit_roo
 #: largest group this oracle will enumerate
 ORACLE_CAP = 10_000
 
-#: full Cayley tables are precomputed below this order
+#: largest order whose full Cayley table `EnumeratedGroup.table` builds;
+#: products elsewhere are ranked block by block at any order
 TABLE_CAP = 4096
 
 #: composed images per block when ranking products: with their keys and
@@ -216,10 +217,7 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     if not supp_f or not supp_g:
         return AlgebraElement.zero(carrier)
 
-    if carrier.order <= TABLE_CAP:
-        targets = carrier.table()[np.ix_(supp_f, supp_g)].ravel()
-    else:
-        targets = carrier.products(supp_f, supp_g).ravel()
+    targets = carrier.products(supp_f, supp_g).ravel()
 
     def scatter(acc, left, right):
         contrib = np.multiply.outer(left, right).ravel()

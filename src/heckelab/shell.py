@@ -44,7 +44,8 @@ SCENARIO_NAMES = ("s2-cubed", "s2-squared", "s4-squared")
 
 
 def _check_ranges(args: argparse.Namespace):
-    """Refuse degrees below 2, a k-max, budget or n-max below 1, a k-max above its cap."""
+    """Refuse degrees below 2, a k-max, budget or n-max below 1, a k-max above
+    its cap and a negative seed."""
     if getattr(args, "d", 2) < 2 or getattr(args, "k", 2) < 2:
         raise ScaleError("tree degrees d and k must be at least 2")
     for name in ("k_max", "budget", "n_max"):
@@ -52,6 +53,8 @@ def _check_ranges(args: argparse.Namespace):
             raise ScaleError(f"{name.replace('_', '-')} must be at least 1")
     if getattr(args, "k_max", 1) > K_MAX_CAP:
         raise ScaleError(f"k-max {args.k_max} exceeds the cap {K_MAX_CAP}")
+    if getattr(args, "seed", 0) < 0:
+        raise ScaleError("seed must be at least 0")
 
 
 def _atomic_write(path: str, text: str):

@@ -59,6 +59,8 @@ VISIBLE_WEIGHT = 1e-4
 CANDIDATE_SCALE = 1.7
 #: `decay_table` reports the first level whose tensor-power maximum is below this
 DECAY_THRESHOLD = 1e-3
+#: order and constant coefficient of the Fejér kernel that `decay` averages
+FEJER_ORDER, FEJER_MASS = 8, 0.1
 
 
 # -- algebra-level unitaries -----------------------------------------------------
@@ -76,39 +78,23 @@ def _unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix @ matrix.conj().T - np.eye(len(matrix))))
 
 
-def selfadjoint_parameter_layout(pair: HeckePair) -> list:
-    """Free real parameters of a self-adjoint element: one per self-paired
-    basis class, two (re, im) per star-paired class pair."""
-    layout = []
-    for d in range(pair.dim):
-        dstar = int(pair.star_map[d])
-        if dstar == d:
-            layout.append(("real", d))
-        elif d < dstar:
-            layout.append(("re", d, dstar))
-            layout.append(("im", d, dstar))
-    return layout
-
-
 def selfadjoint_from_parameters(pair: HeckePair, params) -> np.ndarray:
-    """Coefficients of the self-adjoint element with these layout parameters."""
+    """Coefficients of the self-adjoint element with these `pair.dim` real
+    parameters, taken in class order: a self-paired class d takes one as
+    c_d, a class d below its star class d* takes two as the real and
+    imaginary parts of c_d, and d* holds the conjugate of c_d."""
+    if len(params) != pair.dim:
+        raise ValueError(f"a self-adjoint element takes {pair.dim} real "
+                         f"parameters, not {len(params)}")
+    values = iter(params)
     coef = np.zeros(pair.dim, dtype=np.complex128)
-    layout = selfadjoint_parameter_layout(pair)
-    assert len(params) == len(layout)
-    for value, spec in zip(params, layout):
-        if spec[0] == "real":
-            coef[spec[1]] += value
-        elif spec[0] == "re":
-            coef[spec[1]] += value
-            coef[spec[2]] += value
-        else:
-            coef[spec[1]] += 1j * value
-            coef[spec[2]] -= 1j * value
+    for d, dstar in enumerate(pair.star_map.tolist()):
+        if d == dstar:
+            coef[d] = next(values)
+        elif d < dstar:
+            coef[d] = complex(next(values), next(values))
+            coef[dstar] = coef[d].conjugate()
     return coef
-
-
-def selfadjoint_defect(pair: HeckePair, coef) -> float:
-    return float(np.max(np.abs(coef - np.conj(coef[pair.star_map]))))
 
 
 def unitary_from_selfadjoint(pair: HeckePair, a) -> tuple:
@@ -119,7 +105,7 @@ def unitary_from_selfadjoint(pair: HeckePair, a) -> tuple:
     coefficients of exp(i·a) and its unitarity defect ‖U U* − 1‖
     (Frobenius), measured on the GNS space.
     """
-    defect = selfadjoint_defect(pair, a)
+    defect = float(np.max(np.abs(a - np.conj(a[pair.star_map]))))
     if defect > SELFADJOINT_TOL:
         raise ValueError(f"element is not self-adjoint (defect {defect:.2e})")
     eigenvalues, vectors = np.linalg.eigh(gns_matrix(pair, a))
@@ -420,12 +406,11 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         raise ValueError(
             "pair has a commutative algebra: commutators are trivial and "
             "every moment equals 1; no witness exists")
-    n_params = len(selfadjoint_parameter_layout(pair))
     best_seen = None
     for i in range(budget):
         rng = np.random.default_rng([seed, i])
-        a = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(n_params))
-        b = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(n_params))
+        a = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(pair.dim))
+        b = selfadjoint_from_parameters(pair, CANDIDATE_SCALE * rng.standard_normal(pair.dim))
         u, u_defect = unitary_from_selfadjoint(pair, a)
         v, v_defect = unitary_from_selfadjoint(pair, b)
         w = _commutator(gns_matrix(pair, u), gns_matrix(pair, v))
@@ -518,11 +503,11 @@ def decay_table(cert: WitnessCertificate, shape: TreeShape, n_max: int,
                        threshold=DECAY_THRESHOLD)
 
 
-def fejer_coefficients(order: int = 8, mass: float = 0.1) -> dict:
-    """Fourier coefficients of a scaled Fejér kernel: positive on the circle,
-    with constant coefficient `mass`."""
-    return {k: mass * (1.0 - abs(k) / (order + 1.0))
-            for k in range(-order, order + 1)}
+def fejer_coefficients() -> dict:
+    """Fourier coefficients of the Fejér kernel of order `FEJER_ORDER`
+    scaled to constant coefficient `FEJER_MASS`: positive on the circle."""
+    return {k: FEJER_MASS * (1.0 - abs(k) / (FEJER_ORDER + 1.0))
+            for k in range(-FEJER_ORDER, FEJER_ORDER + 1)}
 
 
 def haar_convergence_check(cert: WitnessCertificate, coefficients: dict,

@@ -562,6 +562,33 @@ def lambda_exponential(pair, a):
     return coef, float(np.max(np.abs(U - coef[pair.cell_class])))
 
 
+def selfadjoint_by_layout(pair, params):
+    """Self-adjoint coefficients from a tagged layout of the parameters, one
+    ("real", d) per self-paired class and ("re", d, d*), ("im", d, d*) per
+    star pair d < d*, each added into its classes: the build
+    `witness.selfadjoint_from_parameters` replaced."""
+    layout = []
+    for d in range(pair.dim):
+        dstar = int(pair.star_map[d])
+        if dstar == d:
+            layout.append(("real", d))
+        elif d < dstar:
+            layout.append(("re", d, dstar))
+            layout.append(("im", d, dstar))
+    assert len(params) == len(layout)
+    coef = np.zeros(pair.dim, dtype=np.complex128)
+    for value, spec in zip(params, layout):
+        if spec[0] == "real":
+            coef[spec[1]] += value
+        elif spec[0] == "re":
+            coef[spec[1]] += value
+            coef[spec[2]] += value
+        else:
+            coef[spec[1]] += 1j * value
+            coef[spec[2]] -= 1j * value
+    return coef
+
+
 def cayley_table_by_pairs(carrier):
     """Index of p_i·p_j from a dict of image tuples, one product per pair:
     the Python table the ranking kernel replaced."""

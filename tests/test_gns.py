@@ -15,8 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab import hecke
 from heckelab.hecke import HeckePair, PairSpec
 from heckelab.witness import (_commutator, gns_matrix, moment_table, search_witness,
-                              selfadjoint_from_parameters,
-                              selfadjoint_parameter_layout, unitary_from_selfadjoint)
+                              selfadjoint_from_parameters, unitary_from_selfadjoint)
 
 import oracles
 from conftest import examples
@@ -29,8 +28,7 @@ scales = st.floats(0.1, 3.0)
 
 
 def random_selfadjoint(pair, rng, scale):
-    layout = selfadjoint_parameter_layout(pair)
-    return selfadjoint_from_parameters(pair, scale * rng.standard_normal(len(layout)))
+    return selfadjoint_from_parameters(pair, scale * rng.standard_normal(pair.dim))
 
 
 def assert_gns_matches_lambda(pair, seed, scale):

@@ -77,7 +77,7 @@ class TestConvolution:
             convolve(AlgebraElement.zero(s4), AlgebraElement.zero(other))
 
     def test_large_carrier_uses_elementwise_path(self, monkeypatch):
-        # S_8 is too big for a Cayley table; convolution must still be exact
+        # S_8 is above the Cayley-table cap; ranked products keep convolution exact
         monkeypatch.setattr(groupalg, "ORACLE_CAP", 50_000)
         big = EnumeratedGroup(symmetric_group(8))
         rng = random.Random(12)

@@ -348,6 +348,8 @@ DEGREES = "tree degrees d and k must be at least 2"
     (["witness", "--budget", "0"], "budget must be at least 1"),
     (["decay", "missing.json", "--k", "1", "--n-max", "0"], DEGREES),
     (["decay", "missing.json", "--n-max", "0"], "n-max must be at least 1"),
+    (["witness", "--seed", "-1", "--budget", "0"], "budget must be at least 1"),
+    (["witness", "--seed", "-1"], "seed must be at least 0"),
 ])
 def test_range_errors_keep_their_order(workdir, capsys, argv, reason):
     assert main(argv) == 2

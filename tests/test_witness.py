@@ -14,8 +14,7 @@ from heckelab.witness import (ACCEPT_CEILING, ATOM_ANGLE_GAP, DEFAULT_TOLERANCES
                               SpectralData, WitnessCertificate, cluster_spectrum,
                               decay_table, fejer_coefficients, haar_convergence_check,
                               moment_table, root_of_unity_scan, search_witness,
-                              selfadjoint_from_parameters,
-                              selfadjoint_parameter_layout, spectral_data,
+                              selfadjoint_from_parameters, spectral_data,
                               unitary_from_selfadjoint, verify_certificate)
 
 import oracles
@@ -42,11 +41,10 @@ class TestUnitaries:
         assert np.max(np.abs(u - cmath.exp(1j * t) * unit)) < 1e-12
 
     def test_random_selfadjoint_exponentials_stay_in_the_algebra(self, flagship_pair):
-        layout = selfadjoint_parameter_layout(flagship_pair)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             a = selfadjoint_from_parameters(flagship_pair,
-                                            1.5 * rng.standard_normal(len(layout)))
+                                            1.5 * rng.standard_normal(flagship_pair.dim))
             _, defect = unitary_from_selfadjoint(flagship_pair, a)
             assert defect <= 1e-10
 
@@ -58,11 +56,40 @@ class TestUnitaries:
             unitary_from_selfadjoint(flagship_pair, coef)
 
     def test_selfadjoint_parameterization_roundtrip(self, flagship_pair):
-        layout = selfadjoint_parameter_layout(flagship_pair)
         rng = np.random.default_rng(7)
         coef = selfadjoint_from_parameters(flagship_pair,
-                                           rng.standard_normal(len(layout)))
+                                           rng.standard_normal(flagship_pair.dim))
         assert np.max(np.abs(coef - np.conj(coef[flagship_pair.star_map]))) < 1e-15
+
+    @pytest.mark.parametrize("count", [15, 17, 0])
+    def test_parameter_count_is_the_dimension(self, flagship_pair, count):
+        with pytest.raises(ValueError, match=f"takes 16 real parameters, not {count}"):
+            selfadjoint_from_parameters(flagship_pair, np.ones(count))
+
+
+# (pair, number of star pairs d < d*): three, one and none
+SELFADJOINT_PAIRS = {
+    "S8-Q3": (lambda: PairSpec.depth(2, 3).pair(), 3),
+    "S5-C5": (lambda: HeckePair(symmetric_group(5), PermGroup(
+        5, [Permutation.from_cycles(5, [0, 1, 2, 3, 4])])), 1),
+    "S9-Q2": (lambda: PairSpec.depth(3, 2).pair(), 0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SELFADJOINT_PAIRS))
+def selfadjoint_pair(request):
+    make, star_pairs = SELFADJOINT_PAIRS[request.param]
+    pair = make()
+    assert int(np.sum(pair.star_map > np.arange(pair.dim))) == star_pairs
+    return pair
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.1, 3.0))
+def test_selfadjoint_parameters_match_the_layout(selfadjoint_pair, seed, scale):
+    params = scale * np.random.default_rng(seed).standard_normal(selfadjoint_pair.dim)
+    assert selfadjoint_from_parameters(selfadjoint_pair, params).tobytes() == \
+        oracles.selfadjoint_by_layout(selfadjoint_pair, params).tobytes()
 
 
 class TestMoments:
@@ -79,9 +106,8 @@ class TestMoments:
 
     def test_moments_bounded_by_one(self, flagship_pair):
         rng = np.random.default_rng(12)
-        layout = selfadjoint_parameter_layout(flagship_pair)
         a = selfadjoint_from_parameters(flagship_pair,
-                                        2.0 * rng.standard_normal(len(layout)))
+                                        2.0 * rng.standard_normal(flagship_pair.dim))
         u, _ = unitary_from_selfadjoint(flagship_pair, a)
         table = moment_table(flagship_pair.lambda_matrix(u), 1000)
         assert np.max(np.abs(table)) <= 1.0 + 1e-8
@@ -432,10 +458,9 @@ class TestTensorCrossCheck:
         assert result["difference"] <= 1e-10
 
     def test_kronecker_trace_on_a_unitary(self, s4_d4_pair):
-        layout = selfadjoint_parameter_layout(s4_d4_pair)
         rng = np.random.default_rng(5)
         a = selfadjoint_from_parameters(s4_d4_pair,
-                                        rng.standard_normal(len(layout)))
+                                        rng.standard_normal(s4_d4_pair.dim))
         u, _ = unitary_from_selfadjoint(s4_d4_pair, a)
         result = oracles.kronecker_trace_check(s4_d4_pair, u)
         assert result["difference"] <= 1e-10

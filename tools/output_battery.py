@@ -32,6 +32,8 @@ TIMEOUT_S = 600
 LEVEL_PAIRS = (("--d", "3", "--l", "2"), ("--d", "2", "--k", "4", "--n", "2"),
                ("--d", "6", "--k", "2", "--n", "2"), ("--d", "2", "--k", "5", "--n", "2"))
 EMBED_SCENARIOS = ("s2-cubed", "s2-squared", "s4-squared")
+#: witness seeds whose search rejects one and two candidates before it accepts
+REJECTING_SEEDS = (54, 152)
 COMMANDS = ("census", "gelfand", "witness", "verify", "decay", "embed-check", "spher")
 
 
@@ -52,12 +54,15 @@ def cases():
     for l in (2, 3):
         yield f"gelfand-l{l}", ["heckelab", "gelfand", "--l", str(l),
                                 "--out", f"gelfand-l{l}.json"], 0
-    for seed in range(8):
+    for seed in (*range(8), *REJECTING_SEEDS):
         yield f"witness-{seed}", ["heckelab", "witness", "--seed", str(seed),
                                   "--out", f"witness-{seed}.json"], 0
     yield "witness-k-max-3", ["heckelab", "witness", "--k-max", "3",
                               "--out", "witness-k-max-3.json"], 0
+    yield "witness-negative-seed", ["heckelab", "witness", "--seed", "-1"], 2
     yield "verify", ["heckelab", "verify", "witness-0.json"], 0
+    for seed in REJECTING_SEEDS:
+        yield f"verify-{seed}", ["heckelab", "verify", f"witness-{seed}.json"], 0
     yield "verify-tampered", ["heckelab", "verify", "tampered.json"], 1
     yield "verify-huge-weights", ["heckelab", "verify", "huge-weights.json"], 1
     yield "verify-extra-atom", ["heckelab", "verify", "extra-atom.json"], 1
