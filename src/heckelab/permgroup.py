@@ -24,12 +24,14 @@ routines, and double cosets H\\G/H are the orbits of H's action arrays on
 H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
 A group memoises the minimal element of each double coset it has walked,
-keyed on the byte key of the canonical row of every right coset in the walk,
-so its memory grows with the cosets walked so far.
+keyed on the byte key of the canonical row of every right coset in the walk
+(a lookup canonicalises its one row on tuples, without numpy), so its
+memory grows with the cosets walked so far.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import cached_property
 from itertools import repeat
 
@@ -269,11 +271,11 @@ class PermGroup:
 
     @cached_property
     def _descent(self) -> list:
-        """(orbit points, stacked transversal) of each chain level with a
-        nontrivial orbit, in base order."""
-        return [(np.array(sorted(level.orbit)),
+        """(base, {point: transversal}, orbit points, stacked transversal) of
+        each chain level with a nontrivial orbit, in base order."""
+        return [(base, level.orbit, np.array(sorted(level.orbit)),
                  np.array([level.orbit[p] for p in sorted(level.orbit)]))
-                for level in self._levels if len(level.orbit) > 1]
+                for base, level in enumerate(self._levels) if len(level.orbit) > 1]
 
     def canonical_rows(self, rows) -> np.ndarray:
         """Lexicographically minimal element of (self)·g for every row g of
@@ -285,10 +287,18 @@ class PermGroup:
         """
         rows = np.asarray(rows, dtype=ROW)
         at = np.arange(len(rows))[:, None]
-        for points, transversal in self._descent:
+        for _, _, points, transversal in self._descent:
             best = rows[:, points].argmin(axis=1)
             rows = rows[at, transversal[best]]
         return rows
+
+    def _canonical_images(self, images: tuple) -> tuple:
+        """`canonical_rows` of one row, on tuples: the same descent, without numpy."""
+        for base, orbit, _, _ in self._descent:
+            best = min(orbit, key=images.__getitem__)
+            if best != base:  # the transversal of the base is the identity
+                images = _mul(orbit[best], images)
+        return images
 
     def coset_orbit(self, start, gens) -> np.ndarray:
         """Orbit of the right coset (self)·start under right multiplication
@@ -341,7 +351,7 @@ class PermGroup:
         coset costs one canonical row and a lookup.
         """
         memo = self._double_coset_min
-        least = memo.get(row_keys(self.canonical_rows([g.images]))[0].tobytes())
+        least = memo.get(row_key(self._canonical_images(g.images)))
         if least is None:
             keys = row_keys(self.coset_orbit(g.images, self.generator_rows)).tolist()
             least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
@@ -353,6 +363,11 @@ def row_keys(rows) -> np.ndarray:
     """One opaque byte key per row; keys compare like the image tuples."""
     rows = np.ascontiguousarray(rows, dtype=ROW)
     return rows.view(np.dtype((np.void, rows.shape[-1] * ROW.itemsize)))[..., 0]
+
+
+def row_key(images) -> bytes:
+    """The key `row_keys` gives the one row `images`, packed without numpy."""
+    return struct.pack(f">{len(images)}H", *images)
 
 
 def rank_keys(sorted_keys, keys):

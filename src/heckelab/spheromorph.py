@@ -8,8 +8,8 @@ from relative addresses to child permutations, trivial almost everywhere.
 
 Two data sets represent the same group element when they agree after
 refinement; the canonical form is the unique minimal representative,
-obtained by greedily merging sibling leaf blocks whose data collapses into
-a single vertex map, deepest blocks first.
+obtained by merging sibling leaf blocks whose data collapses into a single
+vertex map until no block is left to merge.
 
 The bridge to the double-coset picture: an element representable with
 A = B = (radius-n ball) induces a permutation of the ordered level set,
@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import LevelError
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup, Permutation, _wrap
 from .treefam import TreeShape, ball_aut_group, check_level
 
 # -- portraits (finitary subtree twists) -------------------------------------------
 
 def _portrait_apply(portrait: dict, rel: tuple) -> tuple:
+    if not portrait:
+        return rel
     out = []
     cur = ()
     for c in rel:
@@ -54,22 +56,13 @@ def _portrait_preimage(portrait: dict, rel: tuple) -> tuple:
 def _portrait_compose(first: dict, second: dict) -> dict:
     """Portrait of (apply `first`, then `second`)."""
     if not first or not second:
-        return dict(first or second)
-    addresses = set(first)
-    addresses.update(_portrait_preimage(first, r) for r in second)
+        return first or second
     out = {}
-    for r in addresses:
+    for r in set(first).union(_portrait_preimage(first, r) for r in second):
         p1 = first.get(r)
         p2 = second.get(_portrait_apply(first, r))
-        if p1 is None and p2 is None:
-            continue
-        if p1 is None:
-            perm = tuple(p2)
-        elif p2 is None:
-            perm = tuple(p1)
-        else:
-            perm = tuple(p2[c] for c in p1)
-        if any(i != x for i, x in enumerate(perm)):
+        perm = p2 if p1 is None else p1 if p2 is None else tuple(map(p2.__getitem__, p1))
+        if perm != tuple(range(len(perm))):
             out[r] = perm
     return out
 
@@ -92,11 +85,7 @@ def _portrait_restrict(portrait: dict, c: int) -> dict:
 # -- complete subtrees ----------------------------------------------------------------
 
 def _tree_vertices(leaves) -> set:
-    verts = set()
-    for leaf in leaves:
-        for j in range(len(leaf) + 1):
-            verts.add(leaf[:j])
-    return verts
+    return {leaf[:j] for leaf in leaves for j in range(len(leaf) + 1)}
 
 
 def _is_vertex(shape: TreeShape, address: tuple) -> bool:
@@ -112,7 +101,8 @@ def _check_complete(shape: TreeShape, leaves) -> None:
     vertices are the leaves of a complete subtree exactly when they cover
     V_D: when this Kraft sum is |V_D|.  Each vertex above a leaf at depth D
     has a second child, so a complete subtree has at least D + 1 leaves; the
-    sum is formed only past that test, with |V_D| / |V_j| once per depth j.
+    sum is formed only past that test, with |V_D| / |V_j| = d^(D - j) once
+    per depth j (the root is a leaf only alone, when D = j = 0).
     """
     leaves = sorted(leaves)  # so first letters ascend: the ends bound them
     deeper = [c for v in leaves for c in v[1:]]
@@ -127,7 +117,7 @@ def _check_complete(shape: TreeShape, leaves) -> None:
     deepest = max(depths, default=0)
     if deepest < len(leaves):
         size = shape.level_size(deepest)
-        cover = {j: size // shape.level_size(j) for j in set(depths)}
+        cover = {j: shape.d ** (deepest - j) for j in set(depths)}
         if sum(map(cover.__getitem__, depths)) == size:
             return
     raise ValueError("subtree leaves do not cover the boundary of the tree")
@@ -149,6 +139,42 @@ def _split_leaves(g, target_vertices: set, by_image: bool) -> tuple:
     return leaf_map, twists
 
 
+def _validated(shape: TreeShape, leaf_map: dict, twists: dict) -> dict:
+    """The constructor's checks, shared with the parser, on tuple addresses;
+    returns the twists as stored: tuple portraits without identities."""
+    _check_complete(shape, leaf_map.keys())
+    images = list(leaf_map.values())
+    if len(set(images)) != len(images):
+        raise ValueError("leaf map is not injective")
+    _check_complete(shape, images)
+    stray = [a for a in twists if a not in leaf_map]
+    if stray:
+        raise ValueError(f"twist at {stray[0]} is not at a domain leaf")
+    # one pass; an identity is dropped after its vertex check, as it is a
+    # permutation.  The identity of an arity is built once a permutation
+    # that long is seen, so a huge d or k costs nothing.
+    identities = {}
+    out = {}
+    for a in leaf_map:
+        out[a] = portrait = {}
+        for r, perm in twists.get(a, {}).items():
+            r, perm = tuple(r), tuple(perm)
+            if not _is_vertex(shape, a + r):
+                raise ValueError(f"twist at leaf {a}, address {r} is not a vertex of the tree")
+            arity = shape.d if a or r else shape.k
+            identity = identities.get(arity)
+            if identity is None and len(perm) == arity:
+                identity = identities[arity] = tuple(range(arity))
+            if perm == identity:
+                continue
+            if identity is None or sorted(perm) != list(identity):
+                raise ValueError(
+                    f"twist at leaf {a}, address {r} is not a permutation "
+                    f"of {arity} children")
+            portrait[r] = perm
+    return out
+
+
 @dataclass(frozen=True)
 class AlmostAutomorphism:
     """Immutable finite-data representative of an almost automorphism."""
@@ -159,38 +185,8 @@ class AlmostAutomorphism:
 
     def __post_init__(self):
         leaf_map = {tuple(a): tuple(b) for a, b in self.leaf_map.items()}
-        _check_complete(self.shape, leaf_map.keys())
-        images = list(leaf_map.values())
-        if len(set(images)) != len(images):
-            raise ValueError("leaf map is not injective")
-        _check_complete(self.shape, images)
-        stray = [a for a in self.twists if a not in leaf_map]
-        if stray:
-            raise ValueError(f"twist at {stray[0]} is not at a domain leaf")
-        # one pass; an identity is dropped after its vertex check, as it is a
-        # permutation.  The identity of an arity is built once a permutation
-        # that long is seen, so a huge d or k costs nothing.
-        identities = {}
-        twists = {}
-        for a in leaf_map:
-            twists[a] = portrait = {}
-            for r, perm in self.twists.get(a, {}).items():
-                r, perm = tuple(r), tuple(perm)
-                if not _is_vertex(self.shape, a + r):
-                    raise ValueError(f"twist at leaf {a}, address {r} is not a vertex of the tree")
-                arity = self.shape.d if a or r else self.shape.k
-                identity = identities.get(arity)
-                if identity is None and len(perm) == arity:
-                    identity = identities[arity] = tuple(range(arity))
-                if perm == identity:
-                    continue
-                if identity is None or sorted(perm) != list(identity):
-                    raise ValueError(
-                        f"twist at leaf {a}, address {r} is not a permutation "
-                        f"of {arity} children")
-                portrait[r] = perm
+        object.__setattr__(self, "twists", _validated(self.shape, leaf_map, self.twists))
         object.__setattr__(self, "leaf_map", leaf_map)
-        object.__setattr__(self, "twists", twists)
 
     # -- basics -----------------------------------------------------------------------
 
@@ -276,9 +272,11 @@ def compose(g: AlmostAutomorphism, h: AlmostAutomorphism) -> AlmostAutomorphism:
     """The element "apply g, then h"."""
     if g.shape != h.shape:
         raise ValueError("elements live on different tree shapes")
-    interface = _tree_vertices(set(g.leaf_map.values()) | set(h.leaf_map.keys()))
-    g_map, g_twists = _split_leaves(g, interface, by_image=True)
-    h_map, h_twists = _split_leaves(h, interface, by_image=False)
+    g_map, g_twists, h_map, h_twists = g.leaf_map, g.twists, h.leaf_map, h.twists
+    if h_map.keys() != set(g_map.values()):  # else the leaves already meet
+        interface = _tree_vertices([*g_map.values(), *h_map])
+        g_map, g_twists = _split_leaves(g, interface, by_image=True)
+        h_map, h_twists = _split_leaves(h, interface, by_image=False)
     leaf_map = {a: h_map[b] for a, b in g_map.items()}
     twists = {a: _portrait_compose(g_twists[a], h_twists[b]) for a, b in g_map.items()}
     return _built(g.shape, leaf_map, twists)
@@ -294,32 +292,38 @@ def canonical_form(g: AlmostAutomorphism) -> AlmostAutomorphism:
     """The unique minimal representative; `g` itself if it is minimal.
 
     Merges every sibling leaf block whose images form a full sibling block,
-    deepest level first.  A merge only turns its parent into a leaf, so
-    merges commute and one sweep per level reaches the fixed point; idempotent.
+    from a worklist of parents: each parent of a leaf once, and the parent of
+    each merged block.  A merge only turns its parent into a leaf, so merges
+    commute and any order reaches the fixed point; idempotent.
     """
+    d, k = g.shape.d, g.shape.k
     leaf_map = dict(g.leaf_map)
     twists = dict(g.twists)
-    shape = g.shape
-    for depth in range(max(map(len, leaf_map)), 0, -1):
-        for parent in {a[:-1] for a in leaf_map if len(a) == depth}:
-            children = [parent + (c,) for c in range(shape.arity(parent))]
-            if any(child not in leaf_map for child in children):
-                continue
-            images = [leaf_map[child] for child in children]
-            target = images[0][:-1]
-            letters = tuple(image[-1] for image in images)
-            if any(image[:-1] != target for image in images) or \
-                    sorted(letters) != list(range(shape.arity(target))):
-                continue
-            portrait = {} if letters == tuple(range(len(letters))) else {(): letters}
-            for c, child in enumerate(children):
-                portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
-                del leaf_map[child]
-            leaf_map[parent] = target
-            twists[parent] = portrait
+    todo = list({a[:-1] for a in leaf_map if a})
+    while todo:
+        parent = todo.pop()
+        arity = d if parent else k
+        children = [parent + (c,) for c in range(arity)]
+        if any(child not in leaf_map for child in children):
+            continue
+        images = [leaf_map[child] for child in children]
+        target = images[0][:-1]
+        # distinct vertices below one target fill its children when there
+        # are as many of them as it has children
+        if (d if target else k) != arity or any(image[:-1] != target for image in images):
+            continue
+        letters = tuple([image[-1] for image in images])
+        portrait = {} if letters == tuple(range(arity)) else {(): letters}
+        for c, child in enumerate(children):
+            portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
+            del leaf_map[child]
+        leaf_map[parent] = target
+        twists[parent] = portrait
+        if parent:
+            todo.append(parent[:-1])
     if len(leaf_map) == len(g.leaf_map):
         return g
-    return _built(shape, leaf_map, twists)
+    return _built(g.shape, leaf_map, twists)
 
 
 # -- level subgroups and the double-coset bridge ------------------------------------------------
@@ -350,18 +354,32 @@ def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     above LEVEL_POINT_CAP are refused before any is listed (V_0 is the root)."""
     if n > 0:
         check_level(g.shape, n)
+    return _level_sigma(g, n)
+
+
+def _level_sigma(g: AlmostAutomorphism, n: int) -> Permutation:
+    """`level_permutation` past its level check, unchecked: each leaf a -> b of
+    the canonical form sends a·r in V_n to b·t(r), t the twist at a."""
     c = _level_form(g, n)
     if c is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")
-    level, position = _level_index(g.shape, n)
-    return Permutation([position[c.apply_to_address(v)] for v in level])
+    level, position, below = _level_index(g.shape, n)
+    images = [0] * len(level)
+    for a, b in c.leaf_map.items():
+        twist = c.twists[a]
+        for rel in below[len(a)]:
+            images[position[a + rel]] = position[b + _portrait_apply(twist, rel)]
+    return _wrap(images)
 
 
 @cache
 def _level_index(shape: TreeShape, n: int) -> tuple:
-    """The ordered level set V_n and the position of each vertex in it."""
+    """V_n in order, the position of each vertex in it, and by depth j the
+    addresses in V_n relative to a level-j vertex (V_n is sorted: those of 0…0)."""
     level = shape.vertices(n)
-    return level, {addr: i for i, addr in enumerate(level)}
+    below = [[v[j:] for v in level[:len(level) // shape.level_size(j)]]
+             for j in range(n + 1)]
+    return level, {addr: i for i, addr in enumerate(level)}, below
 
 
 @cache
@@ -377,8 +395,7 @@ def double_coset_key(g: AlmostAutomorphism, n: int) -> Permutation:
     both sides.
     """
     check_level(g.shape, n)
-    sigma = level_permutation(g, n)
-    return _level_group(g.shape, n).min_in_double_coset(sigma)
+    return _level_group(g.shape, n).min_in_double_coset(_level_sigma(g, n))
 
 
 # -- randomized elements (seeded, for property suites) --------------------------------------------
@@ -414,10 +431,13 @@ def random_tree_automorphism(shape: TreeShape, rng, depth: int = 3) -> AlmostAut
 FORMAT = "heckelab/spheromorph/v1"
 
 
-def _address_to_text(addr: tuple) -> str:
-    if any(c > 9 for c in addr):
+def _address_to_text(addr: tuple, key: bool = False):
+    """A digit string; the list of letters if one is above 9, unless a key."""
+    if all(c <= 9 for c in addr):
+        return "".join(map(str, addr))
+    if key:
         raise ValueError("text format supports digits 0..9 only")
-    return "".join(map(str, addr))
+    return list(addr)
 
 
 # Parsed address texts, filled until ADDRESS_MEMO_CAP entries; only texts that
@@ -443,9 +463,8 @@ def _address_from_text(text) -> tuple:
 
 
 def to_json_dict(g: AlmostAutomorphism) -> dict:
-    vertices_a = sorted(_tree_vertices(set(g.leaf_map)), key=lambda v: (len(v), v))
-    vertices_b = sorted(_tree_vertices(set(g.leaf_map.values())),
-                        key=lambda v: (len(v), v))
+    vertices_a = sorted(_tree_vertices(g.leaf_map), key=lambda v: (len(v), v))
+    vertices_b = sorted(_tree_vertices(g.leaf_map.values()), key=lambda v: (len(v), v))
     return {
         "format": FORMAT,
         "d": g.shape.d,
@@ -455,7 +474,7 @@ def to_json_dict(g: AlmostAutomorphism) -> dict:
         "phi": [[_address_to_text(a), _address_to_text(b)]
                 for a, b in sorted(g.leaf_map.items())],
         "twists": {
-            _address_to_text(a): [[_address_to_text(r), list(perm)]
+            _address_to_text(a, key=True): [[_address_to_text(r), list(perm)]
                                   for r, perm in sorted(t.items())]
             for a, t in sorted(g.twists.items()) if t
         },
@@ -484,7 +503,8 @@ def _pairs(value, what: str):
 
 
 def from_json_dict(data: dict) -> AlmostAutomorphism:
-    """Parse an element; any missing or malformed field raises ValueError."""
+    """Parse an element; any missing or malformed field raises ValueError.
+    The parsed data, in tuples, is checked by `_validated` alone."""
     if not isinstance(data, dict):
         raise ValueError("element is not a JSON object")
     if data.get("format") != FORMAT:
@@ -513,11 +533,11 @@ def from_json_dict(data: dict) -> AlmostAutomorphism:
         if leaf in twists:
             raise ValueError(f"element field 'twists' lists leaf {leaf} twice")
         twists[leaf] = portrait
-    g = AlmostAutomorphism(shape, leaf_map, twists)
+    twists = _validated(shape, leaf_map, twists)
     declared_a = {_address_from_text(v) for v in _list_field(data, "A")}
-    if declared_a != _tree_vertices(set(g.leaf_map)):
+    if declared_a != _tree_vertices(leaf_map):
         raise ValueError("declared domain tree disagrees with the leaf map")
     declared_b = {_address_from_text(v) for v in _list_field(data, "B")}
-    if declared_b != _tree_vertices(set(g.leaf_map.values())):
+    if declared_b != _tree_vertices(leaf_map.values()):
         raise ValueError("declared image tree disagrees with the leaf map")
-    return g
+    return _built(shape, leaf_map, twists)

@@ -25,6 +25,12 @@ def examples(n: int) -> int:
     return n * EXAMPLE_FACTOR.get(settings.get_current_profile_name(), 1)
 
 
+#: (d, k, n) of every ball with at most 16 level points, k·d^(n-1) <= 16; the
+#: radius-1 ball does not see d, so there d is 2 or 3
+BALL_SHAPES = tuple((d, k, n) for n in range(1, 5) for d in range(2, 9) for k in range(2, 17)
+                    if k * d ** (n - 1) <= 16 and (n > 1 or d <= 3))
+
+
 @pytest.fixture(scope="session")
 def flagship_pair() -> HeckePair:
     """(S_8, Q_3), built once per session."""

@@ -726,6 +726,56 @@ def canonical_by_restarts(g):
             return type(g)(shape, leaf_map, twists)
 
 
+def canonical_by_depth_sweep(g):
+    """The canonical form by one sweep per depth, deepest first, each
+    rescanning every leaf for the parents at that depth; built through the
+    constructor.  The loop `spheromorph.canonical_form` replaced."""
+    leaf_map, twists, shape = dict(g.leaf_map), dict(g.twists), g.shape
+    for depth in range(max(map(len, leaf_map)), 0, -1):
+        for parent in {a[:-1] for a in leaf_map if len(a) == depth}:
+            children = [parent + (c,) for c in range(shape.arity(parent))]
+            if any(child not in leaf_map for child in children):
+                continue
+            images = [leaf_map[child] for child in children]
+            target = images[0][:-1]
+            letters = tuple(image[-1] for image in images)
+            if any(image[:-1] != target for image in images) or \
+                    sorted(letters) != list(range(shape.arity(target))):
+                continue
+            portrait = {} if letters == tuple(range(len(letters))) else {(): letters}
+            for c, child in enumerate(children):
+                portrait.update(((c,) + r, perm) for r, perm in twists.pop(child).items())
+                del leaf_map[child]
+            leaf_map[parent] = target
+            twists[parent] = portrait
+    return type(g)(shape, leaf_map, twists)
+
+
+def level_permutation_by_vertices(g, n):
+    """The level-n permutation with the image of each vertex of V_n found by
+    `apply_to_address` on the canonical form, or None when g is outside the
+    level-n subgroup.  The per-vertex walk `spheromorph.level_permutation`
+    replaced."""
+    from heckelab.permgroup import Permutation
+    from heckelab.spheromorph import canonical_form
+
+    c = canonical_form(g)
+    if any(not len(a) == len(b) <= n for a, b in c.leaf_map.items()):
+        return None
+    level = g.shape.vertices(n)
+    position = {addr: i for i, addr in enumerate(level)}
+    return Permutation([position[c.apply_to_address(v)] for v in level])
+
+
+def canonical_row_key_by_array(H, images):
+    """The memo key of the right coset H·g: its canonical row from the numpy
+    descent `canonical_rows` on a one-row array, as bytes.  The lookup
+    `PermGroup.min_in_double_coset` made without numpy."""
+    from heckelab.permgroup import row_keys
+
+    return row_keys(H.canonical_rows([images]))[0].tobytes()
+
+
 # -- the wreath embeddings by convolution in the group algebra C[V ⋊ G] -----------
 
 def wreath_invariant_basis(scenario, big, gens):

@@ -11,9 +11,12 @@ space, its action, the double-coset classes, R-indices and minimal
 double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
 `oracles.r_index` and `oracles.min_in_double_coset` walk them one coset at
-a time.  Both must agree exactly.
+a time.  Both must agree exactly.  `min_in_double_coset` keys its memo by
+one row canonicalised on tuples; `oracles.canonical_row_key_by_array` is
+the numpy descent it replaced.
 """
 
+import functools
 import math
 import random
 
@@ -26,12 +29,12 @@ from heckelab.embed import SCENARIOS
 from heckelab.errors import ScaleError
 from heckelab.groupalg import corner_isomorphism_check
 from heckelab.hecke import HeckePair, PairSpec
-from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index,
+from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index, row_key,
                                 symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
 import oracles
-from conftest import examples
+from conftest import BALL_SHAPES, examples
 
 
 def assert_kernel_matches_oracle(pair):
@@ -285,6 +288,23 @@ def test_min_in_double_coset_matches_the_scalar_orbit(d, k, n):
         x = Permutation(images)
         assert H.min_in_double_coset(x).images == oracles.min_in_double_coset(H, x.images)
         assert r_index(x, H) == oracles.r_index(x.images, H)
+
+
+@functools.cache
+def ball_group(d, k, n):
+    return ball_aut_group(TreeShape(d, k), n)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.sampled_from(BALL_SHAPES), st.randoms(use_true_random=False))
+def test_single_row_key_matches_the_array_descent(shape, rng):
+    # the key of H·x, and of H·h·x for some h in H: one right coset
+    H = ball_group(*shape)
+    x = tuple(rng.sample(range(H.degree), H.degree))
+    key = oracles.canonical_row_key_by_array(H, x)
+    assert row_key(H._canonical_images(x)) == key
+    h = oracles.sample(H, rng)
+    assert row_key(H._canonical_images(oracles.mul(h.images, x))) == key
 
 
 @pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])

@@ -1,13 +1,15 @@
-"""The one-pass refinement, the Kraft completeness check, the one-sweep
+"""The one-pass refinement, the Kraft completeness check, the worklist
 canonical form and the level map read off the canonical form against the
 paths they replaced, the canonical-form and double-coset-key properties,
 and guards on the number of elements a refinement builds.
 
 `oracles.refine_by_expansion` splits one leaf per validated element,
 `oracles.check_complete_by_vertices` walks the vertex set,
-`oracles.canonical_by_restarts` rescans the leaves after every merge and
+`oracles.canonical_by_restarts` rescans the leaves after every merge,
+`oracles.canonical_by_depth_sweep` rescans them once per depth,
 `oracles.level_permutation_by_refinement` refines the canonical form to the
-n-ball; all four are the slow paths of `spheromorph`.
+n-ball and `oracles.level_permutation_by_vertices` maps each vertex of V_n
+on its own; all six are the slow paths of `spheromorph`.
 """
 
 import random
@@ -25,11 +27,13 @@ from heckelab.spheromorph import (AlmostAutomorphism, canonical_form, compose,
 from heckelab.treefam import TreeShape
 
 import oracles
-from conftest import examples
+from conftest import BALL_SHAPES, examples
 
 # (d, k, n) of the benchmark elements
 LEVEL_SHAPES = ((2, 2, 3), (2, 3, 2), (3, 2, 2))
 SHAPES = tuple(TreeShape(d, k) for d, k, _ in LEVEL_SHAPES)
+# the trees of every ball of at most 16 points, (2|3, 2|3) among them
+BALL_TREES = tuple(TreeShape(d, k) for d, k in sorted({(d, k) for d, k, _ in BALL_SHAPES}))
 SETTINGS = settings(max_examples=examples(120), deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -52,15 +56,15 @@ def prefixes(leaves):
 
 
 @st.composite
-def elements(draw):
-    shape = draw(st.sampled_from(SHAPES))
+def elements(draw, shapes=SHAPES):
+    shape = draw(st.sampled_from(shapes))
     rng = draw(st.randoms(use_true_random=False))
     return oracles.random_element(shape, rng, expansions=rng.randrange(6))
 
 
 @st.composite
-def elements_and_targets(draw):
-    g = draw(elements())
+def elements_and_targets(draw, shapes=SHAPES):
+    g = draw(elements(shapes))
     rng = draw(st.randoms(use_true_random=False))
     return g, prefixes(random_leaves(g.shape, rng, 4, rng.randrange(16)))
 
@@ -91,10 +95,10 @@ def leaf_sets(draw):
 
 
 @st.composite
-def level_elements(draw):
+def level_elements(draw, shapes=LEVEL_SHAPES):
     """(g, n) with g in the level-n subgroup: a random level permutation with
     random twists below V_n, between two random tree automorphisms."""
-    d, k, n = draw(st.sampled_from(LEVEL_SHAPES))
+    d, k, n = draw(st.sampled_from(shapes))
     shape = TreeShape(d, k)
     rng = draw(st.randoms(use_true_random=False))
     images = list(range(shape.level_size(n)))
@@ -129,14 +133,18 @@ def test_refinement_matches_stepwise_expansion(case):
 @SETTINGS
 @given(elements(), st.randoms(use_true_random=False))
 def test_compose_acts_as_apply_g_then_h(g, rng):
-    h = oracles.random_element(g.shape, rng, expansions=rng.randrange(6))
-    gh = compose(g, h)
-    # deep enough to lie below the leaves of g, of h after g, and of g·h
-    depth = 2 + 2 * max(map(len, (*g.leaf_map, *g.leaf_map.values(), *h.leaf_map)))
-    for _ in range(8):
-        x = tuple(rng.randrange(g.shape.arity(()) if j == 0 else g.shape.d)
-                  for j in range(depth))
-        assert gh.apply_to_address(x) == h.apply_to_address(g.apply_to_address(x))
+    # the second h has g's image leaves for its domain, so nothing is split
+    images = list(g.leaf_map.values())
+    aligned = AlmostAutomorphism(g.shape, dict(zip(images, rng.sample(images, len(images)))),
+                                 {b: random_portrait(g.shape, b, rng) for b in images})
+    for h in (oracles.random_element(g.shape, rng, expansions=rng.randrange(6)), aligned):
+        gh = compose(g, h)
+        # deep enough to lie below the leaves of g, of h after g, and of g·h
+        depth = 2 + 2 * max(map(len, (*g.leaf_map, *g.leaf_map.values(), *h.leaf_map)))
+        for _ in range(8):
+            x = tuple(rng.randrange(g.shape.arity(()) if j == 0 else g.shape.d)
+                      for j in range(depth))
+            assert gh.apply_to_address(x) == h.apply_to_address(g.apply_to_address(x))
 
 
 @settings(max_examples=examples(300), deadline=None,
@@ -169,6 +177,28 @@ def test_canonical_form_matches_greedy_restarts(case):
     g, target = case
     for x in (g, oracles.refined_to_domain(g, target), refined_to_image(g, target)):
         assert canonical_form(x).data_equal(oracles.canonical_by_restarts(x))
+
+
+@SETTINGS
+@given(elements_and_targets(BALL_TREES))
+def test_canonical_form_matches_the_depth_sweep(case):
+    g, target = case
+    for x in (g, oracles.refined_to_domain(g, target), refined_to_image(g, target)):
+        assert canonical_form(x).data_equal(oracles.canonical_by_depth_sweep(x))
+
+
+@SETTINGS
+@given(level_elements(BALL_SHAPES), st.randoms(use_true_random=False))
+def test_level_permutation_matches_the_vertex_walk(case, rng):
+    g, n = case
+    other = oracles.random_element(g.shape, rng, expansions=rng.randrange(6))
+    for x in (g, other):
+        expected = oracles.level_permutation_by_vertices(x, n)
+        if expected is None:
+            with pytest.raises(LevelError):
+                level_permutation(x, n)
+        else:
+            assert level_permutation(x, n) == expected
 
 
 @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2)])

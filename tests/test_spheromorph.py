@@ -146,8 +146,9 @@ SMALL_SHAPES = [TreeShape(d, k) for d in (2, 3) for k in (2, 3)]
 @given(shape=st.sampled_from(SMALL_SHAPES), rng=st.randoms(use_true_random=False))
 def test_unchecked_results_pass_the_constructor(shape, rng):
     # compose, inverse and canonical_form build their results without the
-    # constructor's checks; rebuilding each through it must succeed and change
-    # nothing: tuple addresses, a portrait at every domain leaf, no identity
+    # constructor's checks, and from_json_dict without the constructor;
+    # rebuilding each through it must succeed and change nothing: tuple
+    # addresses, a portrait at every domain leaf, no identity
     g = oracles.random_element(shape, rng)
     h = oracles.random_element(shape, rng)
     ball = {v for j in range(3) for v in shape.vertices(j)}
@@ -156,7 +157,8 @@ def test_unchecked_results_pass_the_constructor(shape, rng):
         results += [x, canonical_form(x)]
     results += [canonical_form(oracles.refined_to_domain(g, ball)),
                 canonical_form(AlmostAutomorphism.from_level_permutation(
-                    shape, 1, Permutation(rng.sample(range(shape.k), shape.k))))]
+                    shape, 1, Permutation(rng.sample(range(shape.k), shape.k)))),
+                from_json_dict(json.loads(json.dumps(to_json_dict(g))))]
     for r in results:
         rebuilt = AlmostAutomorphism(r.shape, r.leaf_map, r.twists)
         assert rebuilt.leaf_map == r.leaf_map
@@ -363,6 +365,23 @@ class TestSerialization:
             g = canonical_form(oracles.random_element(SHAPE, rng))
             data = json.loads(json.dumps(to_json_dict(g)))
             assert from_json_dict(data) == g
+
+    def test_round_trip_of_letters_above_nine(self):
+        # d = 12: leaf 1·10 stays in the canonical form, and is written as a
+        # list of letters, as is the twist address 10 below leaf 0
+        shape = TreeShape(12, 2)
+        leaf_map = {(0,): (0, 5), (1, 5): (1,)}
+        leaf_map.update({(1, c): (0, c) for c in range(12) if c != 5})
+        g = AlmostAutomorphism(shape, leaf_map, {(0,): {(10,): (1, 0) + tuple(range(2, 12))}})
+        assert canonical_form(g).data_equal(g)
+        data = json.loads(json.dumps(to_json_dict(g)))
+        assert [1, 10] in data["A"] and [[1, 10], [0, 10]] in data["phi"]
+        assert data["twists"]["0"][0][0] == [10]
+        assert from_json_dict(data).data_equal(g)
+        # a JSON object key cannot be a list: a twist at such a leaf is refused
+        twisted = AlmostAutomorphism(shape, leaf_map, {(1, 10): {(): (1, 0) + tuple(range(2, 12))}})
+        with pytest.raises(ValueError, match="digits 0..9 only"):
+            to_json_dict(twisted)
 
     def test_rejects_inconsistent_trees(self):
         g = AlmostAutomorphism.automorphism(SHAPE, {(): (1, 0)})

@@ -90,6 +90,9 @@ def cases():
                                     "--n", "1"], 0
     yield "spher-key-generic-32", ["heckelab", "spher", "key", "spher-generic-32.json",
                                    "--n", "5"], 2
+    yield "spher-wide-degree", ["heckelab", "spher", "canonical", "spher-wide-degree.json"], 0
+    yield "spher-key-generic-16", ["heckelab", "spher", "key", "spher-generic-16.json",
+                                   "--n", "4"], 0
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         yield f"demo-{demo.stem}", [str(demo)], 0
 
@@ -127,12 +130,23 @@ def spher_inputs(out: Path):
     a leaf map that is not injective, a lone leaf at depth 40,000, a domain
     leaf listed twice in phi, a twist address listed twice and an element
     outside the level-2 subgroup; a root-only element of degree
-    d = 2^70; and a generic level-5 element of the binary tree, whose key
-    walk passes the coset cap."""
+    d = 2^70; an element of degree d = 12 whose canonical form keeps leaves
+    with the letters 10 and 11; a generic level-4 element of the binary
+    tree, 16 points; and a generic level-5 element, whose key walk passes
+    the coset cap."""
     deep = "0" * 40_000
     level = sorted("".join(bits) for bits in product("01", repeat=5))
     sigma = list(range(32))
     random.Random(5).shuffle(sigma)
+    level_16 = sorted("".join(bits) for bits in product("01", repeat=4))
+    sigma_16 = list(range(16))
+    random.Random(4).shuffle(sigma_16)
+
+    def wide(parent, c):  # an address with letter c above 9 is a list of letters
+        return f"{parent}{c}" if c < 10 else [parent, c]
+
+    # 0 -> 05, 15 -> 1 and 1c -> 0c: neither sibling block maps onto a sibling block
+    wide_phi = [["0", "05"], ["15", "1"], *([wide(1, c), wide(0, c)] for c in range(12) if c != 5)]
     documents = {
         "ternary": _element(3, 3, [["0", "2"], ["10", "01"], ["11", "12"], ["12", "00"],
                                    ["20", "10"], ["21", "02"], ["22", "11"]],
@@ -147,6 +161,11 @@ def spher_inputs(out: Path):
         "outside": _element(2, 2, [["00", "0"], ["01", "10"], ["1", "11"]]),
         "huge-degree": _element(2 ** 70, 2, [["", ""]]),
         "generic-32": _element(2, 2, [[a, level[j]] for a, j in zip(level, sigma)]),
+        "wide-degree": dict(_element(12, 2, []), phi=wide_phi,
+                            A=["", "0", "1", *(wide(1, c) for c in range(12))],
+                            B=["", "0", "1", *(wide(0, c) for c in range(12))],
+                            twists={"0": [[[10], [1, 0, *range(2, 12)]]]}),
+        "generic-16": _element(2, 2, [[a, level_16[j]] for a, j in zip(level_16, sigma_16)]),
     }
     for name, document in documents.items():
         (out / f"spher-{name}.json").write_text(json.dumps(document))
