@@ -31,8 +31,6 @@ from .treefam import TreeShape, ball_aut_group, check_level
 # -- portraits (finitary subtree twists) -------------------------------------------
 
 def _portrait_apply(portrait: dict, rel: tuple) -> tuple:
-    if not portrait:
-        return rel
     out = []
     cur = ()
     for c in rel:
@@ -57,12 +55,19 @@ def _portrait_compose(first: dict, second: dict) -> dict:
     """Portrait of (apply `first`, then `second`)."""
     if not first or not second:
         return first or second
+    addresses = set(first)
+    addresses.update(_portrait_preimage(first, r) for r in second)
     out = {}
-    for r in set(first).union(_portrait_preimage(first, r) for r in second):
+    for r in addresses:
         p1 = first.get(r)
         p2 = second.get(_portrait_apply(first, r))
-        perm = p2 if p1 is None else p1 if p2 is None else tuple(map(p2.__getitem__, p1))
-        if perm != tuple(range(len(perm))):
+        if p1 is None:
+            perm = p2
+        elif p2 is None:
+            perm = p1
+        else:
+            perm = tuple(p2[c] for c in p1)
+        if any(i != x for i, x in enumerate(perm)):
             out[r] = perm
     return out
 
@@ -85,7 +90,11 @@ def _portrait_restrict(portrait: dict, c: int) -> dict:
 # -- complete subtrees ----------------------------------------------------------------
 
 def _tree_vertices(leaves) -> set:
-    return {leaf[:j] for leaf in leaves for j in range(len(leaf) + 1)}
+    verts = set()
+    for leaf in leaves:
+        for j in range(len(leaf) + 1):
+            verts.add(leaf[:j])
+    return verts
 
 
 def _is_vertex(shape: TreeShape, address: tuple) -> bool:
@@ -272,11 +281,9 @@ def compose(g: AlmostAutomorphism, h: AlmostAutomorphism) -> AlmostAutomorphism:
     """The element "apply g, then h"."""
     if g.shape != h.shape:
         raise ValueError("elements live on different tree shapes")
-    g_map, g_twists, h_map, h_twists = g.leaf_map, g.twists, h.leaf_map, h.twists
-    if h_map.keys() != set(g_map.values()):  # else the leaves already meet
-        interface = _tree_vertices([*g_map.values(), *h_map])
-        g_map, g_twists = _split_leaves(g, interface, by_image=True)
-        h_map, h_twists = _split_leaves(h, interface, by_image=False)
+    interface = _tree_vertices(set(g.leaf_map.values()) | set(h.leaf_map.keys()))
+    g_map, g_twists = _split_leaves(g, interface, by_image=True)
+    h_map, h_twists = _split_leaves(h, interface, by_image=False)
     leaf_map = {a: h_map[b] for a, b in g_map.items()}
     twists = {a: _portrait_compose(g_twists[a], h_twists[b]) for a, b in g_map.items()}
     return _built(g.shape, leaf_map, twists)
@@ -351,15 +358,12 @@ def minimal_level(g: AlmostAutomorphism, n_max: int = 16) -> int | None:
 
 def level_permutation(g: AlmostAutomorphism, n: int) -> Permutation:
     """The induced permutation of the ordered level set V_n.  Level sets
-    above LEVEL_POINT_CAP are refused before any is listed (V_0 is the root)."""
+    above LEVEL_POINT_CAP are refused before any is listed (V_0 is the root).
+
+    Each leaf a -> b of the canonical form sends a·r in V_n to b·t(r), t the
+    twist at a; the permutation is built unchecked."""
     if n > 0:
         check_level(g.shape, n)
-    return _level_sigma(g, n)
-
-
-def _level_sigma(g: AlmostAutomorphism, n: int) -> Permutation:
-    """`level_permutation` past its level check, unchecked: each leaf a -> b of
-    the canonical form sends a·r in V_n to b·t(r), t the twist at a."""
     c = _level_form(g, n)
     if c is None:
         raise LevelError(f"element does not act on the complement of the {n}-ball")
@@ -395,7 +399,8 @@ def double_coset_key(g: AlmostAutomorphism, n: int) -> Permutation:
     both sides.
     """
     check_level(g.shape, n)
-    return _level_group(g.shape, n).min_in_double_coset(_level_sigma(g, n))
+    sigma = level_permutation(g, n)
+    return _level_group(g.shape, n).min_in_double_coset(sigma)
 
 
 # -- randomized elements (seeded, for property suites) --------------------------------------------

@@ -133,7 +133,7 @@ def test_refinement_matches_stepwise_expansion(case):
 @SETTINGS
 @given(elements(), st.randoms(use_true_random=False))
 def test_compose_acts_as_apply_g_then_h(g, rng):
-    # the second h has g's image leaves for its domain, so nothing is split
+    # the second h has g's image leaves for its domain, as g⁻¹ has: no leaf is split
     images = list(g.leaf_map.values())
     aligned = AlmostAutomorphism(g.shape, dict(zip(images, rng.sample(images, len(images)))),
                                  {b: random_portrait(g.shape, b, rng) for b in images})

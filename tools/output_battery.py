@@ -91,6 +91,9 @@ def cases():
     yield "spher-key-generic-32", ["heckelab", "spher", "key", "spher-generic-32.json",
                                    "--n", "5"], 2
     yield "spher-wide-degree", ["heckelab", "spher", "canonical", "spher-wide-degree.json"], 0
+    # the square twists leaf 1·10, and a twist key is digits only: refused on writing
+    yield "spher-wide-twist", ["heckelab", "spher", "compose", "spher-wide-degree.json",
+                               "spher-wide-degree.json"], 2
     yield "spher-key-generic-16", ["heckelab", "spher", "key", "spher-generic-16.json",
                                    "--n", "4"], 0
     for demo in sorted((ROOT / "demos").glob("0*.py")):
