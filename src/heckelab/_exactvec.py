@@ -50,10 +50,6 @@ class ExactVector:
         self.im = im
 
     @classmethod
-    def zeros(cls, n: int) -> "ExactVector":
-        return cls(1, _obj_zeros(n), reduce_terms=False)
-
-    @classmethod
     def from_fractions(cls, values) -> "ExactVector":
         """Build from a list of Fraction / int / (re, im) pairs."""
         pairs = []

@@ -13,12 +13,12 @@ H(G, Γ) (which needs all of G to leave V_0 invariant).  Both land in
 H(V⋊G, V_0⋊Γ), multiplicative, star- and trace-preserving, with commuting
 images.  They are computed in the double-coset bases of the three pairs, not
 in the group algebra C[V⋊G], which the tests keep as the oracle
-(`groupalg.hecke_image` translates).  With e_D = 1_D/|H| on each pair,
-e_D·p_Γ = 1_{DΓ}/|V_0⋊Γ| and p_{V0}·e_E = 1_{V_0 E}/|V_0⋊Γ|, so both maps
-send e_D to R(D)/R(F)·e_F, F the double coset of V_0⋊Γ holding D's lifted
-representative; a Γ-orbit sum of e_D goes to e_F.  Each map is built once,
-by `double_coset_map`, as one integer matrix over the least common
-denominator of the R(F), and applied as one product.
+(`tests/groupalg.py`, whose `hecke_image` translates).  With e_D = 1_D/|H|
+on each pair, e_D·p_Γ = 1_{DΓ}/|V_0⋊Γ| and p_{V0}·e_E = 1_{V_0 E}/|V_0⋊Γ|,
+so both maps send e_D to R(D)/R(F)·e_F, F the double coset of V_0⋊Γ
+holding D's lifted representative; a Γ-orbit sum of e_D goes to e_F.  Each
+map is built once, by `double_coset_map`, as one integer matrix over the
+least common denominator of the R(F), and applied as one product.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Float elements are plain coefficient arrays: `HeckePair.left_matrix(c)`
 multiplies by one in dim × dim, and `HeckePair.lambda_matrix(c)` is its
 action on ℓ²(H\\G), built only when asked for, as a cross-check.  The
 group-algebra corner p_H C[G] p_H is the independent oracle; it lives in
-`groupalg`, which this module never imports.
+the tests (`tests/groupalg.py`), not in the package.
 
 The canonical trace is the vector state at the base coset, τ(f) =
 ⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here

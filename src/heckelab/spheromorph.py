@@ -436,13 +436,18 @@ def random_tree_automorphism(shape: TreeShape, rng, depth: int = 3) -> AlmostAut
 FORMAT = "heckelab/spheromorph/v1"
 
 
-def _address_to_text(addr: tuple, key: bool = False):
-    """A digit string; the list of letters if one is above 9, unless a key."""
+def _address_to_text(addr: tuple):
+    """A digit string; the list of letters if one is above 9."""
     if all(c <= 9 for c in addr):
         return "".join(map(str, addr))
-    if key:
-        raise ValueError("text format supports digits 0..9 only")
     return list(addr)
+
+
+def _address_to_key(addr: tuple) -> str:
+    """A twist key, which JSON needs as a string: the digit string, or the
+    compact JSON text of the letter list, such as "[1,10]"."""
+    text = _address_to_text(addr)
+    return text if isinstance(text, str) else "[" + ",".join(map(str, text)) + "]"
 
 
 # Parsed address texts, filled until ADDRESS_MEMO_CAP entries; only texts that
@@ -467,6 +472,18 @@ def _address_from_text(text) -> tuple:
     raise ValueError(f"malformed tree address {text!r}")
 
 
+def _address_from_key(text) -> tuple:
+    """Read a twist key; a list spelling must be the one `_address_to_key` writes."""
+    if not (isinstance(text, str) and text.startswith("[")):
+        return _address_from_text(text)
+    letters = text[1:-1].split(",")
+    if text.endswith("]") and all(c.isascii() and c.isdigit() for c in letters):
+        address = tuple(map(int, letters))
+        if _address_to_key(address) == text:
+            return address
+    raise ValueError(f"malformed tree address {text!r}")
+
+
 def to_json_dict(g: AlmostAutomorphism) -> dict:
     vertices_a = sorted(_tree_vertices(g.leaf_map), key=lambda v: (len(v), v))
     vertices_b = sorted(_tree_vertices(g.leaf_map.values()), key=lambda v: (len(v), v))
@@ -479,8 +496,8 @@ def to_json_dict(g: AlmostAutomorphism) -> dict:
         "phi": [[_address_to_text(a), _address_to_text(b)]
                 for a, b in sorted(g.leaf_map.items())],
         "twists": {
-            _address_to_text(a, key=True): [[_address_to_text(r), list(perm)]
-                                  for r, perm in sorted(t.items())]
+            _address_to_key(a): [[_address_to_text(r), list(perm)]
+                                 for r, perm in sorted(t.items())]
             for a, t in sorted(g.twists.items()) if t
         },
     }
@@ -534,7 +551,7 @@ def from_json_dict(data: dict) -> AlmostAutomorphism:
             if r in portrait:
                 raise ValueError(f"twist at leaf {leaf!r} lists address {r} twice")
             portrait[r] = tuple(perm)
-        leaf = _address_from_text(leaf)
+        leaf = _address_from_key(leaf)
         if leaf in twists:
             raise ValueError(f"element field 'twists' lists leaf {leaf} twice")
         twists[leaf] = portrait

@@ -9,7 +9,8 @@ The averaging projections p_H = (1/|H|) * sum of H and the corners
 p_H C[G] p_H computed here serve as the independent oracle for the
 double-coset picture of the same algebras.  The bridge between the two
 (`corner_isomorphism_check`, `hecke_image`) takes a Hecke pair by duck
-typing, so the library itself never imports this module.
+typing.  This is a test-path module, imported as `groupalg` next to
+`oracles`; the library never imports it, and the package does not ship it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exactvec import ExactVector
-from .errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
-from .permgroup import (ROW, DoubleCosetTable, PermGroup, Permutation, orbit_roots,
-                        rank_keys, row_keys)
+from heckelab._exactvec import ExactVector
+from heckelab.errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
+from heckelab.permgroup import (ROW, DoubleCosetTable, PermGroup, Permutation, orbit_roots,
+                                rank_keys, row_keys)
 
-#: largest group this oracle will enumerate
+#: largest group this test oracle will enumerate
 ORACLE_CAP = 10_000
 
 #: largest order whose full Cayley table `EnumeratedGroup.table` builds;
@@ -129,7 +130,7 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, carrier: EnumeratedGroup) -> "AlgebraElement":
-        return cls(carrier, ExactVector.zeros(len(carrier)))
+        return cls(carrier, ExactVector(1, [0] * len(carrier)))
 
     @classmethod
     def delta(cls, carrier: EnumeratedGroup, p: Permutation) -> "AlgebraElement":

@@ -149,7 +149,7 @@ def restriction_to_level(shape, n, p):
 def algebra_element(carrier, coeffs):
     """The group-algebra element {Permutation: Fraction or (re, im) pair}."""
     from heckelab._exactvec import ExactVector
-    from heckelab.groupalg import AlgebraElement
+    from groupalg import AlgebraElement
     values = [0] * len(carrier)
     for p, c in coeffs.items():
         values[carrier.index_of(p)] = c
@@ -781,7 +781,7 @@ def canonical_row_key_by_array(H, images):
 def wreath_invariant_basis(scenario, big, gens):
     """Orbit sums, under conjugation by `gens`, of the corner basis
     p_{V0} δ_x p_{V0} of (V, V_0), on the carrier `big` of V ⋊ G."""
-    from heckelab.groupalg import corner_basis, invariant_subalgebra
+    from groupalg import corner_basis, invariant_subalgebra
     from heckelab.permgroup import PermGroup
     basis = corner_basis(big, scenario.V0, scenario.pair_V.table)
     return invariant_subalgebra(basis, PermGroup(scenario.degree, gens))
@@ -790,7 +790,7 @@ def wreath_invariant_basis(scenario, big, gens):
 def wreath_embed_invariant(scenario, big, x):
     """x·p_Γ for a Γ-invariant x of C[V] on the carrier `big` of V ⋊ G."""
     from heckelab.errors import InvarianceError
-    from heckelab.groupalg import convolve, projector
+    from groupalg import convolve, projector
     if any(x.conjugated_by(t) != x for t in scenario.gamma_gens):
         raise InvarianceError("element is not Γ-invariant")
     return convolve(x, projector(big, scenario.gamma_embedded))
@@ -800,7 +800,7 @@ def wreath_embed_top(scenario, big, y):
     """p_{V0}·y for y in C[G] on G's own carrier, lifted to the carrier `big`
     of V ⋊ G through the rigid block permutations."""
     from heckelab.errors import InvarianceError
-    from heckelab.groupalg import convolve, projector
+    from groupalg import convolve, projector
     from heckelab.treefam import block_permutation
     p = projector(big, scenario.V0)
     if any(p.conjugated_by(t) != p for t in scenario.top_gens):

@@ -15,7 +15,6 @@ import numpy as np
 
 from heckelab.embed import (check_commutation, scenario_report, scenario_s2_squared,
                             scenario_s4_d4)
-from heckelab.groupalg import corner_isomorphism_check
 from heckelab.hecke import PairSpec, convolve, trace_inner_product
 from heckelab.permgroup import (DoubleCosetTable, Permutation, dihedral_square,
                                 symmetric_group)
@@ -25,6 +24,7 @@ from heckelab.treefam import TreeShape, ball_aut_group, q_group, wreath_group
 from heckelab.witness import (WitnessCertificate, decay_table, fejer_coefficients,
                               haar_convergence_check, search_witness, verify_certificate)
 
+from groupalg import corner_isomorphism_check
 import oracles
 
 

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab._exactvec import ExactVector
 from heckelab.embed import SCENARIOS, block_element, block_permutation
 from heckelab.errors import ContainmentError
-from heckelab.groupalg import AlgebraElement, EnumeratedGroup, convolve
 from heckelab.permgroup import PermGroup, Permutation, symmetric_group
 
+from groupalg import AlgebraElement, EnumeratedGroup, convolve
 import oracles
 from conftest import examples
 

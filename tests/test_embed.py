@@ -10,11 +10,11 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             double_coset_map, embed_invariant, embed_top,
                             scenario_report, scenario_s2_cubed,
                             scenario_s2_squared, scenario_s4_d4)
-from heckelab.groupalg import EnumeratedGroup, convolve, corner_basis, hecke_image, projector
 from heckelab.hecke import PairSpec
 from heckelab.permgroup import Permutation, symmetric_group, trivial_group
 from heckelab.treefam import block_permutation, q_group
 
+from groupalg import EnumeratedGroup, convolve, corner_basis, hecke_image, projector
 import oracles
 
 
@@ -270,10 +270,10 @@ def test_unbalanced_scenario_fails_in_both_pictures():
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "heckelab"
 
 
-@pytest.mark.parametrize("module", sorted(path.stem for path in LIBRARY.glob("*.py")
-                                          if path.name != "groupalg.py"))
-def test_library_imports_nothing_from_groupalg(module):
-    # the library works in Hecke coordinates; the group algebra is only the oracle
+@pytest.mark.parametrize("module", sorted(path.stem for path in LIBRARY.glob("*.py")))
+def test_library_imports_no_test_module(module):
+    # the library works in Hecke coordinates; the group algebra and the other
+    # slow paths are only the tests' oracles, and the package does not ship them
     imported = set()
     for node in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -281,4 +281,5 @@ def test_library_imports_nothing_from_groupalg(module):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not any("groupalg" in name for name in imported), imported
+    assert not any(test_module in name for name in imported
+                   for test_module in ("groupalg", "oracles")), imported

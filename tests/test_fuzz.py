@@ -150,7 +150,7 @@ def _python_data(document):
     """(shape, leaf_map, twists) as a Python caller passes the element that
     `document` describes, or None when no caller could: a field of the wrong
     type, an address off the grammar, or an entry listed twice."""
-    address = spheromorph._address_from_text
+    address, key = spheromorph._address_from_text, spheromorph._address_from_key
 
     def pairs(value):
         return isinstance(value, list) and all(
@@ -169,7 +169,7 @@ def _python_data(document):
                                          any(type(c) is not int for c in perm)
                                          for _, perm in entries):
                 return None
-            twists[address(leaf)] = portrait = {address(r): perm for r, perm in entries}
+            twists[key(leaf)] = portrait = {address(r): perm for r, perm in entries}
             if len(portrait) != len(entries):
                 return None
     except ValueError:

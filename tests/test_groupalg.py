@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab import groupalg
 from heckelab.errors import ContainmentError, InvarianceError, PairMismatchError, ScaleError
-from heckelab.groupalg import (AlgebraElement, EnumeratedGroup, convolve,
-                               corner_basis, corner_trace, invariant_subalgebra,
-                               projector)
 from heckelab.permgroup import (PermGroup, Permutation, dihedral_square,
                                 symmetric_group, trivial_group)
 from heckelab.embed import block_element, block_permutation
 
+import groupalg
+from groupalg import (AlgebraElement, EnumeratedGroup, convolve, corner_basis,
+                      corner_trace, invariant_subalgebra, projector)
 import oracles
 
 

@@ -27,12 +27,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from heckelab import hecke
 from heckelab.embed import SCENARIOS
 from heckelab.errors import ScaleError
-from heckelab.groupalg import corner_isomorphism_check
 from heckelab.hecke import HeckePair, PairSpec
 from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index, row_key,
                                 symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
+from groupalg import corner_isomorphism_check
 import oracles
 from conftest import BALL_SHAPES, examples
 

@@ -630,26 +630,23 @@ def test_module_entry_point(workdir):
 
 
 def test_cli_imports_no_scipy(workdir):
-    # importing scipy.linalg alone costs every command about a third of a
-    # second; the group-algebra oracle is for the tests and demos only
+    # importing scipy.linalg alone costs every command about a third of a second
     probe = ("import sys, heckelab.shell; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-             " or m == 'heckelab.groupalg'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, env=_package_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
-_LAZY_LAYERS = ["heckelab.witness", "heckelab.embed", "heckelab.spheromorph",
-                "heckelab.groupalg"]
+_LAZY_LAYERS = ["heckelab.witness", "heckelab.embed", "heckelab.spheromorph"]
 #: exact arithmetic, which only embed-check runs
 _EXACT = ["heckelab._exactvec", "fractions", "decimal"]
 
 
 @pytest.mark.parametrize("setup, unloaded", [
     ("import heckelab", [f"heckelab.{layer}" for layer in (
-        "permgroup", "treefam", "hecke", "witness", "embed", "spheromorph", "groupalg")]),
+        "permgroup", "treefam", "hecke", "witness", "embed", "spheromorph")]),
     ("import heckelab.shell", _LAZY_LAYERS),
     ("from heckelab.shell import main; main(['census', '--d', '2', '--l', '3'])",
      [*_LAZY_LAYERS, *_EXACT, "numpy.ma"]),

@@ -378,10 +378,12 @@ class TestSerialization:
         assert [1, 10] in data["A"] and [[1, 10], [0, 10]] in data["phi"]
         assert data["twists"]["0"][0][0] == [10]
         assert from_json_dict(data).data_equal(g)
-        # a JSON object key cannot be a list: a twist at such a leaf is refused
+        # a JSON object key cannot be a list: a twist at such a leaf is keyed
+        # by the compact JSON text of its letters
         twisted = AlmostAutomorphism(shape, leaf_map, {(1, 10): {(): (1, 0) + tuple(range(2, 12))}})
-        with pytest.raises(ValueError, match="digits 0..9 only"):
-            to_json_dict(twisted)
+        data = json.loads(json.dumps(to_json_dict(twisted)))
+        assert list(data["twists"]) == ["[1,10]"]
+        assert from_json_dict(data).data_equal(twisted)
 
     def test_rejects_inconsistent_trees(self):
         g = AlmostAutomorphism.automorphism(SHAPE, {(): (1, 0)})
@@ -400,6 +402,15 @@ class TestSerialization:
         # digits outside ASCII pass str.isdigit (and int() reads "٣" as 3)
         with pytest.raises(ValueError, match="malformed tree address"):
             spheromorph._address_from_text(text)
+
+    # a list-spelled twist key must be the writer's: a letter above 9, no
+    # spaces, no leading zeros, nothing after the bracket
+    @pytest.mark.parametrize("text", ["[1, 10]", "[5]", "[1,2]", "[]", "[", "[01,10]",
+                                      "[1,010]", "[-1,10]", "[1,10", "[1,10]x", "[1,,10]",
+                                      "[١,10]", "[1,10,]"])
+    def test_twist_key_grammar_refuses(self, text):
+        with pytest.raises(ValueError, match="malformed tree address"):
+            spheromorph._address_from_key(text)
 
     def test_refused_address_texts_are_not_memoized(self, monkeypatch):
         monkeypatch.setattr(spheromorph, "_address_memo", {})
