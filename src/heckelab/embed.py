@@ -100,7 +100,6 @@ class WreathScenario:
         self.top_gens = [block_permutation(s, m0) for s in top.generators]
         self.gamma_gens = [block_permutation(s, m0) for s in gamma.generators]
         self.big = PermGroup(self.degree, v_gens + self.top_gens)
-        self.gamma_embedded = PermGroup(self.degree, self.gamma_gens)
         self.V0_gamma = PermGroup(self.degree, v0_gens + self.gamma_gens)
         if self.big.order() != self.V.order() * top.order():
             raise RuntimeError("block realization of V ⋊ G is not faithful")

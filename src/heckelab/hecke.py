@@ -9,12 +9,10 @@ the whole coset) becomes a zero-one matrix of size |G|/|H|, and the whole
 algebra is the span of matrices constant on the cells {(i, j) : r_i r_j^{-1}
 in D}.  Products are computed through structure constants, never through
 element-level convolution over G.  The constants are counted from one
-row of the cell table per double coset: the row of its representative r,
-whose right translation of the cosets by r^{-1} is one canonicalisation of
-the coset rows.  The full λ-cell table, built only on demand, is filled by
-a breadth-first frontier walk over the action arrays of G's generators on
-H\\G: row 0 is read off the classes, every other row is one gather of a
-row filled before it.
+row of the cell table per double coset, that of its least coset; the full
+λ-cell table is built only on demand.  Row 0 is read off the classes, and
+every other row is its parent's, in the tree of the walk that enumerated
+H\\G, gathered by an inverse action array: no coset is canonicalised again.
 
 `HeckeElement` is exact: Gaussian-rational coefficients, multiplied through
 the integer structure constants; `embed.double_coset_map` carries them
@@ -164,31 +162,24 @@ class HeckePair:
 
         Row 0 is class(r_j⁻¹) = star(class(r_j)).  Right multiplication by a
         generator g_s moves both cosets of a cell and keeps its class, so
-        cell[a_s(i), a_s(j)] = cell[i, j] for the action array a_s, and a row
-        first reached as a_s(i) is row i gathered by the inverse of a_s.  The
-        rows are filled a breadth-first frontier at a time.  Refused above
-        `LAMBDA_CAP` cosets (the int32 table is size² · 4 bytes).
+        cell[a_s(i), a_s(j)] = cell[i, j] for the action array a_s: the rows
+        are filled in walk order, each its parent's row gathered by the
+        inverse of the array that reached it.  Refused above `LAMBDA_CAP`
+        cosets (the int32 table is size² · 4 bytes).
         """
         if self.size > LAMBDA_CAP:
             raise ScaleError(
                 f"λ-matrices for {self.size} cosets above cap {LAMBDA_CAP}")
+        parent, move = self.cosets.parent.tolist(), self.cosets.move.tolist()
         cell = np.empty((self.size, self.size), dtype=np.int32)
         cell[0] = self.star_map[self.class_of_coset]
-        action = self.cosets.action
-        # the inverse of a permutation array is its argsort
-        inverse = np.argsort(action, axis=1)
-        seen = np.arange(self.size) == 0
-        frontier = np.flatnonzero(seen)
-        while len(frontier):
-            known = seen.copy()
-            for move, back in zip(action, inverse):
-                targets, first = np.unique(move[frontier], return_index=True)
-                fresh = ~seen[targets]
-                targets, parents = targets[fresh], frontier[first[fresh]]
-                seen[targets] = True
-                cell[targets] = cell[np.ix_(parents, back)]
-            frontier = np.flatnonzero(seen & ~known)
+        for i in self.cosets.walk[1:].tolist():
+            cell[i] = cell[parent[i], self._inverse_action[move[i]]]
         return cell
+
+    @cached_property
+    def _inverse_action(self) -> np.ndarray:
+        return np.argsort(self.cosets.action, axis=1)  # inverse permutation arrays
 
     def basis_matrix(self, j: int):
         """Integer λ-matrix of the basis element e_j."""
@@ -201,14 +192,14 @@ class HeckePair:
     def structure_constants(self):
         """Integer tensor N[d, e, f] with e_d e_e = sum_f N[d,e,f] e_f.
 
-        The row of a coset r in class f gives #{y : class(r r_y⁻¹) = d,
-        class(r_y) = e} = N[d, e, f]; the coset of r_y r⁻¹ is R[y], so
-        class(r r_y⁻¹) = star(class(R[y])).  One row per class is counted,
-        that of its representative.  This needs the classes to be the double
-        cosets: `orbit_roots` moves labels only along H's action arrays, so
-        no class is more than one H-orbit, and the check below that
-        `class_of_coset` is constant along every action array (exact, in
-        O(|H\\G|·|gens H|)) shows that no class splits an H-orbit.
+        The λ-row of a coset r in class f, row[y] = class(r r_y⁻¹), gives
+        #{y : row[y] = d, class(r_y) = e} = N[d, e, f].  One row per class is
+        counted, that of its least coset, gathered from row 0 along the
+        walk's tree as in `cell_class`.  This needs the classes to be the
+        double cosets: `orbit_roots` moves labels only along H's action
+        arrays, so no class is more than one H-orbit, and the check below
+        that `class_of_coset` is constant along every action array (exact,
+        in O(|H\\G|·|gens H|)) shows that no class splits an H-orbit.
         """
         if self._struct is None:
             dim = self.dim
@@ -216,11 +207,15 @@ class HeckePair:
             if any((cls[move] != cls).any() for move in self.table.subgroup_action):
                 raise AssertionError("product of basis elements is not bi-invariant")
             star_class = self.star_map.astype(np.int64)[cls]
+            parent, move = self.cosets.parent.tolist(), self.cosets.move.tolist()
             struct = np.empty((dim, dim, dim), dtype=np.int64)
-            for f, r in enumerate(self.table.representatives):
-                # the inverse of a permutation row is its argsort
-                R = self.cosets.cosets_of(np.argsort(r).astype(r.dtype)[self.cosets.rows])
-                counts = np.bincount(star_class[R] * dim + cls, minlength=dim * dim)
+            for f, i in enumerate(self.table.roots.tolist()):
+                # row i is row 0 gathered by the inverse moves from the root to i
+                index = np.arange(self.size)
+                while i:
+                    index = self._inverse_action[move[i]][index]
+                    i = parent[i]
+                counts = np.bincount(star_class[index] * dim + cls, minlength=dim * dim)
                 struct[:, :, f] = counts.reshape(dim, dim)
             self._struct = struct
         return self._struct

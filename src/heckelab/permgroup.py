@@ -15,11 +15,11 @@ vector coset enumeration of Seress, *Permutation Group Algorithms* (CUP
 2003), ch. 4.  One routine canonicalises a block of rows (per chain level,
 an argmin over the orbit and a gather with the transversal), one walks the
 orbit of a coset under right multiplication a frontier at a time (in blocks
-of bounded size, refusing orbits above the coset cap), and rows are ranked
-against sorted rows by binary search on byte keys.  The coset space H\\G is
-just its sorted rows, and the action arrays of G's generators on them are
-ranked from the translated rows when first asked for; it,
-the R-indices and the minimal double-coset elements come from these
+of bounded size, refusing orbits above the coset cap), keeping the key of
+every image, and rows are ranked against sorted rows by binary search on
+byte keys.  The coset space H\\G is just its sorted rows; G's action on it
+and the walk's breadth-first tree are the walk's image keys, ranked once.
+The R-indices and the minimal double-coset elements come from these
 routines, and double cosets H\\G/H are the orbits of H's action arrays on
 H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
@@ -300,12 +300,13 @@ class PermGroup:
                 images = _mul(orbit[best], images)
         return images
 
-    def coset_orbit(self, start, gens) -> np.ndarray:
+    def coset_orbit(self, start, gens) -> tuple:
         """Orbit of the right coset (self)·start under right multiplication
         by the rows of `gens`, an (S, m) array.
 
         Returns the canonical rows of the orbit in breadth-first discovery
-        order, rows[0] being that of (self)·start.  The rows are
+        order, rows[0] being that of (self)·start, and the key of the
+        canonical row of rows[w]·gens[s] at w·S + s.  The rows are
         native-endian uint16, not ROW (np.concatenate drops the byte order):
         key them with row_keys, never with their raw bytes.  A frontier is
         multiplied by every generator a block of rows at a time, at most
@@ -317,14 +318,15 @@ class PermGroup:
         """
         frontier = self.canonical_rows([start])
         seen = row_keys(frontier)
-        blocks = [frontier]
+        blocks, image_keys = [frontier], []
         step = max(1, WALK_BLOCK_ROWS // max(1, len(gens)))
         while len(frontier):
             found = []
             for i in range(0, len(frontier), step):
                 images = self.canonical_rows(
                     gens[:, frontier[i:i + step]].swapaxes(0, 1).reshape(-1, self.degree))
-                fresh, first = np.unique(row_keys(images), return_index=True)
+                image_keys.append(row_keys(images))
+                fresh, first = np.unique(image_keys[-1], return_index=True)
                 at = np.searchsorted(seen, fresh)
                 new = seen[np.minimum(at, len(seen) - 1)] != fresh
                 if len(seen) + np.count_nonzero(new) > COSET_INDEX_CAP:
@@ -334,7 +336,7 @@ class PermGroup:
                 seen = np.insert(seen, at[new], fresh[new])  # stays sorted
             frontier = found[0] if len(found) == 1 else np.concatenate(found)
             blocks.append(frontier)
-        return np.concatenate(blocks)
+        return np.concatenate(blocks), np.concatenate(image_keys)
 
     @cached_property
     def _double_coset_min(self) -> dict:
@@ -353,7 +355,7 @@ class PermGroup:
         memo = self._double_coset_min
         least = memo.get(row_key(self._canonical_images(g.images)))
         if least is None:
-            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)).tolist()
+            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)[0]).tolist()
             least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
             memo.update(zip(keys, repeat(least)))
         return least
@@ -440,37 +442,37 @@ def check_coset_count(size: int) -> int:
 
 
 class CosetIndex:
-    """The right-coset space H\\G: its canonical (lex-minimal) representatives
-    and the right action of G's generators on them, and nothing else.
+    """The right-coset space H\\G: its canonical (lex-minimal) representatives,
+    the right action of G's generators on them and the walk's tree.
 
     Representatives are sorted lexicographically, which puts the identity
     (the representative of the coset H itself) at index 0; `rows` holds them
     as an (N, m) array, and ``action[s, i]`` is the index of H·r_i·g_s.
+    `walk` lists the cosets in the order the walk found them; coset i ≠ 0
+    was first found as the image of `parent[i]` under g_{move[i]}, and
+    coset 0, the root and first, is its own parent.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         _check_subgroup(G, H)
         size = check_coset_count(G.order() // H.order())
-        self.group = G
         self.subgroup = H
-        found = H.coset_orbit(np.arange(G.degree), G.generator_rows)
+        found, images = H.coset_orbit(np.arange(G.degree), G.generator_rows)
         if len(found) != size:
             raise RuntimeError(
                 f"coset enumeration found {len(found)} cosets, expected {size}")
-        self.rows = found[np.argsort(row_keys(found))]
-        self._keys = row_keys(self.rows)
-
-    @cached_property
-    def action(self) -> np.ndarray:
-        """`right_action` of G's generators, built on first use: only
-        λ-matrices read it."""
-        return self.right_action(self.group.generator_rows)
-
-    def right_action(self, gens) -> np.ndarray:
-        """The (S, N) int32 array whose [s, i] is the index of H·r_i·gens[s],
-        one canonicalisation of the translated rows per generator."""
-        return np.array([self.cosets_of(g[self.rows]) for g in gens],
-                        dtype=np.int32).reshape(len(gens), len(self))
+        keys = row_keys(found)
+        order = np.argsort(keys)
+        self.rows, self._keys = found[order], keys[order]
+        self.walk = np.argsort(order).astype(np.int32)
+        gens = len(G.generators)
+        targets = rank_keys(self._keys, images)[0]
+        self.action = np.ascontiguousarray(targets.reshape(size, gens)[order].T)
+        # the first image of a coset, in walk order, is the edge the walk found it by
+        reached, first = np.unique(targets, return_index=True)
+        self.parent, self.move = np.zeros((2, size), dtype=np.int32)
+        self.parent[reached], self.move[reached] = self.walk[first // gens], first % gens
+        self.parent[0] = self.move[0] = 0
 
     def __len__(self):
         return len(self.rows)
@@ -494,7 +496,8 @@ class DoubleCosetTable:
     `r_index[d]` counts the right cosets in class d, `class_of_coset[i]` is
     the class of coset i, `inverse_class[d]` the class of the inverses, and
     `sizes[d]` = |H|·R(d) as Python ints (|G| overflows int64 above 20
-    points).  `subgroup_action[s, i]` is the coset of r_i·h_s for H's
+    points).  `roots[d]` is class d's least coset, that of its
+    representative.  `subgroup_action[s, i]` is the coset of r_i·h_s for H's
     generators h_s.
     """
 
@@ -502,10 +505,12 @@ class DoubleCosetTable:
         self.cosets = cosets = CosetIndex(G, H)
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
-        self.subgroup_action = cosets.right_action(H.generator_rows)
+        self.subgroup_action = np.array(
+            [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows],
+            dtype=np.int32).reshape(-1, len(cosets))
         roots, classes = np.unique(orbit_roots(self.subgroup_action, len(cosets)),
                                    return_inverse=True)
-        self.class_of_coset = classes.astype(np.int32)
+        self.roots, self.class_of_coset = roots.astype(np.int32), classes.astype(np.int32)
         self.r_index = np.bincount(classes)
         self.representatives = cosets.rows[roots]
         # the inverse of a permutation row is its argsort
@@ -536,5 +541,5 @@ def r_index(x: Permutation, H: PermGroup) -> int:
     """
     if x.degree != H.degree:
         raise DomainMismatchError("element degree differs from subgroup degree")
-    return len(H.coset_orbit(x.images, H.generator_rows))
+    return len(H.coset_orbit(x.images, H.generator_rows)[0])
 

@@ -523,6 +523,24 @@ def all_rows_structure_constants(pair):
     return np.ascontiguousarray(by_class.transpose(1, 2, 0))
 
 
+def per_class_structure_constants(pair):
+    """N[d, e, f] counted from the row of each class's representative r,
+    whose translation of the cosets by r⁻¹ is one canonicalisation of all
+    coset rows: the count `HeckePair.structure_constants` replaced by
+    gathers along the walk's tree.  The coset of r_y r⁻¹ is R[y], so
+    class(r r_y⁻¹) = star(class(R[y]))."""
+    dim = pair.dim
+    cls = pair.class_of_coset.astype(np.int64)
+    star_class = pair.star_map.astype(np.int64)[cls]
+    struct = np.empty((dim, dim, dim), dtype=np.int64)
+    for f, r in enumerate(pair.table.representatives):
+        # the inverse of a permutation row is its argsort
+        R = pair.cosets.cosets_of(np.argsort(r).astype(r.dtype)[pair.cosets.rows])
+        counts = np.bincount(star_class[R] * dim + cls, minlength=dim * dim)
+        struct[:, :, f] = counts.reshape(dim, dim)
+    return struct
+
+
 def dense_gelfand_report(pair, cell):
     """(commutative, witness, entry) from size² basis matrices: the first
     noncommuting basis pair and the first nonzero entry, in row-major order,
@@ -791,9 +809,10 @@ def wreath_embed_invariant(scenario, big, x):
     """x·p_Γ for a Γ-invariant x of C[V] on the carrier `big` of V ⋊ G."""
     from heckelab.errors import InvarianceError
     from groupalg import convolve, projector
+    from heckelab.permgroup import PermGroup
     if any(x.conjugated_by(t) != x for t in scenario.gamma_gens):
         raise InvarianceError("element is not Γ-invariant")
-    return convolve(x, projector(big, scenario.gamma_embedded))
+    return convolve(x, projector(big, PermGroup(scenario.degree, scenario.gamma_gens)))
 
 
 def wreath_embed_top(scenario, big, y):

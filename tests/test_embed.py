@@ -11,7 +11,7 @@ from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             scenario_report, scenario_s2_cubed,
                             scenario_s2_squared, scenario_s4_d4)
 from heckelab.hecke import PairSpec
-from heckelab.permgroup import Permutation, symmetric_group, trivial_group
+from heckelab.permgroup import PermGroup, Permutation, symmetric_group, trivial_group
 from heckelab.treefam import block_permutation, q_group
 
 from groupalg import EnumeratedGroup, convolve, corner_basis, hecke_image, projector
@@ -39,7 +39,7 @@ class TestScenarioConstruction:
         # the joint averaging projection splits as a commuting product
         big = EnumeratedGroup(s4sq.big)
         p_v0 = projector(big, s4sq.V0)
-        p_gamma = projector(big, s4sq.gamma_embedded)
+        p_gamma = projector(big, PermGroup(s4sq.degree, s4sq.gamma_gens))
         joint = projector(big, s4sq.V0_gamma)
         assert convolve(p_v0, p_gamma) == joint
         assert convolve(p_gamma, p_v0) == joint

@@ -1,10 +1,13 @@
 """The array kernels against the slow paths they replaced.
 
 `HeckePair` derives its λ-cell table from the right action of G's generators
-on H\\G, and its structure constants from one row of that table per double
-coset; `oracles.dense_cell_table` and `oracles.lambda_structure_constants`
-are the per-cell slow paths, and `oracles.all_rows_structure_constants`
-counts every row of the table along a tree of its own.  Exact products
+on H\\G, row by row along the tree of the walk that enumerated the cosets,
+and its structure constants from one row of that table per double coset,
+gathered along the same tree; `oracles.dense_cell_table` and
+`oracles.lambda_structure_constants` are the per-cell slow paths,
+`oracles.all_rows_structure_constants` counts every row of the table along
+a tree of its own, and `oracles.per_class_structure_constants` counts one
+row per class by canonicalising every coset row again.  Exact products
 read the int64 constants directly; `oracles.convolve_by_blocks` sums them
 block by block on an object copy.  The coset
 space, its action, the double-coset classes, R-indices and minimal
@@ -37,7 +40,20 @@ import oracles
 from conftest import BALL_SHAPES, examples
 
 
+def assert_walk_tree(cosets):
+    """`walk` orders the cosets from the root 0, and every other coset is
+    the image of its parent, found earlier, under its move."""
+    position = np.empty(len(cosets), dtype=np.int64)
+    position[cosets.walk] = np.arange(len(cosets))
+    assert sorted(cosets.walk.tolist()) == list(range(len(cosets)))
+    assert cosets.walk[0] == cosets.parent[0] == cosets.move[0] == 0
+    rest = cosets.walk[1:]
+    assert np.array_equal(cosets.action[cosets.move[rest], cosets.parent[rest]], rest)
+    assert (position[cosets.parent[rest]] < position[rest]).all()
+
+
 def assert_kernel_matches_oracle(pair):
+    assert_walk_tree(pair.cosets)
     cell = oracles.dense_cell_table(pair)
     assert pair.cell_class.dtype == np.int32
     assert np.array_equal(pair.cell_class, cell)
@@ -45,6 +61,7 @@ def assert_kernel_matches_oracle(pair):
     assert struct.dtype == np.int64
     assert np.array_equal(struct, oracles.lambda_structure_constants(pair, cell))
     assert np.array_equal(struct, oracles.all_rows_structure_constants(pair))
+    assert np.array_equal(struct, oracles.per_class_structure_constants(pair))
     report = pair.is_commutative()
     assert (report.commutative, report.witness, report.entry) == \
         oracles.dense_gelfand_report(pair, cell)
@@ -67,8 +84,8 @@ def test_level_pairs(make, size):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_wreath_pairs(name):
-    # G = V⋊G_top has 3 to 5 generators, so the frontier walk takes several
-    # action arrays per step
+    # G = V⋊G_top has 3 to 5 generators, so the walk's tree moves by
+    # several action arrays
     scenario = SCENARIOS[name]()
     pair = HeckePair(scenario.big, scenario.V0_gamma)
     assert len(pair.group.generators) >= 3
@@ -191,7 +208,7 @@ def test_pair_keeps_no_object_arrays(flagship_pair):
                 if isinstance(value, np.ndarray) and value.dtype == object]
 
 
-def test_structure_constants_walk_no_tree(monkeypatch):
+def test_structure_constants_need_no_cell_table(monkeypatch):
     def no_cell_table(self):
         raise AssertionError("the λ-cell table was built")
 
@@ -199,6 +216,40 @@ def test_structure_constants_walk_no_tree(monkeypatch):
     pair = PairSpec.depth(2, 3).pair()
     assert pair.structure_constants().shape == (16, 16, 16)
     assert not pair.is_commutative().commutative
+
+
+def test_nothing_is_canonicalised_once_the_pair_is_built(monkeypatch):
+    # the constants, the Gelfand test and the cell table are gathers along
+    # the walk's tree; only the double-coset table canonicalises rows
+    pair = PairSpec.depth(2, 3).pair()
+    cell = oracles.dense_cell_table(pair)
+    struct = oracles.per_class_structure_constants(pair)
+
+    def refuse(self, rows):
+        raise AssertionError("a coset row was canonicalised")
+
+    monkeypatch.setattr(PermGroup, "canonical_rows", refuse)
+    assert np.array_equal(pair.structure_constants(), struct)
+    assert not pair.is_commutative().commutative
+    assert np.array_equal(pair.cell_class, cell)
+
+
+def test_walk_tree_and_constants_past_the_dense_oracles():
+    # (S_18, P_2), 24,310 cosets: too many for the dense and all-rows oracles
+    pair = PairSpec.level(9, 2, 2).pair()
+    assert pair.size == 24310
+    assert_walk_tree(pair.cosets)
+    assert np.array_equal(pair.structure_constants(),
+                          oracles.per_class_structure_constants(pair))
+
+
+def test_walk_tree_without_generators():
+    # a generator-less G: one coset, the root, and no action array
+    pair = HeckePair(PermGroup(3, []), PermGroup(3, []))
+    assert pair.cosets.action.shape == (0, 1)
+    assert_walk_tree(pair.cosets)
+    assert pair.cell_class.tolist() == [[0]]
+    assert pair.structure_constants().tolist() == [[[1]]]
 
 
 @st.composite

@@ -126,7 +126,7 @@ def test_scenario_and_wreath_chains_match_closure():
     for build in SCENARIOS.values():
         s = build()
         for G in (s.base_group, *s.base_subgroups, s.top, s.gamma, s.V, s.V0, s.big,
-                  s.gamma_embedded, s.V0_gamma):
+                  PermGroup(s.degree, s.gamma_gens), s.V0_gamma):
             assert_chain_matches_closure(G, rng)
     assert_chain_matches_closure(wreath_group(TreeShape(2, 2), 3, 2), rng)
 
@@ -299,8 +299,11 @@ class TestCosetOrbit:
             cases.append((H, _shuffled(H.degree, f"walk{d}{k}{n}").images, H.generator_rows))
         whole = [H.coset_orbit(start, gens) for H, start, gens in cases]
         monkeypatch.setattr(permgroup, "WALK_BLOCK_ROWS", 5)
-        for (H, start, gens), rows in zip(cases, whole):
-            assert np.array_equal(H.coset_orbit(start, gens), rows)
+        for (H, start, gens), (rows, images) in zip(cases, whole):
+            blocked_rows, blocked_images = H.coset_orbit(start, gens)
+            assert np.array_equal(blocked_rows, rows)
+            assert np.array_equal(blocked_images, images)
+            assert len(images) == len(rows) * len(gens)
 
     def test_walk_refuses_past_the_coset_cap(self, monkeypatch):
         H = ball_aut_group(TreeShape(2, 2), 3)
