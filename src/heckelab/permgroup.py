@@ -24,16 +24,15 @@ routines, and double cosets H\\G/H are the orbits of H's action arrays on
 H\\G, never computed on raw group elements, and their
 table keeps them as arrays (representatives as rows, classes as indices).
 A group memoises the minimal element of each double coset it has walked,
-keyed on the byte key of the canonical row of every right coset in the walk
-(a lookup canonicalises its one row on tuples, without numpy), so its
-memory grows with the cosets walked so far.
+keyed on the canonical row, as a tuple, of every right coset in the walk (a
+lookup canonicalises its one row on tuples, without numpy), so its memory
+grows with the cosets walked so far.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -103,14 +102,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise DomainMismatchError("degree mismatch in product")
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", _mul(self.images, other.images))
-        return p
+        return _wrap(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", _inv(self.images))
-        return p
+        return _wrap(_inv(self.images))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
@@ -155,16 +150,6 @@ def _wrap(images) -> Permutation:
     return p
 
 
-class _Level:
-    """One stabilizer-chain level: its generators and its Schreier vector."""
-
-    __slots__ = ("gens", "orbit")
-
-    def __init__(self, base: int, m: int):
-        self.gens = []                        # raw image tuples fixing every point below base
-        self.orbit = {base: tuple(range(m))}  # point -> transversal u with u[base] = point
-
-
 class PermGroup:
     """Permutation group with a deterministic full-base stabilizer chain.
 
@@ -179,6 +164,10 @@ class PermGroup:
     C(i, t): a new orbit point t[i] takes t as its transversal and t·g goes
     to C(i, ·) for each generator g of level i; a known point with
     transversal u sends the Schreier generator t·u⁻¹ to A(i + 1, ·).
+
+    The chain kept is its transversals: `_transversals[i]` maps each point
+    of level i's orbit to its transversal u, u[i] being that point.  The
+    level generators live only while the chain is built.
     """
 
     def __init__(self, degree: int, generators):
@@ -192,26 +181,26 @@ class PermGroup:
                     f"generator degree {g.degree} != group degree {degree}")
             gens.append(g)
         self.generators = tuple(gens)
-        self._levels = [_Level(b, degree) for b in range(degree)]
+        identity = tuple(range(degree))
+        self._transversals = [{base: identity} for base in range(degree)]
+        level_gens = [[] for _ in range(degree)]  # image tuples fixing every point below i
         # (t, level i, is_generator): A(i, t) when is_generator, else C(i, t)
         stack = [(g.images, 0, True) for g in reversed(self.generators)]
         while stack:
             t, i, is_generator = stack.pop()
             if is_generator and self._sift_images(t, i)[1] == degree:
                 continue
-            level = self._levels[i]
+            orbit = self._transversals[i]
             if is_generator:
-                level.gens.append(t)
-                stack.extend((_mul(u, t), i, False) for u in level.orbit.values())
-            elif t[i] not in level.orbit:
-                level.orbit[t[i]] = t
-                stack.extend((_mul(t, g), i, False) for g in level.gens)
-            elif t != level.orbit[t[i]]:
+                level_gens[i].append(t)
+                stack.extend((_mul(u, t), i, False) for u in orbit.values())
+            elif t[i] not in orbit:
+                orbit[t[i]] = t
+                stack.extend((_mul(t, g), i, False) for g in level_gens[i])
+            elif t != orbit[t[i]]:
                 # t·u⁻¹ fixes 0..i and is not the identity, so i + 1 < degree
-                stack.append((_mul(t, _inv(level.orbit[t[i]])), i + 1, True))
-        self._order = 1
-        for level in self._levels:
-            self._order *= len(level.orbit)
+                stack.append((_mul(t, _inv(orbit[t[i]])), i + 1, True))
+        self._order = math.prod(map(len, self._transversals))
 
     def _sift_images(self, p, start=0):
         """Strip p through levels from `start`; return (residue, stop level)."""
@@ -219,7 +208,7 @@ class PermGroup:
             point = p[i]
             if point == i:
                 continue
-            u = self._levels[i].orbit.get(point)
+            u = self._transversals[i].get(point)
             if u is None:
                 return p, i
             p = _mul(p, _inv(u))
@@ -253,12 +242,12 @@ class PermGroup:
         if i == self.degree:
             return [tuple(range(self.degree))]
         deeper = self._element_tuples(i + 1)
-        level = self._levels[i]
-        if len(level.orbit) == 1:
+        orbit = self._transversals[i]
+        if len(orbit) == 1:
             return deeper
         out = []
-        for point in sorted(level.orbit):
-            u = level.orbit[point]
+        for point in sorted(orbit):
+            u = orbit[point]
             out.extend(_mul(s, u) for s in deeper)
         return out
 
@@ -273,9 +262,9 @@ class PermGroup:
     def _descent(self) -> list:
         """(base, {point: transversal}, orbit points, stacked transversal) of
         each chain level with a nontrivial orbit, in base order."""
-        return [(base, level.orbit, np.array(sorted(level.orbit)),
-                 np.array([level.orbit[p] for p in sorted(level.orbit)]))
-                for base, level in enumerate(self._levels) if len(level.orbit) > 1]
+        return [(base, orbit, np.array(sorted(orbit)),
+                 np.array([orbit[p] for p in sorted(orbit)]))
+                for base, orbit in enumerate(self._transversals) if len(orbit) > 1]
 
     def canonical_rows(self, rows) -> np.ndarray:
         """Lexicographically minimal element of (self)·g for every row g of
@@ -306,9 +295,7 @@ class PermGroup:
 
         Returns the canonical rows of the orbit in breadth-first discovery
         order, rows[0] being that of (self)·start, and the key of the
-        canonical row of rows[w]·gens[s] at w·S + s.  The rows are
-        native-endian uint16, not ROW (np.concatenate drops the byte order):
-        key them with row_keys, never with their raw bytes.  A frontier is
+        canonical row of rows[w]·gens[s] at w·S + s.  A frontier is
         multiplied by every generator a block of rows at a time, at most
         WALK_BLOCK_ROWS images per block, and each block's new cosets are
         kept in order of first occurrence, which is the order a first-in
@@ -334,14 +321,14 @@ class PermGroup:
                                      "right cosets")
                 found.append(images[np.sort(first[new])])
                 seen = np.insert(seen, at[new], fresh[new])  # stays sorted
-            frontier = found[0] if len(found) == 1 else np.concatenate(found)
+            frontier = found[0] if len(found) == 1 else np.concatenate(found, dtype=ROW)
             blocks.append(frontier)
-        return np.concatenate(blocks), np.concatenate(image_keys)
+        return np.concatenate(blocks, dtype=ROW), np.concatenate(image_keys)
 
     @cached_property
     def _double_coset_min(self) -> dict:
-        """Byte key of the canonical row of every right coset in an orbit
-        walked so far -> the least element of its double coset."""
+        """Canonical row, as a tuple, of every right coset in an orbit walked
+        so far -> the least element of its double coset."""
         return {}
 
     def min_in_double_coset(self, g: Permutation) -> Permutation:
@@ -353,11 +340,11 @@ class PermGroup:
         coset costs one canonical row and a lookup.
         """
         memo = self._double_coset_min
-        least = memo.get(row_key(self._canonical_images(g.images)))
+        least = memo.get(self._canonical_images(g.images))
         if least is None:
-            keys = row_keys(self.coset_orbit(g.images, self.generator_rows)[0]).tolist()
-            least = _wrap(np.frombuffer(min(keys), dtype=ROW).tolist())
-            memo.update(zip(keys, repeat(least)))
+            keys = list(map(tuple, self.coset_orbit(g.images, self.generator_rows)[0].tolist()))
+            least = _wrap(min(keys))
+            memo.update(dict.fromkeys(keys, least))
         return least
 
 
@@ -365,11 +352,6 @@ def row_keys(rows) -> np.ndarray:
     """One opaque byte key per row; keys compare like the image tuples."""
     rows = np.ascontiguousarray(rows, dtype=ROW)
     return rows.view(np.dtype((np.void, rows.shape[-1] * ROW.itemsize)))[..., 0]
-
-
-def row_key(images) -> bytes:
-    """The key `row_keys` gives the one row `images`, packed without numpy."""
-    return struct.pack(f">{len(images)}H", *images)
 
 
 def rank_keys(sorted_keys, keys):

@@ -161,9 +161,9 @@ def sample(G, rng):
     level of its stabilizer chain; rng is a random.Random-like object."""
     from heckelab.permgroup import Permutation
     e = tuple(range(G.degree))
-    for level in reversed(G._levels):
-        if len(level.orbit) > 1:
-            e = mul(e, level.orbit[rng.choice(sorted(level.orbit))])
+    for orbit in reversed(G._transversals):
+        if len(orbit) > 1:
+            e = mul(e, orbit[rng.choice(sorted(orbit))])
     return Permutation(e)
 
 
@@ -275,8 +275,8 @@ def orbit(start, gens, step):
 def chain_levels(H):
     """(base, {orbit point: transversal images}) for each level of H's
     stabilizer chain with a nontrivial orbit, in base order."""
-    return [(base, dict(level.orbit)) for base, level in enumerate(H._levels)
-            if len(level.orbit) > 1]
+    return [(base, dict(orbit)) for base, orbit in enumerate(H._transversals)
+            if len(orbit) > 1]
 
 
 def closure_chain(degree, generators):
@@ -785,13 +785,11 @@ def level_permutation_by_vertices(g, n):
     return Permutation([position[c.apply_to_address(v)] for v in level])
 
 
-def canonical_row_key_by_array(H, images):
+def canonical_row_by_array(H, images):
     """The memo key of the right coset H·g: its canonical row from the numpy
-    descent `canonical_rows` on a one-row array, as bytes.  The lookup
-    `PermGroup.min_in_double_coset` made without numpy."""
-    from heckelab.permgroup import row_keys
-
-    return row_keys(H.canonical_rows([images]))[0].tobytes()
+    descent `canonical_rows` on a one-row array, as a tuple.  The lookup
+    `PermGroup.min_in_double_coset` makes it without numpy."""
+    return tuple(H.canonical_rows([images])[0].tolist())
 
 
 # -- the wreath embeddings by convolution in the group algebra C[V ⋊ G] -----------

@@ -15,8 +15,8 @@ double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
 `oracles.r_index` and `oracles.min_in_double_coset` walk them one coset at
 a time.  Both must agree exactly.  `min_in_double_coset` keys its memo by
-one row canonicalised on tuples; `oracles.canonical_row_key_by_array` is
-the numpy descent it replaced.
+one row canonicalised on tuples, the canonical row itself;
+`oracles.canonical_row_by_array` is the numpy descent it replaced.
 """
 
 import functools
@@ -31,7 +31,7 @@ from heckelab import hecke
 from heckelab.embed import SCENARIOS
 from heckelab.errors import ScaleError
 from heckelab.hecke import HeckePair, PairSpec
-from heckelab.permgroup import (DoubleCosetTable, PermGroup, Permutation, r_index, row_key,
+from heckelab.permgroup import (ROW, DoubleCosetTable, PermGroup, Permutation, r_index,
                                 symmetric_group)
 from heckelab.treefam import LEVEL_POINT_CAP, TreeShape, ball_aut_group, closed_form_order
 
@@ -348,14 +348,14 @@ def ball_group(d, k, n):
 
 @settings(max_examples=examples(100), deadline=None)
 @given(st.sampled_from(BALL_SHAPES), st.randoms(use_true_random=False))
-def test_single_row_key_matches_the_array_descent(shape, rng):
-    # the key of H·x, and of H·h·x for some h in H: one right coset
+def test_single_row_descent_matches_the_array_descent(shape, rng):
+    # the canonical row of H·x, and of H·h·x for some h in H: one right coset
     H = ball_group(*shape)
     x = tuple(rng.sample(range(H.degree), H.degree))
-    key = oracles.canonical_row_key_by_array(H, x)
-    assert row_key(H._canonical_images(x)) == key
+    key = oracles.canonical_row_by_array(H, x)
+    assert H._canonical_images(x) == key
     h = oracles.sample(H, rng)
-    assert row_key(H._canonical_images(oracles.mul(h.images, x))) == key
+    assert H._canonical_images(oracles.mul(h.images, x)) == key
 
 
 @pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
@@ -388,3 +388,28 @@ def test_min_in_double_coset_walks_each_double_coset_once(d, k, n, monkeypatch):
     for _ in range(50):
         h1, h2 = rng.choice(elements), rng.choice(elements)
         assert H.min_in_double_coset(h1 * x * h2) == least
+
+
+@pytest.mark.parametrize("d, k, n", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_min_in_double_coset_memo_holds_canonical_rows(d, k, n):
+    # every key is a canonical row, and every walk files the least of its
+    # own keys under each of them
+    H = ball_aut_group(TreeShape(d, k), n)
+    rng = random.Random(f"keys{d}{k}{n}")
+    for _ in range(4):
+        H.min_in_double_coset(Permutation(rng.sample(range(H.degree), H.degree)))
+    walks = {}
+    for key, least in H._double_coset_min.items():
+        assert H._canonical_images(key) == key
+        walks.setdefault(least.images, []).append(key)
+    assert all(least == min(keys) for least, keys in walks.items())
+
+
+@pytest.mark.parametrize("which", ["flagship", "s4-squared"])
+def test_row_arrays_are_big_endian(which, flagship_pair):
+    # the bytes of every row array sort like its image tuples
+    pair = flagship_pair if which == "flagship" else SCENARIOS[which]().pair_big
+    G, H = pair.group, pair.subgroup
+    assert H.coset_orbit(np.arange(G.degree), G.generator_rows)[0].dtype == ROW
+    assert pair.cosets.rows.dtype == ROW
+    assert pair.table.representatives.dtype == ROW

@@ -91,7 +91,7 @@ def assert_chain_matches_closure(G, rng):
     the element set."""
     m = G.degree
     orbits, order = oracles.closure_chain(m, [g.images for g in G.generators])
-    assert [set(level.orbit) for level in G._levels] == [set(o) for o in orbits]
+    assert [set(orbit) for orbit in G._transversals] == [set(o) for o in orbits]
     assert G.order() == order
     for _ in range(20):
         p = oracles.sample(G, rng)
@@ -145,7 +145,7 @@ def test_symmetric_group_chain_matches_schreier_sims(m):
     # orbit {i..m-1}
     G = symmetric_group(m)
     assert G.order() == math.factorial(m)
-    assert [set(level.orbit) for level in G._levels] == [set(range(i, m)) for i in range(m)]
+    assert [set(orbit) for orbit in G._transversals] == [set(range(i, m)) for i in range(m)]
     rng = random.Random(m)
     assert_chain_matches_closure(G, rng)
     identity = tuple(range(m))
