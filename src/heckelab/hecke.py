@@ -130,9 +130,9 @@ class PairSpec:
 class HeckePair:
     """A pair (G, H) with its double-coset table and structure constants.
 
-    λ-matrices are built on demand, from the action of G's generators on
-    H\\G (see `cell_class`).  `spec` is the tree pair it was built from,
-    None for a pair built by hand.
+    λ-matrices are built on demand, from the action arrays of G's and H's
+    generators on H\\G (see `cell_class`).  `spec` is the tree pair it was
+    built from, None for a pair built by hand.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup, name: str = "",

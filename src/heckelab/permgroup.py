@@ -13,16 +13,15 @@ greedy descent of the chain computes min(H g) under the total order
 Cosets are handled as whole arrays of permutation rows, after the Schreier
 vector coset enumeration of Seress, *Permutation Group Algorithms* (CUP
 2003), ch. 4.  One routine canonicalises a block of rows (per chain level,
-an argmin over the orbit and a gather with the transversal), one walks the
-orbit of a coset under right multiplication a frontier at a time (in blocks
-of bounded size, refusing orbits above the coset cap), keeping the key of
-every image, and rows are ranked against sorted rows by binary search on
-byte keys.  The coset space H\\G is just its sorted rows; G's action on it
-and the walk's breadth-first tree are the walk's image keys, ranked once.
-The R-indices and the minimal double-coset elements come from these
-routines, and double cosets H\\G/H are the orbits of H's action arrays on
-H\\G, never computed on raw group elements, and their
-table keeps them as arrays (representatives as rows, classes as indices).
+an argmin over the orbit and a gather with the transversal); one walks the
+orbit of a coset under right multiplication a frontier at a time, in blocks
+of bounded size, refusing orbits above the coset cap, and numbers every
+image by the position of its coset in the walk.  H\\G is its sorted rows,
+and one walk under G's generators and then H's gives the action arrays of
+both and the walk's breadth-first tree; other rows are ranked by binary
+search on byte keys.  R-indices and minimal double-coset elements come from
+these routines, and double cosets H\\G/H are the orbits of H's action
+arrays, kept as arrays (representatives as rows, classes as indices).
 A group memoises the minimal element of each double coset it has walked,
 keyed on the canonical row, as a tuple, of every right coset in the walk (a
 lookup canonicalises its one row on tuples, without numpy), so its memory
@@ -294,36 +293,41 @@ class PermGroup:
         by the rows of `gens`, an (S, m) array.
 
         Returns the canonical rows of the orbit in breadth-first discovery
-        order, rows[0] being that of (self)·start, and the key of the
-        canonical row of rows[w]·gens[s] at w·S + s.  A frontier is
+        order, rows[0] being that of (self)·start, and the index in them
+        (int32) of the coset of rows[w]·gens[s] at w·S + s.  A frontier is
         multiplied by every generator a block of rows at a time, at most
-        WALK_BLOCK_ROWS images per block, and each block's new cosets are
-        kept in order of first occurrence, which is the order a first-in
-        first-out walk finds them.  An orbit of more than COSET_INDEX_CAP
-        cosets raises ScaleError in the block that takes the count past the
-        cap.
+        WALK_BLOCK_ROWS images per block; each block's new cosets are
+        numbered in order of first occurrence, the order a first-in first-out
+        walk finds them, and `where` keeps their numbers beside their sorted
+        keys.  An orbit of more than COSET_INDEX_CAP cosets raises ScaleError
+        in the block that takes the count past the cap.
         """
         frontier = self.canonical_rows([start])
-        seen = row_keys(frontier)
-        blocks, image_keys = [frontier], []
+        seen, where = row_keys(frontier), np.zeros(1, dtype=np.int32)
+        blocks, positions = [frontier], []
         step = max(1, WALK_BLOCK_ROWS // max(1, len(gens)))
         while len(frontier):
             found = []
             for i in range(0, len(frontier), step):
                 images = self.canonical_rows(
                     gens[:, frontier[i:i + step]].swapaxes(0, 1).reshape(-1, self.degree))
-                image_keys.append(row_keys(images))
-                fresh, first = np.unique(image_keys[-1], return_index=True)
+                fresh, first, inverse = np.unique(
+                    row_keys(images), return_index=True, return_inverse=True)
                 at = np.searchsorted(seen, fresh)
-                new = seen[np.minimum(at, len(seen) - 1)] != fresh
+                known = np.minimum(at, len(seen) - 1)
+                new = seen[known] != fresh
                 if len(seen) + np.count_nonzero(new) > COSET_INDEX_CAP:
                     raise ScaleError(f"coset orbit walk found more than {COSET_INDEX_CAP} "
                                      "right cosets")
+                fresh_at = where[known]
+                fresh_at[new] = len(seen) + np.argsort(np.argsort(first[new]))
+                positions.append(fresh_at[inverse])
                 found.append(images[np.sort(first[new])])
                 seen = np.insert(seen, at[new], fresh[new])  # stays sorted
+                where = np.insert(where, at[new], fresh_at[new])
             frontier = found[0] if len(found) == 1 else np.concatenate(found, dtype=ROW)
             blocks.append(frontier)
-        return np.concatenate(blocks, dtype=ROW), np.concatenate(image_keys)
+        return np.concatenate(blocks, dtype=ROW), np.concatenate(positions)
 
     @cached_property
     def _double_coset_min(self) -> dict:
@@ -425,30 +429,28 @@ def check_coset_count(size: int) -> int:
 
 class CosetIndex:
     """The right-coset space H\\G: its canonical (lex-minimal) representatives,
-    the right action of G's generators on them and the walk's tree.
+    the right action of G's generators and H's on them and the walk's tree.
 
     Representatives are sorted lexicographically, which puts the identity
     (the representative of the coset H itself) at index 0; `rows` holds them
-    as an (N, m) array, and ``action[s, i]`` is the index of H·r_i·g_s.
-    `walk` lists the cosets in the order the walk found them; coset i ≠ 0
-    was first found as the image of `parent[i]` under g_{move[i]}, and
-    coset 0, the root and first, is its own parent.
+    as an (N, m) array, and ``action[s, i]`` is the index of H·r_i·g_s, g_s
+    running over G's generators, then H's.  `walk` lists the cosets in the
+    order the walk found them; coset i ≠ 0 was first found as the image of
+    `parent[i]` under g_{move[i]}, and the root 0 is its own parent.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         _check_subgroup(G, H)
         size = check_coset_count(G.order() // H.order())
         self.subgroup = H
-        found, images = H.coset_orbit(np.arange(G.degree), G.generator_rows)
+        gens = len(G.generators) + len(H.generators)
+        found, positions = H.coset_orbit(
+            np.arange(G.degree), np.concatenate([G.generator_rows, H.generator_rows]))
         if len(found) != size:
-            raise RuntimeError(
-                f"coset enumeration found {len(found)} cosets, expected {size}")
-        keys = row_keys(found)
-        order = np.argsort(keys)
-        self.rows, self._keys = found[order], keys[order]
-        self.walk = np.argsort(order).astype(np.int32)
-        gens = len(G.generators)
-        targets = rank_keys(self._keys, images)[0]
+            raise RuntimeError(f"coset enumeration found {len(found)} cosets, expected {size}")
+        order = np.argsort(row_keys(found))
+        self.rows, self.walk = found[order], np.argsort(order).astype(np.int32)
+        targets = self.walk[positions]  # each image's index among the sorted rows
         self.action = np.ascontiguousarray(targets.reshape(size, gens)[order].T)
         # the first image of a coset, in walk order, is the edge the walk found it by
         reached, first = np.unique(targets, return_index=True)
@@ -461,7 +463,7 @@ class CosetIndex:
 
     def cosets_of(self, rows) -> np.ndarray:
         """Indices (int32) of the right cosets H·g, g over the rows of `rows`."""
-        idx, found = rank_keys(self._keys, row_keys(self.subgroup.canonical_rows(rows)))
+        idx, found = rank_keys(row_keys(self.rows), row_keys(self.subgroup.canonical_rows(rows)))
         if not found.all():
             raise ContainmentError("permutation is not an element of the group")
         return idx
@@ -480,16 +482,14 @@ class DoubleCosetTable:
     `sizes[d]` = |H|·R(d) as Python ints (|G| overflows int64 above 20
     points).  `roots[d]` is class d's least coset, that of its
     representative.  `subgroup_action[s, i]` is the coset of r_i·h_s for H's
-    generators h_s.
+    generators h_s: the last rows of `cosets.action`, as a view.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         self.cosets = cosets = CosetIndex(G, H)
         # a class is an orbit of H on H\\G; its least coset holds the minimum
         # of the double coset, so classes sort like their representatives
-        self.subgroup_action = np.array(
-            [cosets.cosets_of(h[cosets.rows]) for h in H.generator_rows],
-            dtype=np.int32).reshape(-1, len(cosets))
+        self.subgroup_action = cosets.action[len(G.generators):]
         roots, classes = np.unique(orbit_roots(self.subgroup_action, len(cosets)),
                                    return_inverse=True)
         self.roots, self.class_of_coset = roots.astype(np.int32), classes.astype(np.int32)

@@ -377,6 +377,23 @@ def coset_enumeration(G, H):
     return reps, action
 
 
+def action_by_ranking(cosets, gens):
+    """Action arrays of the rows of `gens` on H\\G: every coset row times
+    each generator, canonicalised and ranked by binary search among the
+    sorted byte keys of the representatives.  The ranking of image keys
+    `CosetIndex` replaced by the walk's own positions, and, for H's
+    generators, the H-action pass `DoubleCosetTable` replaced by a view of
+    the same action."""
+    from heckelab.permgroup import rank_keys, row_keys
+    keys = row_keys(cosets.rows)
+    action = np.empty((len(gens), len(cosets)), dtype=np.int32)
+    for s, g in enumerate(gens):
+        idx, found = rank_keys(keys, row_keys(cosets.subgroup.canonical_rows(g[cosets.rows])))
+        assert found.all()
+        action[s] = idx
+    return action
+
+
 def double_coset_classes(H, reps):
     """(blocks, class_of_coset, inverse_class) from the H-orbit of each coset
     of the sorted representatives `reps`, walked one coset at a time."""
@@ -453,8 +470,8 @@ def lambda_structure_constants(pair, cell):
 def tree_translations(cosets):
     """Yield (j, R_j) for every coset j, where R_j[i] is the coset H·r_i·w_j⁻¹.
 
-    Here w_j is the word in G's generators along the path to j of a
-    breadth-first tree grown on `cosets.action`, so H·w_j = H·r_j, and
+    Here w_j is the word in G's and H's generators along the path to j of
+    a breadth-first tree grown on `cosets.action`, so H·w_j = H·r_j, and
     H·r_i·w_j⁻¹ lies in the double coset of r_i·r_j⁻¹.  Each R_j is one
     gather of its parent's, R_j = R_parent[inverse action of the tree
     generator]; the tree is walked depth first, so only the translations

@@ -1,9 +1,9 @@
 """The array kernels against the slow paths they replaced.
 
-`HeckePair` derives its λ-cell table from the right action of G's generators
-on H\\G, row by row along the tree of the walk that enumerated the cosets,
-and its structure constants from one row of that table per double coset,
-gathered along the same tree; `oracles.dense_cell_table` and
+`HeckePair` derives its λ-cell table from the right action of G's and H's
+generators on H\\G, row by row along the tree of the walk that enumerated
+the cosets, and its structure constants from one row of that table per
+double coset, gathered along the same tree; `oracles.dense_cell_table` and
 `oracles.lambda_structure_constants` are the per-cell slow paths,
 `oracles.all_rows_structure_constants` counts every row of the table along
 a tree of its own, and `oracles.per_class_structure_constants` counts one
@@ -14,9 +14,11 @@ space, its action, the double-coset classes, R-indices and minimal
 double-coset elements come from whole-array orbits in `permgroup`;
 `oracles.coset_enumeration`, `oracles.double_coset_classes`,
 `oracles.r_index` and `oracles.min_in_double_coset` walk them one coset at
-a time.  Both must agree exactly.  `min_in_double_coset` keys its memo by
-one row canonicalised on tuples, the canonical row itself;
-`oracles.canonical_row_by_array` is the numpy descent it replaced.
+a time, and `oracles.action_by_ranking` ranks the canonical image of every
+coset row under each generator.  Both must agree exactly.
+`min_in_double_coset` keys its memo by one row canonicalised on tuples, the
+canonical row itself; `oracles.canonical_row_by_array` is the numpy descent
+it replaced.
 """
 
 import functools
@@ -54,6 +56,12 @@ def assert_walk_tree(cosets):
 
 def assert_kernel_matches_oracle(pair):
     assert_walk_tree(pair.cosets)
+    # G's generators, then H's: one walk numbers the images of both
+    G_rows, H_rows = pair.group.generator_rows, pair.subgroup.generator_rows
+    assert np.array_equal(pair.cosets.action, oracles.action_by_ranking(
+        pair.cosets, np.concatenate([G_rows, H_rows])))
+    assert np.array_equal(pair.table.subgroup_action,
+                          oracles.action_by_ranking(pair.cosets, H_rows))
     cell = oracles.dense_cell_table(pair)
     assert pair.cell_class.dtype == np.int32
     assert np.array_equal(pair.cell_class, cell)
@@ -135,9 +143,12 @@ def test_translations_are_right_translations(flagship_pair):
 
 
 def test_action_arrays(flagship_pair):
+    # the rows of G's generators, then those of H's
     cosets = flagship_pair.cosets
-    gens = flagship_pair.group.generators
+    gens = flagship_pair.group.generators + flagship_pair.subgroup.generators
     assert cosets.action.shape == (len(gens), len(cosets))
+    assert np.array_equal(flagship_pair.table.subgroup_action,
+                          cosets.action[len(flagship_pair.group.generators):])
     for s, g in enumerate(gens):
         for i in range(0, len(cosets), 7):
             image = Permutation(cosets.rows[i].tolist()) * g
@@ -278,7 +289,8 @@ def assert_cosets_match_oracle(G, H):
     cosets = table.cosets
     reps, action = oracles.coset_enumeration(G, H)
     assert [tuple(r) for r in cosets.rows.tolist()] == reps
-    assert cosets.action.dtype == np.int32 and np.array_equal(cosets.action, action)
+    assert cosets.action.dtype == np.int32
+    assert np.array_equal(cosets.action[:len(G.generators)], action)
     blocks, class_of, inverse = oracles.double_coset_classes(H, reps)
     assert [tuple(np.flatnonzero(table.class_of_coset == d).tolist())
             for d in range(len(table))] == blocks

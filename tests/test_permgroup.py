@@ -299,11 +299,15 @@ class TestCosetOrbit:
             cases.append((H, _shuffled(H.degree, f"walk{d}{k}{n}").images, H.generator_rows))
         whole = [H.coset_orbit(start, gens) for H, start, gens in cases]
         monkeypatch.setattr(permgroup, "WALK_BLOCK_ROWS", 5)
-        for (H, start, gens), (rows, images) in zip(cases, whole):
-            blocked_rows, blocked_images = H.coset_orbit(start, gens)
+        for (H, start, gens), (rows, positions) in zip(cases, whole):
+            blocked_rows, blocked_positions = H.coset_orbit(start, gens)
             assert np.array_equal(blocked_rows, rows)
-            assert np.array_equal(blocked_images, images)
-            assert len(images) == len(rows) * len(gens)
+            assert blocked_positions.dtype == positions.dtype == np.int32
+            assert np.array_equal(blocked_positions, positions)
+            assert len(positions) == len(rows) * len(gens)
+            # position w·S + s holds the walk position of the coset of rows[w]·gens[s]
+            images = gens[:, rows].swapaxes(0, 1).reshape(-1, H.degree)
+            assert np.array_equal(rows[positions], H.canonical_rows(images))
 
     def test_walk_refuses_past_the_coset_cap(self, monkeypatch):
         H = ball_aut_group(TreeShape(2, 2), 3)

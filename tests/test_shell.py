@@ -207,10 +207,11 @@ def test_decay_takes_d_from_the_certificate(workdir, capsys, flagship_certificat
 
 @pytest.mark.parametrize("command", ["decay", "verify"])
 def test_certificate_pair_must_fit_its_basis(workdir, capsys, flagship_certificate, command):
-    # d edited to 3 while the basis stays that of (S_8, Q_3): (S_27, Q_3) is over
-    # the coset cap, and (S_9, Q_2) has no 8-point basis rows
+    # d edited while the basis stays that of (S_8, Q_3): (S_27, Q_3) is over
+    # the coset cap, (S_9, Q_2) has no 8-point basis rows, and d = 1 is no tree
     data = flagship_certificate.to_json_dict()
-    for d, l, reason in ((3, 3, "right-coset space"), (3, 2, "d^l = 9 points")):
+    for d, l, reason in ((3, 3, "right-coset space"), (3, 2, "d^l = 9 points"),
+                         (1, 3, "tree degrees d and k must be at least 2")):
         data.update(d=d, l=l)
         (workdir / "cert.json").write_text(json.dumps(data))
         assert main([command, "cert.json"]) == 2
@@ -305,6 +306,28 @@ def test_verify_fails_overflowing_weights_without_a_traceback(workdir, capsys,
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.startswith("certificate verification: FAIL\n  failed: weight-sum\n")
+
+
+def test_verify_fails_a_negative_weight(workdir, capsys, flagship_certificate):
+    # the weights still sum to 1, but one of them is below 0
+    data = flagship_certificate.to_json_dict()
+    weights = data["spectral"]["weights"]
+    weights[1] += 2 * weights[0]
+    weights[0] = -weights[0]
+    (workdir / "cert.json").write_text(json.dumps(data))
+    assert main(["verify", "cert.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("certificate verification: FAIL\n")
+    assert "\n  failed: weight-positivity\n" in captured.out
+    assert "failed: weight-sum" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["verify", "decay"])
+def test_certificate_that_is_not_an_object_exits_2(workdir, capsys, flagship_certificate,
+                                                   command):
+    (workdir / "cert.json").write_text(json.dumps([flagship_certificate.to_json_dict()]))
+    assert main([command, "cert.json"]) == 2
+    assert capsys.readouterr() == ("", "error: certificate is not a JSON object\n")
 
 
 def test_decay_refuses_a_certificate_too_short_for_the_circle_average(workdir, capsys):
@@ -492,12 +515,13 @@ def test_malformed_certificate_exits_2_with_one_line(workdir, capsys, field,
     (("spectral", "weights", 0), math.nan, "'spectral.weights'"),
     (("spectral", "angles", 0), math.nan, "'spectral.angles'"),
     (("spectral",), {"angles": [], "weights": []}, "'spectral'"),
+    (("moments",), {"re": [], "im": []}, "certificate field 'moments' is empty"),
     (("tolerances", "unitarity"), math.nan, "'tolerances.unitarity'"),
     (("u", "re", 0), math.inf, "'u.re'"),
     (("v", "im", 0), 10 ** 400, "'v.im'"),
     *[(("u", "re", 0), float(f"1e{e}"), None) for e in (50, 100, 150, 160, 200)],
 ], ids=["moment-nan", "moment-minus-inf", "max-nan", "weight-nan", "angle-nan",
-        "spectral-empty", "tolerance-nan", "u-inf", "v-beyond-float",
+        "spectral-empty", "moments-empty", "tolerance-nan", "u-inf", "v-beyond-float",
         "u-1e50", "u-1e100", "u-1e150", "u-1e160", "u-1e200"])
 def test_non_finite_certificates_fail_closed(workdir, capsys, flagship_certificate,
                                              path, value, named):
@@ -599,6 +623,19 @@ def test_spher_commands(workdir, capsys):
     assert key["images"] == [0, 1, 2, 3]
 
     assert main(["spher", "key", "g.json"]) == 2  # missing --n
+    capsys.readouterr()
+
+    assert main(["spher", "compose", "g.json", "g.json", "--out", "gg.json"]) == 0
+    assert capsys.readouterr().out == "written to gg.json\n"
+    assert json.loads((workdir / "gg.json").read_text()) == composed
+
+
+def test_spher_compose_refuses_two_tree_shapes(workdir, capsys):
+    for name, shape in (("g.json", TreeShape(2, 2)), ("h.json", TreeShape(3, 2))):
+        identity = AlmostAutomorphism.identity(shape)
+        (workdir / name).write_text(json.dumps(to_json_dict(identity)))
+    assert main(["spher", "compose", "g.json", "h.json"]) == 2
+    assert capsys.readouterr() == ("", "error: elements live on different tree shapes\n")
 
 
 @pytest.mark.parametrize("argv, files", [
