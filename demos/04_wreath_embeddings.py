@@ -27,7 +27,7 @@ for axiom, ok in report.rows():
 # its basis is the swap-orbit sums of the classes D of (V, V_0), each class
 # weighted 1/R(D): in double-coset coordinates, p_{V0} δ_r p_{V0} is e_D/R(D).
 pair_v = scenario.pair_V
-r_index = pair_v.r_indices.tolist()
+r_index = pair_v.r_index.tolist()
 invariant = [pair_v.element_from_fractions(
                  [x.exact.coeff(j)[0] / r for j, r in enumerate(r_index)])
              for x in scenario.invariant_basis()]
@@ -39,7 +39,7 @@ print(f"\ninvariant corner dimension: {len(invariant)}")
 print("V_0 ⋊ Γ equals Q_3:", scenario.V0_gamma.same_group(q_group(2, 3)))
 flagship = PairSpec.depth(2, 3).pair()
 pair_big = scenario.pair_big
-to_flagship = double_coset_map(pair_big, pair_big.table.representatives, flagship)
+to_flagship = double_coset_map(pair_big, pair_big.representatives, flagship)
 lifted = [to_flagship(embed_invariant(scenario, x)) for x in invariant]
 for h in lifted:
     print("  lifted:", h)

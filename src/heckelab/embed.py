@@ -49,11 +49,11 @@ def double_coset_map(source: HeckePair, rows, target: HeckePair):
     M[D, F] = R(D)·L/R(F), so applying it is one product x·M over x.den·L.
     """
     classes = target.class_of_coset[target.cosets.cosets_of(rows)]
-    r_target = target.r_indices[classes].tolist()
+    r_target = target.r_index[classes].tolist()
     common = math.lcm(*r_target)
     matrix = np.zeros((source.dim, target.dim), dtype=object)
     matrix[np.arange(source.dim), classes] = [
-        r * (common // r_f) for r, r_f in zip(source.r_indices.tolist(), r_target)]
+        r * (common // r_f) for r, r_f in zip(source.r_index.tolist(), r_target)]
 
     def apply(x: HeckeElement) -> HeckeElement:
         return HeckeElement(target, ExactVector(x.exact.den * common, x.exact.re.dot(matrix),
@@ -125,9 +125,9 @@ class WreathScenario:
         """The double-coset maps of x ↦ x·p_Γ and y ↦ p_{V0}·y; the top
         representatives are lifted through the rigid block permutations."""
         m0 = self.base_group.degree
-        sigma = self.pair_top.table.representatives.astype(np.intp)
+        sigma = self.pair_top.representatives.astype(np.intp)
         lifted = (sigma[:, :, None] * m0 + np.arange(m0)).reshape(len(sigma), -1)
-        return (double_coset_map(self.pair_V, self.pair_V.table.representatives, self.pair_big),
+        return (double_coset_map(self.pair_V, self.pair_V.representatives, self.pair_big),
                 double_coset_map(self.pair_top, lifted, self.pair_big))
 
     @cached_property
@@ -140,7 +140,7 @@ class WreathScenario:
         t⁻¹·r_D·t, when t normalizes V_0."""
         if not _normalizes(gens, self.V0):
             raise InvarianceError("conjugation does not leave V_0 invariant")
-        pair, reps = self.pair_V, self.pair_V.table.representatives
+        pair, reps = self.pair_V, self.pair_V.representatives
         # (t⁻¹·r·t)[i] = t[r[t⁻¹[i]]]; the inverse of a row is its argsort
         maps = [pair.class_of_coset[pair.cosets.cosets_of(t[reps[:, np.argsort(t)]])]
                 for t in (np.asarray(g.images) for g in gens)]

@@ -24,17 +24,19 @@ group-algebra corner p_H C[G] p_H is the independent oracle; it lives in
 the tests (`tests/groupalg.py`), not in the package.
 
 The canonical trace is the vector state at the base coset, τ(f) =
-⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial here
-because R(x) = R(x^{-1}) holds for every double coset; the constructor
-verifies this and refuses pairs where it fails rather than carrying a
-modular correction.
+⟨λ(f) δ_H, δ_H⟩, which is the coefficient of f on e_H.  It is tracial
+because R(x) = R(x^{-1}) for every double coset of a finite pair: inversion
+maps HxH onto Hx^{-1}H, and |HxH| = |H|·R(x).  The constructor checks the
+identity on the computed `r_index` and `inverse_class` arrays, as a guard on
+the table, not on the pair.
 
 Every tree pair, depth (S_{d^l}, Q_l) or level (S_{|V_n|}, P_n), is built
-through one `PairSpec`, which also checks its caps and names it.  A pair's
-`r_indices`, `star_map` and `class_of_coset` are its double-coset table's
-own arrays.  `_exactvec` (and with it `fractions` and `decimal`) is imported
-by the three functions that build exact elements, so a command that builds
-none, `census` or `witness`, never loads it.
+through one `PairSpec`, which also checks its caps and names it.  A
+`HeckePair` is its double-coset table: it subclasses `DoubleCosetTable` and
+reads the table's arrays under their own names.  `_exactvec` (and with it
+`fractions` and `decimal`) is imported by the three functions that build
+exact elements, so a command that builds none, `census` or `witness`, never
+loads it.
 """
 
 from __future__ import annotations
@@ -127,32 +129,29 @@ class PairSpec:
                          name=self.label, spec=self)
 
 
-class HeckePair:
-    """A pair (G, H) with its double-coset table and structure constants.
+class HeckePair(DoubleCosetTable):
+    """A pair (G, H): its double-coset table, with structure constants and
+    exact elements on top.
 
+    `len(pair)` is the class count `dim`, and `size` the coset count.
     λ-matrices are built on demand, from the action arrays of G's and H's
     generators on H\\G (see `cell_class`).  `spec` is the tree pair it was
     built from, None for a pair built by hand.
     """
 
+    _struct = None  # the structure constants, once counted
+
     def __init__(self, G: PermGroup, H: PermGroup, name: str = "",
                  spec: PairSpec | None = None):
+        super().__init__(G, H)
+        if not self.is_unimodular():
+            raise RuntimeError("double-coset table fails R(x) = R(x^{-1})")
         self.group = G
         self.subgroup = H
         self.name = name
         self.spec = spec
-        self.table = DoubleCosetTable(G, H)
-        if not self.table.is_unimodular():
-            raise RuntimeError(
-                "pair fails R(x) = R(x^{-1}); the canonical vector state "
-                "would not be tracial, refusing to build the algebra")
-        self.cosets = self.table.cosets
         self.size = len(self.cosets)
-        self.dim = len(self.table)
-        self.r_indices = self.table.r_index
-        self.star_map = self.table.inverse_class
-        self.class_of_coset = self.table.class_of_coset
-        self._struct = None
+        self.dim = len(self)
 
     # -- basis and λ ------------------------------------------------------------
 
@@ -172,7 +171,7 @@ class HeckePair:
                 f"λ-matrices for {self.size} cosets above cap {LAMBDA_CAP}")
         parent, move = self.cosets.parent.tolist(), self.cosets.move.tolist()
         cell = np.empty((self.size, self.size), dtype=np.int32)
-        cell[0] = self.star_map[self.class_of_coset]
+        cell[0] = self.inverse_class[self.class_of_coset]
         for i in self.cosets.walk[1:].tolist():
             cell[i] = cell[parent[i], self._inverse_action[move[i]]]
         return cell
@@ -204,12 +203,12 @@ class HeckePair:
         if self._struct is None:
             dim = self.dim
             cls = self.class_of_coset.astype(np.int64)
-            if any((cls[move] != cls).any() for move in self.table.subgroup_action):
+            if any((cls[move] != cls).any() for move in self.subgroup_action):
                 raise AssertionError("product of basis elements is not bi-invariant")
-            star_class = self.star_map.astype(np.int64)[cls]
+            star_class = self.inverse_class.astype(np.int64)[cls]
             parent, move = self.cosets.parent.tolist(), self.cosets.move.tolist()
             struct = np.empty((dim, dim, dim), dtype=np.int64)
-            for f, i in enumerate(self.table.roots.tolist()):
+            for f, i in enumerate(self.roots.tolist()):
                 # row i is row 0 gathered by the inverse moves from the root to i
                 index = np.arange(self.size)
                 while i:
@@ -261,7 +260,7 @@ class HeckePair:
             for e in range(d + 1, self.dim):
                 diff = struct[d, e] - struct[e, d]
                 if diff.any():
-                    row = diff[self.star_map[self.class_of_coset]]
+                    row = diff[self.inverse_class[self.class_of_coset]]
                     c = int(np.flatnonzero(row)[0])
                     return GelfandReport(False, witness=(d, e),
                                          entry=(0, c, int(row[c])))
@@ -313,7 +312,7 @@ class HeckeElement:
 
     def star(self) -> "HeckeElement":
         """Adjoint: λ(star(f)) is the conjugate transpose of λ(f)."""
-        return HeckeElement(self.pair, self.exact.permuted(self.pair.star_map).conjugate())
+        return HeckeElement(self.pair, self.exact.permuted(self.pair.inverse_class).conjugate())
 
     def trace(self):
         """⟨λ(f) δ_H, δ_H⟩ = the coefficient of f on e_H, a (re, im) pair of Fractions."""

@@ -71,13 +71,9 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def load_or_build_pair(spec: PairSpec) -> HeckePair:
-    """The one build of a command's pair: `spec.pair()`.
-
-    Kept under this name because `perfbench/tracer.py` patches it by name
-    as the `shell.load_pair` span.
-    """
-    return spec.pair()
+# the one build of a command's pair; an alias kept under this name because
+# `perfbench/tracer.py` patches it by name as the `shell.load_pair` span
+load_or_build_pair = PairSpec.pair
 
 
 class Reporter:
@@ -344,7 +340,8 @@ def main(argv=None) -> int:
     except ScaleError as exc:
         print(f"scale cap violated: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: json.load on input nested too deeply
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,7 +70,7 @@ def gns_matrix(pair: HeckePair, coef) -> np.ndarray:
     space of τ, in the orthonormal basis e_d / √R(d): S·L·S⁻¹ with
     S = diag(√R), Hermitian when the element is self-adjoint and unitary
     when it is; entry (0, 0) is its trace."""
-    root = np.sqrt(pair.r_indices)
+    root = np.sqrt(pair.r_index)
     return root[:, None] * pair.left_matrix(coef) / root
 
 
@@ -88,7 +88,7 @@ def selfadjoint_from_parameters(pair: HeckePair, params) -> np.ndarray:
                          f"parameters, not {len(params)}")
     values = iter(params)
     coef = np.zeros(pair.dim, dtype=np.complex128)
-    for d, dstar in enumerate(pair.star_map.tolist()):
+    for d, dstar in enumerate(pair.inverse_class.tolist()):
         if d == dstar:
             coef[d] = next(values)
         elif d < dstar:
@@ -105,12 +105,12 @@ def unitary_from_selfadjoint(pair: HeckePair, a) -> tuple:
     coefficients of exp(i·a) and its unitarity defect ‖U U* − 1‖
     (Frobenius), measured on the GNS space.
     """
-    defect = float(np.max(np.abs(a - np.conj(a[pair.star_map]))))
+    defect = float(np.max(np.abs(a - np.conj(a[pair.inverse_class]))))
     if defect > SELFADJOINT_TOL:
         raise ValueError(f"element is not self-adjoint (defect {defect:.2e})")
     eigenvalues, vectors = np.linalg.eigh(gns_matrix(pair, a))
     U = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
-    return U[:, 0] / np.sqrt(pair.r_indices), _unitarity_defect(U)
+    return U[:, 0] / np.sqrt(pair.r_index), _unitarity_defect(U)
 
 
 # -- moments and spectra -----------------------------------------------------------
@@ -422,7 +422,7 @@ def search_witness(pair: HeckePair, seed: int = DEFAULT_SEED,
         spec = spectral_data(w)
         return WitnessCertificate(
             d=pair.spec.d, l=pair.spec.n,
-            basis=pair.table.representatives.tolist(),
+            basis=pair.representatives.tolist(),
             u_coefficients=u,
             v_coefficients=v,
             angles=spec.angles,
@@ -561,11 +561,11 @@ class VerificationReport:
 
 
 @np.errstate(all="ignore")
-def verify_certificate(cert: WitnessCertificate,
-                       pair: HeckePair | None = None) -> VerificationReport:
-    """Re-derive everything in the certificate from its (d, l) parameters.
+def verify_certificate(cert: WitnessCertificate, pair: HeckePair) -> VerificationReport:
+    """Re-derive everything in the certificate on `pair`, the pair of its
+    (d, l) parameters, which the caller builds.
 
-    Rebuilds the pair and its double-coset basis, re-checks the basis order,
+    Re-checks the basis order against the pair's representatives,
     unitarity and the moment table on the λ-matrices of u and v (fresh matrix
     powers on ℓ²(H\\G), not the GNS matrices of the search), the moment
     bound, the spectral reconstruction, and runs the root-of-unity scan.
@@ -576,15 +576,13 @@ def verify_certificate(cert: WitnessCertificate,
     """
     failures = []
     diagnostics = {}
-    if pair is None:
-        pair = PairSpec.depth(cert.d, cert.l).pair()
     tol = DEFAULT_TOLERANCES
     stored = cert.tolerances
     if not (stored["unitarity"] <= tol["unitarity"]
             and stored["moment_margin"] >= tol["moment_margin"]
             and stored["root_scan_order"] >= tol["root_scan_order"]):
         failures.append("tolerances")
-    if [list(r) for r in cert.basis] != pair.table.representatives.tolist():
+    if [list(r) for r in cert.basis] != pair.representatives.tolist():
         failures.append("basis-order")
         return VerificationReport(False, failures, diagnostics)
     if len(cert.u_coefficients) != pair.dim or len(cert.v_coefficients) != pair.dim:

@@ -306,9 +306,9 @@ def corner_isomorphism_check(pair):
     carrier = EnumeratedGroup(pair.group)
     h_order = pair.subgroup.order()
     p = projector(carrier, pair.subgroup)
-    raw = corner_basis(carrier, pair.subgroup, pair.table)
+    raw = corner_basis(carrier, pair.subgroup, pair)
     images = [raw[j].scaled(Fraction(size, h_order))
-              for j, size in enumerate(pair.table.sizes)]
+              for j, size in enumerate(pair.sizes)]
 
     def embed(element) -> AlgebraElement:
         total = AlgebraElement.zero(carrier)
@@ -362,7 +362,7 @@ def hecke_image(embedded: AlgebraElement, pair):
             raise ValueError("element is not constant on a double coset")
         counts[cls] += 1
     for cls, c in enumerate(counts):
-        if c and c != pair.table.sizes[cls]:
+        if c and c != pair.sizes[cls]:
             raise ValueError("support covers a double coset only partially")
     h_order = pair.subgroup.order()
     return pair.element_from_fractions(

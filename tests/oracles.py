@@ -215,7 +215,7 @@ def trace_norm_formula(f):
     total = Fraction(0)
     for j in range(f.pair.dim):
         re, im = f.exact.coeff(j)
-        total += int(f.pair.r_indices[j]) * (re * re + im * im)
+        total += int(f.pair.r_index[j]) * (re * re + im * im)
     return total
 
 
@@ -526,7 +526,7 @@ def all_rows_structure_constants(pair):
     O(|H\\G|²) count the one-row-per-class constants replaced."""
     dim = pair.dim
     cls = pair.class_of_coset.astype(np.int64)
-    star_class = pair.star_map.astype(np.int64)[cls]
+    star_class = pair.inverse_class.astype(np.int64)[cls]
     by_class = np.zeros((dim, dim, dim), dtype=np.int64)
     done = np.zeros(dim, dtype=bool)
     for i, translation in tree_translations(pair.cosets):
@@ -548,9 +548,9 @@ def per_class_structure_constants(pair):
     class(r r_y⁻¹) = star(class(R[y]))."""
     dim = pair.dim
     cls = pair.class_of_coset.astype(np.int64)
-    star_class = pair.star_map.astype(np.int64)[cls]
+    star_class = pair.inverse_class.astype(np.int64)[cls]
     struct = np.empty((dim, dim, dim), dtype=np.int64)
-    for f, r in enumerate(pair.table.representatives):
+    for f, r in enumerate(pair.representatives):
         # the inverse of a permutation row is its argsort
         R = pair.cosets.cosets_of(np.argsort(r).astype(r.dtype)[pair.cosets.rows])
         counts = np.bincount(star_class[R] * dim + cls, minlength=dim * dim)
@@ -604,7 +604,7 @@ def selfadjoint_by_layout(pair, params):
     `witness.selfadjoint_from_parameters` replaced."""
     layout = []
     for d in range(pair.dim):
-        dstar = int(pair.star_map[d])
+        dstar = int(pair.inverse_class[d])
         if dstar == d:
             layout.append(("real", d))
         elif d < dstar:
@@ -816,7 +816,7 @@ def wreath_invariant_basis(scenario, big, gens):
     p_{V0} δ_x p_{V0} of (V, V_0), on the carrier `big` of V ⋊ G."""
     from groupalg import corner_basis, invariant_subalgebra
     from heckelab.permgroup import PermGroup
-    basis = corner_basis(big, scenario.V0, scenario.pair_V.table)
+    basis = corner_basis(big, scenario.V0, scenario.pair_V)
     return invariant_subalgebra(basis, PermGroup(scenario.degree, gens))
 
 
@@ -848,8 +848,8 @@ def double_coset_map_by_support(source, rows, target):
     the support: the loop `embed.double_coset_map` replaced by one integer
     matrix."""
     classes = target.class_of_coset[target.cosets.cosets_of(rows)].tolist()
-    images = [target.basis_element(f).scaled(Fraction(int(r), int(target.r_indices[f])))
-              for r, f in zip(source.r_indices.tolist(), classes)]
+    images = [target.basis_element(f).scaled(Fraction(int(r), int(target.r_index[f])))
+              for r, f in zip(source.r_index.tolist(), classes)]
 
     def apply(x):
         image = target.unit().scaled(0)

@@ -50,8 +50,8 @@ def test_criterion_01_double_coset_tables():
 
 
 def test_criterion_02_unimodularity(flagship_pair):
-    table = flagship_pair.table
-    assert (table.r_index == table.r_index[table.inverse_class]).all()
+    r_index = flagship_pair.r_index
+    assert (r_index == r_index[flagship_pair.inverse_class]).all()
     _report(2, "R(rep) = R(rep^{-1}) on every (S_8,Q_3) class, exactly")
 
 

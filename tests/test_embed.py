@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heckelab.errors import InvarianceError
+from heckelab.errors import ContainmentError, InvarianceError
 from heckelab.embed import (SCENARIOS, WreathScenario, check_commutation,
                             double_coset_map, embed_invariant, embed_top,
                             scenario_report, scenario_s2_cubed,
@@ -52,6 +52,18 @@ class TestScenarioConstruction:
                            [q_group(2, 2), trivial_group(4)],
                            2, s2, s2)
 
+    def test_refuses_groups_that_do_not_fit_the_blocks(self):
+        s2, s3, s4, d4 = (symmetric_group(2), symmetric_group(3), symmetric_group(4),
+                          q_group(2, 2))
+        with pytest.raises(ValueError, match="permute exactly the blocks"):
+            WreathScenario(s4, d4, 2, s3, s3)
+        with pytest.raises(ValueError, match="one base subgroup per block"):
+            WreathScenario(s4, [d4, d4, d4], 2, s2, s2)
+        with pytest.raises(ContainmentError, match="base subgroup"):
+            WreathScenario(d4, s4, 2, s2, s2)
+        with pytest.raises(ContainmentError, match="gamma"):
+            WreathScenario(s4, d4, 2, trivial_group(2), s2)
+
     def test_unbalanced_blocks_allowed_with_trivial_gamma(self):
         s2 = symmetric_group(2)
         scenario = WreathScenario(symmetric_group(4),
@@ -72,6 +84,12 @@ class TestInvariantEmbedding:
     def test_invariant_basis_dimension(self, s2sq, s4sq):
         assert len(s2sq.invariant_basis()) == 3
         assert len(s4sq.invariant_basis()) == 3
+
+    def test_rejects_elements_of_another_scenario(self, s2sq, s4sq):
+        with pytest.raises(ValueError, match=r"pair \(V, V_0\)"):
+            embed_invariant(s2sq, s4sq.pair_V.unit())
+        with pytest.raises(ValueError, match=r"pair \(G, Γ\)"):
+            embed_top(s2sq, s4sq.pair_top.unit())
 
     def test_rejects_non_invariant_elements(self, s4sq):
         # a single off-diagonal tensor factor is moved by the swap
@@ -163,7 +181,7 @@ class TestTowerIdentification:
 def _to_tree_pair(scenario, pair):
     """H(V⋊G, V_0⋊Γ) into H(S_m, V_0⋊Γ), for a tree pair whose subgroup is V_0⋊Γ."""
     assert scenario.V0_gamma.same_group(pair.subgroup)
-    return double_coset_map(scenario.pair_big, scenario.pair_big.table.representatives,
+    return double_coset_map(scenario.pair_big, scenario.pair_big.representatives,
                             pair)
 
 
@@ -213,7 +231,7 @@ def test_hecke_maps_match_the_group_algebra(name):
         assert embed_invariant(scenario, hecke_image(x, scenario.pair_V)) == \
             hecke_image(oracles.wreath_embed_invariant(scenario, big, x), scenario.pair_big)
     top = EnumeratedGroup(scenario.top)
-    for y in corner_basis(top, scenario.gamma, scenario.pair_top.table):
+    for y in corner_basis(top, scenario.gamma, scenario.pair_top):
         assert embed_top(scenario, hecke_image(y, scenario.pair_top)) == \
             hecke_image(oracles.wreath_embed_top(scenario, big, y), scenario.pair_big)
 
@@ -238,8 +256,8 @@ def test_matrix_maps_match_the_support_loop(name):
     m0 = scenario.base_group.degree
     # the top representatives lifted one block permutation at a time
     lifted = np.array([block_permutation(Permutation(row.tolist()), m0).images
-                       for row in scenario.pair_top.table.representatives])
-    _assert_maps_agree(scenario.pair_V, scenario.pair_V.table.representatives,
+                       for row in scenario.pair_top.representatives])
+    _assert_maps_agree(scenario.pair_V, scenario.pair_V.representatives,
                        scenario.pair_big)
     _assert_maps_agree(scenario.pair_top, lifted, scenario.pair_big)
 
@@ -247,13 +265,13 @@ def test_matrix_maps_match_the_support_loop(name):
 def test_matrix_map_into_the_flagship_matches_the_support_loop(s4sq, flagship_pair):
     # the arguments of `_to_tree_pair`: V_0 ⋊ Γ = Q_3
     assert s4sq.V0_gamma.same_group(flagship_pair.subgroup)
-    _assert_maps_agree(s4sq.pair_big, s4sq.pair_big.table.representatives, flagship_pair)
+    _assert_maps_agree(s4sq.pair_big, s4sq.pair_big.representatives, flagship_pair)
 
 
 def test_unbalanced_scenario_fails_in_both_pictures():
     scenario = _unbalanced()
     big = EnumeratedGroup(scenario.big)
-    y = corner_basis(EnumeratedGroup(scenario.top), scenario.gamma, scenario.pair_top.table)[0]
+    y = corner_basis(EnumeratedGroup(scenario.top), scenario.gamma, scenario.pair_top)[0]
     with pytest.raises(InvarianceError):
         oracles.wreath_embed_top(scenario, big, y)
     with pytest.raises(InvarianceError):

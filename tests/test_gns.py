@@ -66,7 +66,7 @@ def test_noncommutative_small_pairs(gh, seed, scale):
 def test_gns_matrix_of_the_basis():
     # e_d acts by S·N[d]ᵀ·S⁻¹; e_d* e_d has trace R(d), the squared norm of e_d
     pair = PairSpec.depth(2, 3).pair()
-    root = np.sqrt(pair.r_indices)
+    root = np.sqrt(pair.r_index)
     for d in range(pair.dim):
         e = pair.basis_element(d)
         M = gns_matrix(pair, e.exact.to_complex())

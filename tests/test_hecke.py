@@ -42,15 +42,15 @@ class TestLambdaMatrices:
             assert s4_d4_pair.basis_matrix(lab).tolist() == matrices[lab]
 
     def test_row_sums_are_r_indices(self, flagship_pair):
-        for j, r in enumerate(flagship_pair.table.r_index.tolist()):
+        for j, r in enumerate(flagship_pair.r_index.tolist()):
             M = flagship_pair.basis_matrix(j)
             assert set(M.sum(axis=1).tolist()) == {r}
 
     def test_column_sums_are_inverse_r_indices(self, flagship_pair):
-        r_index = flagship_pair.table.r_index
+        r_index = flagship_pair.r_index
         for j in range(flagship_pair.dim):
             M = flagship_pair.basis_matrix(j)
-            assert set(M.sum(axis=0).tolist()) == {r_index[flagship_pair.star_map[j]]}
+            assert set(M.sum(axis=0).tolist()) == {r_index[flagship_pair.inverse_class[j]]}
 
     def test_faithful_disjoint_supports(self, flagship_pair):
         seen = np.zeros(flagship_pair.cell_class.shape, dtype=int)
@@ -104,7 +104,7 @@ class TestStar:
         assert e.star() == e
 
     def test_star_permutes_basis_by_inverse_class(self, flagship_pair):
-        for j, rep in enumerate(flagship_pair.table.representatives.tolist()):
+        for j, rep in enumerate(flagship_pair.representatives.tolist()):
             image = flagship_pair.basis_element(j).star()
             inv_coset = flagship_pair.cosets.cosets_of([Permutation(rep).inverse().images])[0]
             inv_class = int(flagship_pair.class_of_coset[inv_coset])
@@ -131,7 +131,7 @@ class TestTrace:
             assert flagship_pair.basis_element(j).trace() == (Fraction(0), Fraction(0))
 
     def test_gns_norm_of_basis_elements(self, flagship_pair):
-        for j, r in enumerate(flagship_pair.table.r_index.tolist()):
+        for j, r in enumerate(flagship_pair.r_index.tolist()):
             e = flagship_pair.basis_element(j)
             assert trace_inner_product(e, e) == (Fraction(r), Fraction(0))
 
@@ -226,9 +226,9 @@ class TestTreeIdentification:
         level_pair = PairSpec.level(2, 2, 3).pair()
         assert level_pair.group.same_group(flagship_pair.group)
         assert level_pair.subgroup.same_group(flagship_pair.subgroup)
-        assert level_pair.table.sizes == flagship_pair.table.sizes
+        assert level_pair.sizes == flagship_pair.sizes
 
     def test_unimodularity_of_constructed_pairs(self, flagship_pair, s4_d4_pair,
                                                 s3_s2_pair):
         for pair in (flagship_pair, s4_d4_pair, s3_s2_pair):
-            assert pair.table.is_unimodular()
+            assert pair.is_unimodular()

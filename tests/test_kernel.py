@@ -60,7 +60,7 @@ def assert_kernel_matches_oracle(pair):
     G_rows, H_rows = pair.group.generator_rows, pair.subgroup.generator_rows
     assert np.array_equal(pair.cosets.action, oracles.action_by_ranking(
         pair.cosets, np.concatenate([G_rows, H_rows])))
-    assert np.array_equal(pair.table.subgroup_action,
+    assert np.array_equal(pair.subgroup_action,
                           oracles.action_by_ranking(pair.cosets, H_rows))
     cell = oracles.dense_cell_table(pair)
     assert pair.cell_class.dtype == np.int32
@@ -147,7 +147,7 @@ def test_action_arrays(flagship_pair):
     cosets = flagship_pair.cosets
     gens = flagship_pair.group.generators + flagship_pair.subgroup.generators
     assert cosets.action.shape == (len(gens), len(cosets))
-    assert np.array_equal(flagship_pair.table.subgroup_action,
+    assert np.array_equal(flagship_pair.subgroup_action,
                           cosets.action[len(flagship_pair.group.generators):])
     for s, g in enumerate(gens):
         for i in range(0, len(cosets), 7):
@@ -424,4 +424,4 @@ def test_row_arrays_are_big_endian(which, flagship_pair):
     G, H = pair.group, pair.subgroup
     assert H.coset_orbit(np.arange(G.degree), G.generator_rows)[0].dtype == ROW
     assert pair.cosets.rows.dtype == ROW
-    assert pair.table.representatives.dtype == ROW
+    assert pair.representatives.dtype == ROW

@@ -270,7 +270,7 @@ class TestRIndex:
 
     def test_flagship_symmetry(self, flagship_pair):
         H = flagship_pair.subgroup
-        for rep in map(Permutation, flagship_pair.table.representatives.tolist()):
+        for rep in map(Permutation, flagship_pair.representatives.tolist()):
             assert r_index(rep, H) == r_index(rep.inverse(), H)
 
     def test_index_formula_against_intersection(self):

@@ -190,7 +190,7 @@ def test_witness_verify_decay_round_trip(workdir, capsys):
 def test_decay_takes_d_from_the_certificate(workdir, capsys, flagship_certificate):
     # the certificate's pair (S_{d^l}, Q_l) fixes d; there is no --d to contradict it
     data = flagship_certificate.to_json_dict()
-    data.update(d=3, l=2, basis=PairSpec.depth(3, 2).pair().table.representatives.tolist(),
+    data.update(d=3, l=2, basis=PairSpec.depth(3, 2).pair().representatives.tolist(),
                 u={"re": [1.0, 0, 0, 0, 0], "im": [0.0] * 5})
     data["v"] = data["u"]
     (workdir / "cert.json").write_text(json.dumps(data))
@@ -496,16 +496,25 @@ def test_bad_cache_entry_is_rebuilt(workdir, capsys, monkeypatch, corrupt):
     assert path.read_bytes() == planted
 
 
-@pytest.mark.parametrize("field", ["u", "moments", "tolerances", "d"])
+#: arrays nested 100,000 deep: json.load runs out of recursion depth on them
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("field", ["u", "moments", "tolerances", "d", "recursion"])
 def test_malformed_certificate_exits_2_with_one_line(workdir, capsys, field,
                                                      flagship_certificate):
-    data = flagship_certificate.to_json_dict()
-    del data[field]
-    (workdir / "bad.json").write_text(json.dumps(data))
-    assert main(["verify", "bad.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert field in err and "Traceback" not in err
+    if field == "recursion":
+        text = DEEP_JSON
+    else:
+        data = flagship_certificate.to_json_dict()
+        del data[field]
+        text = json.dumps(data)
+    (workdir / "bad.json").write_text(text)
+    for command in ("verify", "decay"):
+        assert main([command, "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("path, value, named", [
@@ -570,9 +579,12 @@ def _spher_doc():
     (dict(_spher_doc(), A=["", "0", "1"], B=["", "0", "1"], twists={},
           phi=[["0", "1"], ["0", "0"], ["1", "1"]]), "twice"),
     (dict(_spher_doc(), twists={"": [["", [1, 0]], ["", [0, 1]]]}), "twice"),
+    # already JSON text, which json.dumps could not write
+    pytest.param(DEEP_JSON, "recursion", id="nested-100000"),
 ])
 def test_malformed_spher_element_exits_2_with_one_line(workdir, capsys, document, field):
-    (workdir / "bad.json").write_text(json.dumps(document))
+    text = document if isinstance(document, str) else json.dumps(document)
+    (workdir / "bad.json").write_text(text)
     assert main(["spher", "canonical", "bad.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -588,6 +600,24 @@ def test_spher_lone_deep_leaf_refused(workdir):
     err, seconds = _fast_refusal("spher", "canonical", "deep.json")
     assert err == "error: subtree leaves do not cover the boundary of the tree\n"
     assert seconds < 5
+
+
+def test_witness_on_a_commutative_pair_fails_with_one_line(workdir, capsys):
+    assert main(["witness", "--d", "2", "--l", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "witness search failed: pair has a commutative algebra: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(workdir.iterdir()) == []
+
+
+def test_out_on_a_directory_exits_2_and_leaves_no_temporary_file(workdir, capsys):
+    (workdir / "rows").mkdir()
+    assert main(["census", "--d", "2", "--l", "2", "--out", "rows"]) == 2
+    err = capsys.readouterr().err
+    # the message names the temporary file, a random name
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(workdir.rglob("*.tmp")) == [] and list((workdir / "rows").iterdir()) == []
 
 
 def test_witness_certificates_reproducible(workdir, capsys):

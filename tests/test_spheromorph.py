@@ -182,6 +182,13 @@ class TestCanonicalForm:
         c = canonical_form(refined)
         assert c.leaf_map == {(): ()}
 
+    def test_refinement_equals_and_hashes_like_the_root_twist(self):
+        twist = AlmostAutomorphism.automorphism(SHAPE, {(): (1, 0)})
+        refined = AlmostAutomorphism(SHAPE, {(0,): (1,), (1,): (0,)}, {})
+        assert not twist.data_equal(refined)
+        assert twist == refined and hash(twist) == hash(refined)
+        assert len({twist, refined}) == 1
+
     def test_minimal_element_is_unchanged(self):
         g = AlmostAutomorphism(SHAPE, {(0, 0): (0,), (0, 1): (1, 0), (1,): (1, 1)}, {})
         assert canonical_form(g).data_equal(g)
@@ -341,7 +348,7 @@ class TestDoubleCosetKey:
         assert set(by_key) == set(reps)
 
     def test_keys_realize_every_class_at_level_three(self, flagship_pair):
-        for rep in map(Permutation, flagship_pair.table.representatives.tolist()):
+        for rep in map(Permutation, flagship_pair.representatives.tolist()):
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, rep)
             assert double_coset_key(g, 3) == rep
 
@@ -353,7 +360,7 @@ class TestDoubleCosetKey:
             sigma = oracles.sample(flagship_pair.group, rng)
             g = AlmostAutomorphism.from_level_permutation(SHAPE, 3, sigma)
             coset = flagship_pair.cosets.cosets_of([sigma.images])[0]
-            expected = Permutation(flagship_pair.table.representatives[
+            expected = Permutation(flagship_pair.representatives[
                 flagship_pair.class_of_coset[coset]].tolist())
             assert double_coset_key(g, 3) == expected
 

@@ -57,3 +57,22 @@ def test_patch_and_unpatch_every_target():
         tracer.unpatch()
     for (module_name, path), original in originals.items():
         assert _target(module_name, path) is original
+
+
+def test_pair_build_is_one_span_over_its_table():
+    # a pair is its double-coset table: the table's constructor runs inside
+    # the pair's, once, and the counters read the coset and class counts
+    from heckelab.hecke import PairSpec
+
+    tracer = _load_tracer().Tracer("test")
+    try:
+        tracer.patch()
+        PairSpec.depth(2, 3).pair()
+    finally:
+        tracer.unpatch()
+    spans = [(name, parent) for name, _, _, parent in tracer.spans]
+    pair_inits = [i for i, (name, _) in enumerate(spans) if name == "hecke.pair_init"]
+    assert len(pair_inits) == 1
+    assert [parent for name, parent in spans if name == "permgroup.dctable"] == pair_inits
+    assert tracer.counters["permgroup.cosets"] == 315
+    assert tracer.counters["permgroup.classes"] == 16

@@ -67,6 +67,7 @@ def cases():
     yield "verify-tampered", ["heckelab", "verify", "tampered.json"], 1
     yield "verify-huge-weights", ["heckelab", "verify", "huge-weights.json"], 1
     yield "verify-extra-atom", ["heckelab", "verify", "extra-atom.json"], 1
+    yield "verify-nested", ["heckelab", "verify", "nested.json"], 2
     yield "decay", ["heckelab", "decay", "witness-0.json"], 0
     yield "decay-out", ["heckelab", "decay", "witness-0.json", "--out", "decay.jsonl"], 0
     yield "decay-k3", ["heckelab", "decay", "witness-0.json", "--k", "3"], 0
@@ -103,8 +104,9 @@ def cases():
 
 def tamper(out: Path):
     """tampered.json: the seed-0 certificate with u.re[1] moved by 1e-3,
-    huge-weights.json: the same with its first two spectral weights 1e308, and
-    extra-atom.json: the same with a 17th spectral atom, of weight 0."""
+    huge-weights.json: the same with its first two spectral weights 1e308,
+    extra-atom.json: the same with a 17th spectral atom, of weight 0, and
+    nested.json: arrays nested 100,000 deep, past json.load's recursion depth."""
     text = (out / "witness-0.json").read_text()
     data, huge, extra = json.loads(text), json.loads(text), json.loads(text)
     data["u"]["re"][1] += 1e-3
@@ -114,6 +116,7 @@ def tamper(out: Path):
     extra["spectral"]["angles"].append(0.5)
     extra["spectral"]["weights"].append(0.0)
     (out / "extra-atom.json").write_text(json.dumps(extra))
+    (out / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
 
 
 def _element(d: int, k: int, phi: list, twists: dict | None = None) -> dict:
